@@ -20,6 +20,7 @@ from .bounds import (
     CheckResult,
     CheckStatus,
     DecayRow,
+    EnclosureLost,
     decay_table,
     rhs_bound,
     verify_form_bound,
@@ -53,6 +54,7 @@ __all__ = [
     "DisjointEnclosures",
     "Dn",
     "Enclosure",
+    "EnclosureLost",
     "IntegralityViolation",
     "InvalidCoeffVector",
     "KernelMoment",

@@ -1,14 +1,26 @@
-"""Kernel moments of -log(xy)/(1-xy) and the Beukers linear forms in 1, zeta(3).
+"""The Beukers linear forms I_n = alpha_n + beta_n*zeta(3) and their moment oracle.
 
-The double integral over the unit square of x^r y^s (-log xy)/(1-xy) equals
+Production route: alpha_n = -2*a_n and beta_n = 2*b_n, where Apery's
+sequences a_n (rational; a_0 = 0, a_1 = 6) and b_n (integer; b_0 = 1,
+b_1 = 5) both satisfy the three-term recurrence
+
+    n^3 u_n = (34n^3 - 51n^2 + 27n - 5) u_{n-1} - (n-1)^3 u_{n-2}
+
+(van der Poorten, "A proof that Euler missed", Math. Intelligencer 1979;
+Beukers, Bull. LMS 1979). Both are read from tables grown on demand, so
+building the forms for n = 0..N costs O(N) big-number steps. Multiplying by
+d_n^3 = lcm(1..n)^3 clears alpha_n's denominator exactly, giving the integer
+pair (A_n, B_n); that integrality is checked on every form built.
+
+Oracle route (tests only): the double integral over the unit square of
+x^r y^s (-log xy)/(1-xy) equals
 
     r == s:  2*zeta(3) - 2*H_r(3)                  (H = generalized harmonic)
     r != s:  (H_r(2) - H_s(2)) / (r - s)
 
-Pairing these moments with the shifted Legendre coefficients of P_n(x)P_n(y)
-yields I_n = alpha_n + beta_n*zeta(3) with alpha_n rational and beta_n a
-positive even integer. Multiplying by d_n^3 = lcm(1..n)^3 clears alpha_n's
-denominator exactly, giving the integer pair (A_n, B_n).
+and pairing these moments with the shifted Legendre coefficients of
+P_n(x)P_n(y) yields the same (alpha_n, beta_n) by an O(n^2) double sum
+(``_assemble``). The moments themselves have a series oracle.
 """
 
 from __future__ import annotations
@@ -113,7 +125,16 @@ def dn_cubed(n: int) -> int:
     return 1 if n == 0 else d(n).cube
 
 
+def _checked_form(n: int, alpha: Rat, beta: int) -> LinearForm:
+    cube = dn_cubed(n)
+    scaled = alpha * cube
+    if scaled.denominator != 1:
+        raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={n}: {scaled}")
+    return LinearForm(n=n, alpha=alpha, beta=beta, A=scaled.numerator, B=beta * cube, dn3=cube)
+
+
 def _assemble(n: int, moment_fn: Callable[[int, int], KernelMoment]) -> LinearForm:
+    """Oracle for linear_form: the O(n^2) moment x Legendre-coefficient double sum."""
     c = legendre.coeffs(n).coeffs
     alpha = Fraction(0)
     for r in range(n + 1):
@@ -122,11 +143,29 @@ def _assemble(n: int, moment_fn: Callable[[int, int], KernelMoment]) -> LinearFo
         for s in range(r):
             alpha += 2 * cr * c[s] * moment_fn(r, s).rat
     beta = 2 * sum(ck * ck for ck in c)
-    cube = dn_cubed(n)
-    scaled = alpha * cube
-    if scaled.denominator != 1:
-        raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={n}: {scaled}")
-    return LinearForm(n=n, alpha=alpha, beta=beta, A=scaled.numerator, B=beta * cube, dn3=cube)
+    return _checked_form(n, alpha, beta)
+
+
+# Apery's sequences for the recurrence in the module docstring, grown in
+# lockstep: _APERY_A holds a_n = 0, 6, 351/4, ... and _APERY holds the Apery
+# numbers b_n = 1, 5, 73, 1445, ...
+_APERY_A: list[Fraction] = [Fraction(0), Fraction(6)]
+_APERY: list[int] = [1, 5]
+
+
+def _recurrence_step(k: int, table: list):
+    """k^3 u_k from u_{k-1} and u_{k-2} in ``table``."""
+    return (34 * k**3 - 51 * k**2 + 27 * k - 5) * table[k - 1] - (k - 1) ** 3 * table[k - 2]
+
+
+def _grow_apery(n: int) -> None:
+    while len(_APERY) <= n:
+        k = len(_APERY)
+        b, rem = divmod(_recurrence_step(k, _APERY), k**3)
+        if rem:
+            raise ArithmeticError(f"Apery recurrence not integral at n={k}")
+        _APERY_A.append(_recurrence_step(k, _APERY_A) / k**3)
+        _APERY.append(b)
 
 
 @lru_cache(maxsize=None)
@@ -134,27 +173,21 @@ def linear_form(n: int) -> LinearForm:
     """The pair (alpha_n, beta_n) with I_n = alpha_n + beta_n*zeta(3).
 
     Raises IntegralityViolation if d_n^3 * alpha_n is not an integer, which
-    cannot happen unless the moment or lcm machinery is broken.
+    cannot happen unless the recurrence tables or the lcm machinery are broken.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _assemble(n, moment)
-
-
-# Apery numbers 1, 5, 73, 1445, ... via the three-term recurrence
-# n^3 b_n = (34n^3 - 51n^2 + 27n - 5) b_{n-1} - (n-1)^3 b_{n-2}.
-_APERY: list[int] = [1, 5]
+    _grow_apery(n)
+    return _checked_form(n, -2 * _APERY_A[n], 2 * _APERY[n])
 
 
 def apery_oracle(n: int) -> int:
-    """Independent oracle for beta_n: linear_form(n).beta == 2 * apery_oracle(n)."""
+    """The Apery number b_n = sum_k (C(n,k) C(n+k,k))^2; beta_n = 2 * apery_oracle(n).
+
+    Reads the integer recurrence table that linear_form uses; the oracles
+    independent of the recurrence are ``_assemble`` and the binomial sum.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    while len(_APERY) <= n:
-        k = len(_APERY)
-        num = (34 * k**3 - 51 * k**2 + 27 * k - 5) * _APERY[k - 1] - (k - 1) ** 3 * _APERY[k - 2]
-        q, rem = divmod(num, k**3)
-        if rem:
-            raise ArithmeticError(f"Apery recurrence not integral at n={k}")
-        _APERY.append(q)
+    _grow_apery(n)
     return _APERY[n]

@@ -27,6 +27,10 @@ from .exactnum import Enclosure, budget_bits, sqrt2_enclosure
 from .zeta3 import zeta3
 
 
+class EnclosureLost(ArithmeticError):
+    """An enclosure excludes the value it must contain; signals an implementation bug."""
+
+
 class CheckStatus(Enum):
     HOLDS = "holds"
     FAILS = "fails"
@@ -89,7 +93,8 @@ def shrink_enclosure(n: int, digits: int) -> Enclosure:
     enc = sqrt2_enclosure(digits) * b + a
     algebraic = Enclosure(Fraction(1, 34**n), Fraction(1, 33**n)) if n else Enclosure.point(1)
     both = enc.intersect(algebraic)
-    assert both is not None, "unit power enclosure lost the true value"
+    if both is None:
+        raise EnclosureLost(f"unit power enclosure lost the true value at n={n}")
     return both
 
 
@@ -108,7 +113,11 @@ def form_abs_enclosure(n: int, digits: int) -> Enclosure:
 
 @lru_cache(maxsize=None)
 def ratio_enclosure(n: int, digits: int) -> Enclosure:
-    """Enclosure of R_n = |A_n + B_n*zeta(3)| / (2 (sqrt(2)-1)^(4n) d_n^3)."""
+    """Enclosure of R_n = |I_n| / (2 (sqrt(2)-1)^(4n) d_n^3).
+
+    Since I_n = (A_n + B_n*zeta(3)) / d_n^3, this is
+    |A_n + B_n*zeta(3)| / (2 (sqrt(2)-1)^(4n) d_n^6).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     divisor = shrink_enclosure(n, digits) * (2 * dn_cubed(n))

@@ -63,14 +63,10 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt_limit(limit) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
     return [i for i in range(2, limit + 1) if sieve[i]]
-
-
-def isqrt_limit(limit: int) -> int:
-    return math.isqrt(limit)
 
 
 def prime_power_lcm(n: int) -> int:

@@ -157,6 +157,28 @@ def test_integrality_violation_on_corrupted_moment():
         beukers._assemble(1, bad_moment)
 
 
+def test_linear_form_matches_moment_double_sum_up_to_60():
+    # alpha and beta by two routes: the recurrence tables and the moment sum
+    for n in range(61):
+        assert linear_form(n) == beukers._assemble(n, moment)
+
+
+def test_integrality_violation_on_corrupted_recurrence_table(monkeypatch):
+    n = 5
+    linear_form(n)  # grow the tables past n
+    corrupted = list(beukers._APERY_A)
+    corrupted[n] += F(1, 7)  # 7 does not divide d_5^3 = 60^3
+    monkeypatch.setattr(beukers, "_APERY_A", corrupted)
+    linear_form.cache_clear()
+    try:
+        with pytest.raises(IntegralityViolation):
+            linear_form(n)
+    finally:
+        monkeypatch.undo()
+        linear_form.cache_clear()
+    assert linear_form(n) == beukers._assemble(n, moment)
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=40))
 def test_beta_positive_even(n):

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from zeta3forms import bounds
 from zeta3forms.bounds import (
     CheckStatus,
+    EnclosureLost,
     decay_table,
     form_abs_enclosure,
     ratio_enclosure,
@@ -69,6 +71,20 @@ def test_shrink_enclosure_contains_true_value():
         enc = shrink_enclosure(n, 20)
         assert tight.width() < enc.width()
         assert enc.intersect(tight) is not None
+
+
+def test_shrink_enclosure_raises_when_sqrt2_enclosure_misses(monkeypatch):
+    # 17 - 12 * 3/2 = -1 lies outside the algebraic bracket (1/34, 1/33);
+    # a raised error, unlike an assert, survives python -O
+    monkeypatch.setattr(bounds, "sqrt2_enclosure", lambda digits: Enclosure.point(F(3, 2)))
+    shrink_enclosure.cache_clear()
+    try:
+        with pytest.raises(EnclosureLost):
+            shrink_enclosure(1, 20)
+    finally:
+        monkeypatch.undo()
+        shrink_enclosure.cache_clear()
+    assert shrink_enclosure(1, 20).lo > 0
 
 
 def test_rhs_bound_value():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zeta3forms import bounds
+from zeta3forms.beukers import apery_oracle, dn_cubed
 from zeta3forms.cli import (
     EXIT_FAILS,
     EXIT_OK,
@@ -84,6 +85,15 @@ def test_form_json(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload == {"n": 2, "alpha": "-351/2", "beta": 146, "A": -1404, "B": 1168, "dn3": 8}
+
+
+def test_form_json_at_n_1000(capsys):
+    code, out, _ = run_cli(capsys, "form", "--n", "1000", "--json", "--quiet")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["dn3"] == dn_cubed(1000)
+    assert payload["B"] == 2 * apery_oracle(1000) * dn_cubed(1000)
+    assert F(payload["alpha"]) * payload["dn3"] == payload["A"]
 
 
 # -- verify ----------------------------------------------------------------------
