@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .beukers import dn_cubed, linear_form
@@ -51,7 +50,8 @@ class CheckResult:
 MAX_REFINEMENTS = 4
 
 
-def _refinement_digits(digits: int):
+def refinement_digits(digits: int):
+    """The refinement ladder: digits * 2**k for k = 0..MAX_REFINEMENTS."""
     dd = digits
     for _ in range(MAX_REFINEMENTS + 1):
         yield dd
@@ -91,7 +91,7 @@ def shrink_enclosure(n: int, digits: int) -> Enclosure:
         raise ValueError("n must be non-negative")
     a, b = unit_pair(n)
     enc = sqrt2_enclosure(digits) * b + a
-    algebraic = Enclosure(Fraction(1, 34**n), Fraction(1, 33**n)) if n else Enclosure.point(1)
+    algebraic = Enclosure.from_parts(33**n, 34**n, 34**n * 33**n)  # [34^-n, 33^-n]
     both = enc.intersect(algebraic)
     if both is None:
         raise EnclosureLost(f"unit power enclosure lost the true value at n={n}")
@@ -108,7 +108,7 @@ def rhs_bound(n: int, digits: int) -> Enclosure:
 def form_abs_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of |alpha_n + beta_n*zeta(3)| = |A_n + B_n*zeta(3)| / d_n^3."""
     form = linear_form(n)
-    return abs(zeta3(digits) * form.beta + form.alpha)
+    return abs((zeta3(digits) * form.B + form.A) / form.dn3)
 
 
 @lru_cache(maxsize=None)
@@ -129,11 +129,12 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
     """Certified status of the double inequality 0 < value < upper.
 
     HOLDS and FAILS require disjoint evidence; overlap (including an
-    uncertified sign of ``value``) yields UNKNOWN.
+    uncertified sign of ``value``) yields UNKNOWN. Decided on the integer
+    fields (the denominator is positive), so no Fraction is built.
     """
-    if value.lo > 0 and value.hi < upper.lo:
+    if value.lo_num > 0 and value.lies_below(upper):
         return CheckStatus.HOLDS
-    if value.hi <= 0 or value.lo >= upper.hi:
+    if value.hi_num <= 0 or value.lies_at_or_above(upper):
         return CheckStatus.FAILS
     return CheckStatus.UNKNOWN
 
@@ -144,7 +145,7 @@ def verify_form_bound(n: int, digits: int) -> CheckResult:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for dd in _refinement_digits(digits):
+    for dd in refinement_digits(digits):
         lhs = form_abs_enclosure(n, dd)
         rhs = rhs_bound(n, dd)
         status = sandwich_status(lhs, rhs)
@@ -159,7 +160,7 @@ def verify_ratio_bound(n: int, digits: int) -> CheckResult:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for dd in _refinement_digits(digits):
+    for dd in refinement_digits(digits):
         lhs = ratio_enclosure(n, dd)
         rhs = zeta3(dd)
         status = sandwich_status(lhs, rhs)

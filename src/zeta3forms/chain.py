@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import product
 from typing import Optional, Sequence
 
-from .bounds import CheckStatus, MAX_REFINEMENTS, ratio_enclosure, sandwich_status
+from .bounds import CheckStatus, ratio_enclosure, refinement_digits, sandwich_status
 from .exactnum import Enclosure, Trichotomy, trichotomy
 from .zeta3 import zeta3
 
@@ -174,18 +174,11 @@ def power_bound(n: int, k: int, digits: int) -> StepReport:
         raise ValueError("k must be >= 1; the chain starts at the first power")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for dd in _digit_ladder(digits):
+    for dd in refinement_digits(digits):
         status = sandwich_status(ratio_enclosure(n, dd) ** k, zeta3(dd) ** k)
         if status is not CheckStatus.UNKNOWN:
             break
     return StepReport(f"power_{k}", status, Justification.justified())
-
-
-def _digit_ladder(digits: int):
-    dd = digits
-    for _ in range(MAX_REFINEMENTS + 1):
-        yield dd
-        dd *= 2
 
 
 def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
@@ -196,7 +189,7 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     report = None
-    for dd in _digit_ladder(digits):
+    for dd in refinement_digits(digits):
         report = _audit_once(n, c, dd)
         if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
             break
@@ -214,9 +207,12 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
         steps.append(StepReport(f"power_{k}", status, Justification.justified()))
 
     # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
-    # bounds is only an inference when every multiplier is positive.
+    # bounds is only an inference when every multiplier is positive. The
+    # upper bound is z * residual with residual = sum_i c_i zeta(3)^i, so one
+    # Horner pass serves this step and the substitution.
     weighted = _weighted_sum(c.c, ratio)
-    upper = _weighted_sum(c.c, z)
+    residual = _poly_enclosure(c.c, z)
+    upper = z * residual
     if c.all_positive:
         ws_just = Justification.justified()
     else:
@@ -226,7 +222,6 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # Substitution: the upper bound is replaced using the assumed relation.
     # Numeric verdict reflects whether the residual enclosure still allows
     # zero: certified-nonzero residual refutes the substitution.
-    residual = _poly_enclosure(c.c, z)
     tri = trichotomy(residual)
     if tri is Trichotomy.CONTAINS_ZERO:
         sub_status = CheckStatus.UNKNOWN

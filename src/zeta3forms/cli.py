@@ -6,7 +6,8 @@ printed to a precision the enclosure actually certifies (a +/- error field
 is appended whenever the width exceeds one unit in the last printed place).
 
 Exit codes: 0 all requested checks hold / completed, 1 some check fails,
-2 usage error, 3 some check is still unknown after maximal refinement.
+2 usage error, 3 some check is still unknown after maximal refinement, or
+some printed decay cell carries a +/- field (not one digit certified).
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def cmd_decay(args: argparse.Namespace) -> int:
     else:
         for cells in formatted:
             print(" ".join(f"{k}={v}" for k, v in zip(header, cells)))
+    # A cell with a +/- field did not certify even one significant digit.
+    if any("±" in cell for cells in formatted for cell in cells[2:]):
+        return EXIT_UNKNOWN
     return EXIT_OK
 
 

@@ -2,9 +2,28 @@
 
 Every real quantity in this package is carried either as an exact rational
 (`Rat`, an alias of `fractions.Fraction`) or as an `Enclosure`, a closed
-interval with exact rational endpoints guaranteed to contain the true value.
-Endpoints are never floats, so a strict inequality certified through
-enclosures is an exact fact, not a rounding artifact.
+interval guaranteed to contain the true value. Endpoints are never floats,
+so a strict inequality certified through enclosures is an exact fact, not a
+rounding artifact.
+
+Representation: an enclosure is three integers, numerators
+``lo_num <= hi_num`` over one shared positive denominator ``den``; its
+endpoints are the exact rationals lo_num/den and hi_num/den. The
+denominator is never reduced, and no operation on enclosures computes a
+gcd:
+
+* ``+`` and ``-`` align denominators: when one divides the other both are
+  scaled to the larger, otherwise to their product;
+* ``*`` multiplies the denominators and picks endpoints by sign cases (two
+  products when a factor is non-negative, four with min/max otherwise);
+* ``**k`` raises numerators and denominator to the k-th power, and
+  ``reciprocal`` maps [a/d, b/d] to [d*a, d*b] / (a*b);
+* comparisons cross-multiply integers.
+
+Sizes stay bounded because long computations round outward onto a 2**-bits
+grid (`Enclosure.round_out`). Reduced `Fraction` endpoints are built only
+when read (``lo``, ``hi``, ``width``, ``midpoint``), at the printing
+boundary. See Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.
@@ -13,7 +32,6 @@ safe.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -53,68 +71,153 @@ class Trichotomy(Enum):
     CONTAINS_ZERO = "contains_zero"
 
 
-@dataclass(frozen=True, slots=True)
+def _scales(d: int, e: int) -> tuple[int, int, int]:
+    """(s, t, den) with d*s == e*t == den: the larger of d and e when it is a
+    multiple of the other, else d*e."""
+    if d == e:
+        return 1, 1, d
+    if d > e:
+        if d % e == 0:
+            return 1, d // e, d
+    elif e % d == 0:
+        return e // d, 1, e
+    return e, d, d * e
+
+
 class Enclosure:
-    """Closed interval [lo, hi] with exact rational endpoints.
+    """Closed interval [lo_num/den, hi_num/den] with integers lo_num <= hi_num
+    and den > 0.
 
     Arithmetic is containment-sound: if x is in ``a`` and y is in ``b`` then
     x op y is in ``a op b``. Scalars (int or Fraction) mix freely with
-    enclosures and are treated as zero-width intervals.
+    enclosures and are treated as zero-width intervals. ``==`` and ``hash``
+    compare values, so the same interval over two unreduced denominators is
+    one value.
     """
 
-    lo: Rat
-    hi: Rat
+    __slots__ = ("lo_num", "hi_num", "den")
 
-    def __post_init__(self) -> None:
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
-        if lo > hi:
-            raise ValueError(f"inverted enclosure: lo={lo} > hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    lo_num: int
+    hi_num: int
+    den: int
+
+    def __init__(self, lo: Scalar, hi: Scalar) -> None:
+        lo, hi = _scalar(lo), _scalar(hi)
+        s, t, den = _scales(lo.denominator, hi.denominator)
+        lo_num, hi_num = lo.numerator * s, hi.numerator * t
+        _check_order(lo_num, hi_num, den)
+        _set_lo(self, lo_num)
+        _set_hi(self, hi_num)
+        _set_den(self, den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Enclosure is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Enclosure.from_parts, (self.lo_num, self.hi_num, self.den)
 
     @staticmethod
     def point(x: Scalar) -> Enclosure:
-        return Enclosure(Fraction(x), Fraction(x))
+        x = _scalar(x)
+        return _raw(x.numerator, x.numerator, x.denominator)
+
+    @staticmethod
+    def from_parts(lo_num: int, hi_num: int, den: int) -> Enclosure:
+        """[lo_num/den, hi_num/den] from integers, kept unreduced."""
+        if den < 1:
+            raise ValueError("den must be >= 1")
+        _check_order(lo_num, hi_num, den)
+        return _raw(lo_num, hi_num, den)
+
+    # -- exact endpoints, built on access ---------------------------------
+
+    @property
+    def lo(self) -> Rat:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Rat:
+        return Fraction(self.hi_num, self.den)
 
     # -- queries ----------------------------------------------------------
 
     def width(self) -> Rat:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
 
     def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_num == self.hi_num
 
     def contains(self, x: Scalar) -> bool:
-        return self.lo <= x <= self.hi
+        x = _scalar(x)
+        p, q = x.numerator * self.den, x.denominator
+        return self.lo_num * q <= p <= self.hi_num * q
 
     def encloses(self, other: Enclosure) -> bool:
         """True when ``other`` lies entirely inside ``self``."""
-        return self.lo <= other.lo and other.hi <= self.hi
+        d, e = self.den, other.den
+        return self.lo_num * e <= other.lo_num * d and other.hi_num * d <= self.hi_num * e
+
+    def lies_below(self, other: Enclosure) -> bool:
+        """Every point of ``self`` is strictly below every point of ``other``."""
+        d, e = self.den, other.den
+        if d == e:
+            return self.hi_num < other.lo_num
+        return self.hi_num * e < other.lo_num * d
+
+    def lies_at_or_above(self, other: Enclosure) -> bool:
+        """Every point of ``self`` is at or above every point of ``other``."""
+        d, e = self.den, other.den
+        if d == e:
+            return self.lo_num >= other.hi_num
+        return self.lo_num * e >= other.hi_num * d
 
     def intersect(self, other: Enclosure) -> Optional[Enclosure]:
         """Common part of two enclosures, or None when they are disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        s, t, den = _scales(self.den, other.den)
+        lo_self = self.lo_num * s >= other.lo_num * t
+        hi_self = self.hi_num * s <= other.hi_num * t
+        if lo_self and hi_self:
+            return self
+        if not lo_self and not hi_self:
+            return other
+        lo = self.lo_num * s if lo_self else other.lo_num * t
+        hi = self.hi_num * s if hi_self else other.hi_num * t
         if lo > hi:
             return None
-        return Enclosure(lo, hi)
+        return _raw(lo, hi, den)
+
+    # -- value semantics ----------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Enclosure):
+            return NotImplemented
+        d, e = self.den, other.den
+        return self.lo_num * e == other.lo_num * d and self.hi_num * e == other.hi_num * d
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
-        o = _coerce(other)
+        if type(other) is int:
+            shift = other * self.den
+            return _raw(self.lo_num + shift, self.hi_num + shift, self.den)
+        o = other if type(other) is Enclosure else _coerce(other)
         if o is None:
             return NotImplemented
-        return Enclosure(self.lo + o.lo, self.hi + o.hi)
+        if self.den == o.den:
+            return _raw(self.lo_num + o.lo_num, self.hi_num + o.hi_num, self.den)
+        s, t, den = _scales(self.den, o.den)
+        return _raw(self.lo_num * s + o.lo_num * t, self.hi_num * s + o.hi_num * t, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Enclosure:
-        return Enclosure(-self.hi, -self.lo)
+        return _raw(-self.hi_num, -self.lo_num, self.den)
 
     def __sub__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
         o = _coerce(other)
@@ -129,20 +232,38 @@ class Enclosure:
         return o + (-self)
 
     def __mul__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
-        o = _coerce(other)
+        if type(other) is int:
+            if other >= 0:
+                return _raw(self.lo_num * other, self.hi_num * other, self.den)
+            return _raw(self.hi_num * other, self.lo_num * other, self.den)
+        o = other if type(other) is Enclosure else _coerce(other)
         if o is None:
             return NotImplemented
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Enclosure(min(products), max(products))
+        a, b, c, d = self.lo_num, self.hi_num, o.lo_num, o.hi_num
+        den = self.den * o.den
+        if c < 0 <= a:
+            a, b, c, d = c, d, a, b  # put the non-negative factor second
+        if c >= 0:
+            # [c, d] >= 0: the low end pairs a with c (a >= 0) or d (a < 0),
+            # the high end pairs b with d (b >= 0) or c (b < 0).
+            return _raw(a * (c if a >= 0 else d), b * (d if b >= 0 else c), den)
+        products = (a * c, a * d, b * c, b * d)
+        return _raw(min(products), max(products), den)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> Enclosure:
-        if self.lo <= 0 <= self.hi:
+        a, b, d = self.lo_num, self.hi_num, self.den
+        if a <= 0 <= b:
             raise ZeroDivisionError("reciprocal of an enclosure containing zero")
-        return Enclosure(1 / self.hi, 1 / self.lo)
+        # [d/b, d/a] over the common denominator a*b > 0
+        return _raw(d * a, d * b, a * b)
 
     def __truediv__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
+        if type(other) is int and other != 0:
+            if other > 0:
+                return _raw(self.lo_num, self.hi_num, self.den * other)
+            return _raw(-self.hi_num, -self.lo_num, -self.den * other)
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -165,46 +286,75 @@ class Enclosure:
         if k < 0:
             raise ValueError("negative powers not supported; use reciprocal()")
         if k == 0:
-            return Enclosure.point(1)
-        plo, phi = self.lo**k, self.hi**k
-        if k % 2 == 1:
-            return Enclosure(plo, phi)
-        if self.lo >= 0:
-            return Enclosure(plo, phi)
-        if self.hi <= 0:
-            return Enclosure(phi, plo)
-        return Enclosure(Fraction(0), max(plo, phi))
+            return _raw(1, 1, 1)
+        plo, phi, den = self.lo_num**k, self.hi_num**k, self.den**k
+        if k % 2 == 1 or self.lo_num >= 0:
+            return _raw(plo, phi, den)
+        if self.hi_num <= 0:
+            return _raw(phi, plo, den)
+        return _raw(0, max(plo, phi), den)
 
     def __abs__(self) -> Enclosure:
-        if self.lo >= 0:
+        if self.lo_num >= 0:
             return self
-        if self.hi <= 0:
+        if self.hi_num <= 0:
             return -self
-        return Enclosure(Fraction(0), max(-self.lo, self.hi))
+        return _raw(0, max(-self.lo_num, self.hi_num), self.den)
 
     def round_out(self, bits: int) -> Enclosure:
         """Outward-round endpoints onto the grid of multiples of 2**-bits.
 
         Containment is preserved; the width grows by at most 2**(1-bits).
-        Used to stop rational endpoints from blowing up across long
+        Used to stop endpoint sizes from blowing up across long
         computations.
         """
         if bits < 1:
             raise ValueError("bits must be >= 1")
-        scale = 1 << bits
-        lo = Fraction((self.lo.numerator * scale) // self.lo.denominator, scale)
-        hi = Fraction(-((-self.hi.numerator * scale) // self.hi.denominator), scale)
-        return Enclosure(lo, hi)
+        lo = (self.lo_num << bits) // self.den
+        hi = -(((-self.hi_num) << bits) // self.den)
+        return _raw(lo, hi, 1 << bits)
 
     def __str__(self) -> str:
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
+
+    def __repr__(self) -> str:
+        return f"Enclosure(lo={self.lo!r}, hi={self.hi!r})"
+
+
+# Slot setters that bypass the immutability guard, for construction only.
+_set_lo = Enclosure.lo_num.__set__
+_set_hi = Enclosure.hi_num.__set__
+_set_den = Enclosure.den.__set__
+_new = object.__new__
+
+
+def _raw(lo_num: int, hi_num: int, den: int) -> Enclosure:
+    """Enclosure from already valid fields: lo_num <= hi_num, den > 0."""
+    e = _new(Enclosure)
+    _set_lo(e, lo_num)
+    _set_hi(e, hi_num)
+    _set_den(e, den)
+    return e
+
+
+def _scalar(x: object) -> Scalar:
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"enclosure endpoints must be int or Fraction, not {type(x).__name__}")
+
+
+def _check_order(lo_num: int, hi_num: int, den: int) -> None:
+    if lo_num > hi_num:
+        raise ValueError(
+            f"inverted enclosure: lo={Fraction(lo_num, den)} > hi={Fraction(hi_num, den)}"
+        )
 
 
 def _coerce(x: object) -> Optional[Enclosure]:
     if isinstance(x, Enclosure):
         return x
     if isinstance(x, (int, Fraction)):
-        return Enclosure.point(x)
+        return _raw(x.numerator, x.numerator, x.denominator)
     return None
 
 
@@ -213,11 +363,12 @@ def trichotomy(a: Enclosure) -> Trichotomy:
 
     POSITIVE iff lo > 0, NEGATIVE iff hi < 0, CONTAINS_ZERO otherwise
     (exactly when lo <= 0 <= hi). This is the only decision procedure the
-    package uses for strict inequalities.
+    package uses for strict inequalities. The denominator is positive, so
+    an endpoint has the sign of its numerator.
     """
-    if a.lo > 0:
+    if a.lo_num > 0:
         return Trichotomy.POSITIVE
-    if a.hi < 0:
+    if a.hi_num < 0:
         return Trichotomy.NEGATIVE
     return Trichotomy.CONTAINS_ZERO
 
@@ -233,4 +384,4 @@ def sqrt2_enclosure(digits: int) -> Enclosure:
         raise ValueError("digits must be >= 1")
     scale = 10**digits
     root = isqrt(2 * scale * scale)
-    return Enclosure(Fraction(root, scale), Fraction(root + 1, scale))
+    return Enclosure.from_parts(root, root + 1, scale)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import Enclosure, budget_bits
@@ -88,9 +87,11 @@ def zeta3_direct(digits: int) -> Enclosure:
     acc = 0
     for k in range(1, terms + 1):
         acc += unit // (k * k * k)
-    lo = Fraction(acc, unit) + Fraction(1, 2 * (terms + 1) ** 2)
-    hi = Fraction(acc + terms, unit) + Fraction(1, 2 * terms**2)
-    return Enclosure(lo, hi).round_out(budget_bits(digits))
+    # [acc/unit + 1/(2(K+1)^2), (acc + K)/unit + 1/(2K^2)] over unit * 2K^2(K+1)^2
+    tails = 2 * terms**2 * (terms + 1) ** 2
+    lo = acc * tails + unit * terms**2
+    hi = (acc + terms) * tails + unit * (terms + 1) ** 2
+    return Enclosure.from_parts(lo, hi, unit * tails).round_out(budget_bits(digits))
 
 
 def _binsplit(a: int, b: int) -> tuple[int, int, int]:
@@ -109,19 +110,18 @@ def _binsplit(a: int, b: int) -> tuple[int, int, int]:
     return pl * pr, ql * qr, tl * qr + pl * tr
 
 
-def _partial_sum(terms: int) -> tuple[Fraction, Fraction]:
-    """Exact S_K = sum_{k<=K} t_k and the signed next term t_{K+1}.
+def _partial_sum(terms: int) -> tuple[int, int, int]:
+    """S_K = sum_{k<=K} t_k and the signed next term t_{K+1}, as integers
+    (s, t, den) with S_K = s/den and t_{K+1} = t/den.
 
     Both come out of one binary-splitting pass: over [1, K+1) the products
     give t_{K+1}/t_1 = P/Q and the sum gives (S_{K+1} - t_1)/t_1 = T/Q, so
-    no factorial is ever materialized.
+    no factorial is ever materialized, and den = 2Q is left unreduced.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     p, q, t = _binsplit(1, terms + 1)
-    t_next = Fraction(p, 2 * q)
-    s = Fraction(q + t - p, 2 * q)
-    return s, t_next
+    return q + t - p, p, 2 * q
 
 
 @lru_cache(maxsize=None)
@@ -133,9 +133,11 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     # (5/2)|t_{K+1}| drops below 10^-digits once K+1 > 1.661*(digits+0.7)+0.5;
     # 1.661 per digit plus slack covers that without any trial evaluation.
     terms = 1661 * digits // 1000 + 2
-    s, t_next = _partial_sum(terms)
-    ends = (s, s + t_next)
-    enc = Enclosure(min(ends), max(ends)) * Fraction(5, 2)
+    s, t_next, den = _partial_sum(terms)
+    # (5/2)[S_K, S_K + t_{K+1}], ends ordered by the sign of t_{K+1}, over
+    # 2*den = 4Q: round_out floor-divides each endpoint once, with no gcd.
+    ends = (5 * s, 5 * (s + t_next))
+    enc = Enclosure.from_parts(min(ends), max(ends), 2 * den)
     return enc.round_out(budget_bits(digits))
 
 

@@ -215,6 +215,20 @@ def test_decay_text_mode(capsys):
     assert out.splitlines()[0].startswith("n=1 d_n=1 abs_form=")
 
 
+def test_decay_exits_3_on_an_uncertified_cell(capsys):
+    # at 220 digits, n = 72 is the first row whose ratio and T_n cells cannot
+    # certify one significant digit and print a +/- field instead
+    code, out, _ = run_cli(capsys, "decay", "--n-max", "72", "--digits", "220", "--quiet")
+    assert "±" in out.splitlines()[-1]
+    assert code == EXIT_UNKNOWN
+
+
+def test_decay_exits_0_when_every_cell_is_certified(capsys):
+    code, out, _ = run_cli(capsys, "decay", "--n-max", "71", "--digits", "220", "--quiet")
+    assert "±" not in out
+    assert code == EXIT_OK
+
+
 # -- plumbing ----------------------------------------------------------------------
 
 

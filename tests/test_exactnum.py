@@ -226,3 +226,205 @@ def test_point_queries():
     assert p.is_point()
     assert p.width() == 0
     assert p.midpoint() == F(3, 7)
+
+
+# -- the integer kernel against the Fraction endpoint formulas -----------------
+#
+# Reference: the endpoint rules of the Fraction-endpoint kernel this package
+# used before enclosures became integer numerators over one unreduced
+# denominator. Every operation must return endpoints equal in value.
+
+
+def _ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _ref_sub(a, b):
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _ref_mul(a, b):
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(products), max(products)
+
+
+def _ref_reciprocal(a):
+    if a[0] <= 0 <= a[1]:
+        return None
+    return 1 / a[1], 1 / a[0]
+
+
+def _ref_pow(a, k):
+    if k == 0:
+        return F(1), F(1)
+    plo, phi = a[0] ** k, a[1] ** k
+    if k % 2 == 1 or a[0] >= 0:
+        return plo, phi
+    if a[1] <= 0:
+        return phi, plo
+    return F(0), max(plo, phi)
+
+
+def _ref_abs(a):
+    if a[0] >= 0:
+        return a
+    if a[1] <= 0:
+        return -a[1], -a[0]
+    return F(0), max(-a[0], a[1])
+
+
+def _ref_intersect(a, b):
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return None if lo > hi else (lo, hi)
+
+
+def _ref_round_out(a, bits):
+    scale = 1 << bits
+    lo = F((a[0].numerator * scale) // a[0].denominator, scale)
+    hi = F(-((-a[1].numerator * scale) // a[1].denominator), scale)
+    return lo, hi
+
+
+def _ends(e: Enclosure) -> tuple[Fraction, Fraction]:
+    return e.lo, e.hi
+
+
+@st.composite
+def small_enclosures(draw):
+    """Small arbitrary rationals, stored over an unreduced common denominator."""
+    x = draw(rationals)
+    lo, hi = x - draw(pads), x + draw(pads)
+    den = lo.denominator * hi.denominator * draw(st.integers(min_value=1, max_value=1000))
+    return Enclosure.from_parts(
+        lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+    )
+
+
+@st.composite
+def dyadic_enclosures(draw):
+    """Endpoints on a 2**-bits grid, bits in the audit's range 960..4800."""
+    bits = draw(st.sampled_from((960, 1920, 2880, 3840, 4800)) | st.integers(960, 4800))
+    bound = 4 << bits
+    lo = draw(st.integers(min_value=-bound, max_value=bound))
+    width = draw(st.integers(min_value=0, max_value=bound)) >> draw(st.integers(0, bits))
+    return Enclosure.from_parts(lo, lo + width, 1 << bits)
+
+
+enclosures = small_enclosures() | dyadic_enclosures()
+int_scalars = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+@given(enclosures, enclosures)
+def test_binary_ops_match_fraction_reference(a, b):
+    ra, rb = _ends(a), _ends(b)
+    assert _ends(a + b) == _ref_add(ra, rb)
+    assert _ends(a - b) == _ref_sub(ra, rb)
+    assert _ends(a * b) == _ref_mul(ra, rb)
+    both = a.intersect(b)
+    assert (None if both is None else _ends(both)) == _ref_intersect(ra, rb)
+    inv = _ref_reciprocal(rb)
+    if inv is None:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert _ends(a / b) == _ref_mul(ra, inv)
+        assert _ends(b.reciprocal()) == inv
+
+
+@given(enclosures, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=5000))
+def test_unary_ops_match_fraction_reference(a, k, bits):
+    ra = _ends(a)
+    assert _ends(a**k) == _ref_pow(ra, k)
+    assert _ends(abs(a)) == _ref_abs(ra)
+    assert _ends(-a) == (-ra[1], -ra[0])
+    assert _ends(a.round_out(bits)) == _ref_round_out(ra, bits)
+
+
+@given(enclosures, int_scalars, rationals)
+def test_scalar_ops_match_fraction_reference(a, k, q):
+    ra = _ends(a)
+    for s in (k, q):
+        p = (F(s), F(s))
+        assert _ends(a + s) == _ends(s + a) == _ref_add(ra, p)
+        assert _ends(a - s) == _ref_sub(ra, p)
+        assert _ends(s - a) == _ref_sub(p, ra)
+        assert _ends(a * s) == _ends(s * a) == _ref_mul(ra, p)
+        if s == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / s
+        else:
+            assert _ends(a / s) == _ref_mul(ra, _ref_reciprocal(p))
+
+
+@given(enclosures, enclosures)
+def test_strict_comparisons_match_fraction_reference(a, b):
+    assert a.lies_below(b) == (a.hi < b.lo)
+    assert a.lies_at_or_above(b) == (a.lo >= b.hi)
+    assert a.encloses(b) == (a.lo <= b.lo and b.hi <= a.hi)
+    expected = (
+        Trichotomy.POSITIVE if a.lo > 0 else Trichotomy.NEGATIVE if a.hi < 0 else Trichotomy.CONTAINS_ZERO
+    )
+    assert trichotomy(a) is expected
+
+
+@given(enclosures, st.integers(min_value=2, max_value=10**12))
+def test_equality_and_hash_ignore_unreduced_denominators(a, k):
+    scaled = Enclosure.from_parts(a.lo_num * k, a.hi_num * k, a.den * k)
+    reduced = Enclosure(a.lo, a.hi)
+    for same in (scaled, reduced):
+        assert same == a and a == same
+        assert hash(same) == hash(a)
+    assert {a, scaled, reduced} == {a}
+    assert Enclosure.from_parts(a.lo_num * k, a.hi_num * k + 1, a.den * k) != a
+
+
+def test_arithmetic_computes_no_gcd(monkeypatch):
+    import math
+
+    a = Enclosure.from_parts(-3, 5, 12)
+    b = Enclosure.from_parts(7, 9, 8)
+    third = F(1, 3)
+
+    def forbidden(*args):
+        raise AssertionError("an enclosure operation computed a gcd")
+
+    monkeypatch.setattr(math, "gcd", forbidden)
+    results = [a + b, a - b, a * b, b * a, a / b, 2 / b, a**3, b**2, abs(a), -a]
+    results += [a + 1, a * -2, a / -3, a * third, a + third, a.round_out(8), a.intersect(b - 1)]
+    assert all(isinstance(r, Enclosure) for r in results)
+    assert a.lies_below(b) and not a.lies_at_or_above(b) and b.encloses(b)
+    assert trichotomy(a) is Trichotomy.CONTAINS_ZERO
+    assert a.is_point() is False and a == Enclosure.from_parts(-6, 10, 24)
+
+
+def test_unreduced_fields_and_fraction_views():
+    a = Enclosure.from_parts(6, 10, 4)
+    assert (a.lo_num, a.hi_num, a.den) == (6, 10, 4)  # kept as given
+    assert (a.lo, a.hi) == (F(3, 2), F(5, 2))
+    assert a.width() == 1 and a.midpoint() == 2
+    assert str(a) == "[3/2, 5/2]"
+    # endpoints are aligned without a gcd: to the larger denominator when it is
+    # a multiple of the other, else to the product
+    assert Enclosure(F(1, 4), F(1, 2)).den == 4
+    assert Enclosure(F(1, 6), F(1, 4)).den == 24
+
+
+def test_enclosure_is_immutable_and_validated():
+    a = Enclosure.from_parts(1, 2, 3)
+    with pytest.raises(AttributeError):
+        a.lo_num = 0
+    with pytest.raises(ValueError):
+        Enclosure.from_parts(2, 1, 3)
+    with pytest.raises(ValueError):
+        Enclosure.from_parts(1, 2, 0)
+    with pytest.raises(TypeError):
+        Enclosure(0.5, 1)
+
+
+def test_copy_and_pickle_keep_the_fields():
+    import copy
+    import pickle
+
+    a = Enclosure.from_parts(6, 10, 4)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert (b.lo_num, b.hi_num, b.den) == (6, 10, 4)

@@ -55,9 +55,9 @@ def test_direct_term_guard():
 
 def test_accelerated_first_partial_brackets_from_above():
     # one term: S_1 = 1/2, next term -1/48; (5/2)*[1/2 - 1/48, 1/2] = [115/96, 5/4]
-    s, t_next = _partial_sum(1)
-    assert s == F(1, 2)
-    assert t_next == F(-1, 48)
+    s, t_next, den = _partial_sum(1)
+    assert F(s, den) == F(1, 2)
+    assert F(t_next, den) == F(-1, 48)
     assert zeta3_accelerated(10).hi < F(5, 4)
     assert zeta3_accelerated(10).lo > F(115, 96)
 
