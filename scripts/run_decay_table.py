@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Emit the decay table as CSV and certify the terminal bound.
 
+The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
+written cell carries a +/- field (not one significant digit certified), as
+the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1.
+
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
 """
@@ -8,7 +12,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from fractions import Fraction
@@ -17,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import decay_table  # noqa: E402
-from zeta3forms.cli import enclosure_decimal  # noqa: E402
+from zeta3forms.cli import EXIT_OK, enclosure_decimal, write_decay_table  # noqa: E402
 
 
 def main() -> int:
@@ -34,19 +37,7 @@ def main() -> int:
     elapsed = time.perf_counter() - started
 
     with args.out.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "d_n", "abs_form", "rhs_bound", "ratio", "T_n"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.n,
-                    row.dn,
-                    enclosure_decimal(row.form_abs, 10),
-                    enclosure_decimal(row.rhs, 10),
-                    enclosure_decimal(row.ratio, 10),
-                    enclosure_decimal(row.t_n, 10),
-                ]
-            )
+        table_code = write_decay_table(rows, handle, as_csv=True)
 
     last = rows[-1]
     cap = Fraction(1, 10**args.t_cap_exp)
@@ -54,6 +45,9 @@ def main() -> int:
     print(f"wrote {args.out} ({len(rows)} rows) in {elapsed:.2f}s")
     print(f"T_{last.n} = {enclosure_decimal(last.t_n, 6)}")
     print(f"T_{last.n} < 1e-{args.t_cap_exp}: {'CERTIFIED' if certified else 'NOT CERTIFIED'}")
+    if table_code != EXIT_OK:
+        print("some cells carry a +/- field: not one significant digit certified")
+        return table_code
     return 0 if certified else 1
 
 

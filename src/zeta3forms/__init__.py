@@ -33,12 +33,11 @@ from .chain import (
     StepReport,
     audit,
     fixed_corpus,
-    power_bound,
     random_corpus,
     residual_enclosure,
     weighted_sum_enclosure,
 )
-from .combinatorics import Dn, binom, d, harmonic, prime_power_lcm
+from .combinatorics import binom, d, harmonic, prime_power_lcm
 from .exactnum import Enclosure, Rat, Trichotomy, rat_str, sqrt2_enclosure, trichotomy
 from .legendre import LegendrePoly, rodrigues_coeffs
 from .zeta3 import DisjointEnclosures, zeta3_accelerated, zeta3_direct
@@ -52,7 +51,6 @@ __all__ = [
     "CoeffVector",
     "DecayRow",
     "DisjointEnclosures",
-    "Dn",
     "Enclosure",
     "EnclosureLost",
     "IntegralityViolation",
@@ -73,7 +71,6 @@ __all__ = [
     "linear_form",
     "moment",
     "moment_series_oracle",
-    "power_bound",
     "prime_power_lcm",
     "random_corpus",
     "rat_str",

@@ -122,7 +122,7 @@ def _diagonal_partial_floor(a: int, terms: int) -> Fraction:
 
 def dn_cubed(n: int) -> int:
     """d_n^3 with the empty-product convention d_0 = 1."""
-    return 1 if n == 0 else d(n).cube
+    return 1 if n == 0 else d(n) ** 3
 
 
 def _checked_form(n: int, alpha: Rat, beta: int) -> LinearForm:

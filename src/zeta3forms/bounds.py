@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 from .beukers import dn_cubed, linear_form
 from .combinatorics import d
-from .exactnum import Enclosure, budget_bits, sqrt2_enclosure
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits, sqrt2_enclosure
 from .zeta3 import zeta3
 
 
@@ -78,7 +79,7 @@ def _mul_z_sqrt2(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def shrink_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of (sqrt(2)-1)^(4n) = (17-12*sqrt(2))^n, certified positive.
 
@@ -111,7 +112,7 @@ def form_abs_enclosure(n: int, digits: int) -> Enclosure:
     return abs((zeta3(digits) * form.B + form.A) / form.dn3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def ratio_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of R_n = |I_n| / (2 (sqrt(2)-1)^(4n) d_n^3).
 
@@ -139,34 +140,30 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
     return CheckStatus.UNKNOWN
 
 
-def verify_form_bound(n: int, digits: int) -> CheckResult:
-    """Check 0 < |A_n + B_n*zeta(3)|/d_n^3 < 2 (sqrt(2)-1)^(4n) zeta(3)."""
+def _check_sandwich(
+    n: int, digits: int, sides: Callable[[int], tuple[Enclosure, Enclosure]]
+) -> CheckResult:
+    """Decide 0 < lhs < rhs, with (lhs, rhs) = sides(dd), up the refinement ladder."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     for dd in refinement_digits(digits):
-        lhs = form_abs_enclosure(n, dd)
-        rhs = rhs_bound(n, dd)
+        lhs, rhs = sides(dd)
         status = sandwich_status(lhs, rhs)
         if status is not CheckStatus.UNKNOWN:
             break
     return CheckResult(n=n, lhs=lhs, rhs=rhs, status=status, digits_used=dd)
+
+
+def verify_form_bound(n: int, digits: int) -> CheckResult:
+    """Check 0 < |A_n + B_n*zeta(3)|/d_n^3 < 2 (sqrt(2)-1)^(4n) zeta(3)."""
+    return _check_sandwich(n, digits, lambda dd: (form_abs_enclosure(n, dd), rhs_bound(n, dd)))
 
 
 def verify_ratio_bound(n: int, digits: int) -> CheckResult:
     """Check the divided form 0 < R_n < zeta(3); independent of verify_form_bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    for dd in refinement_digits(digits):
-        lhs = ratio_enclosure(n, dd)
-        rhs = zeta3(dd)
-        status = sandwich_status(lhs, rhs)
-        if status is not CheckStatus.UNKNOWN:
-            break
-    return CheckResult(n=n, lhs=lhs, rhs=rhs, status=status, digits_used=dd)
+    return _check_sandwich(n, digits, lambda dd: (ratio_enclosure(n, dd), zeta3(dd)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +190,7 @@ def decay_table(n_max: int, digits: int) -> list[DecayRow]:
         rows.append(
             DecayRow(
                 n=n,
-                dn=d(n).value,
+                dn=d(n),
                 form_abs=form_abs,
                 rhs=rhs,
                 ratio=form_abs / rhs,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Rat
@@ -34,27 +33,17 @@ def harmonic(r: int, order: int) -> Rat:
     return table[r]
 
 
-@dataclass(frozen=True, slots=True)
-class Dn:
-    """lcm(1..n) together with its cube, the denominator-clearing factor."""
-
-    n: int
-    value: int
-    cube: int
-
-
 # _LCM[i] = lcm(1..i+1); append-only, idempotent fill.
 _LCM: list[int] = [1]
 
 
-def d(n: int) -> Dn:
+def d(n: int) -> int:
     """lcm(1, 2, ..., n) computed incrementally."""
     if n < 1:
         raise ValueError("n must be >= 1")
     while len(_LCM) < n:
         _LCM.append(math.lcm(_LCM[-1], len(_LCM) + 1))
-    value = _LCM[n - 1]
-    return Dn(n=n, value=value, cube=value**3)
+    return _LCM[n - 1]
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -57,6 +57,10 @@ def budget_bits(digits: int) -> int:
     return BITS_PER_DIGIT * max(1, digits)
 
 
+# Size of every cache keyed by requested digits, so long runs stay bounded.
+DIGITS_CACHE_SIZE = 256
+
+
 def rat_str(x: Scalar) -> str:
     """Serialize a rational as ``p/q``, or just ``p`` when q = 1."""
     x = Fraction(x)
@@ -373,7 +377,7 @@ def trichotomy(a: Enclosure) -> Trichotomy:
     return Trichotomy.CONTAINS_ZERO
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def sqrt2_enclosure(digits: int) -> Enclosure:
     """Enclosure of sqrt(2) of width <= 10**-digits.
 

@@ -17,11 +17,9 @@ confident answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
-from .exactnum import Enclosure, budget_bits
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
 
 
 class DisjointEnclosures(ArithmeticError):
@@ -69,7 +67,7 @@ def _direct_terms(digits: int) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def zeta3_direct(digits: int) -> Enclosure:
     """Enclosure of width <= 10**-digits from the defining series sum 1/k^3."""
     if digits < 1:
@@ -124,7 +122,7 @@ def _partial_sum(terms: int) -> tuple[int, int, int]:
     return q + t - p, p, 2 * q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def zeta3_accelerated(digits: int) -> Enclosure:
     """Enclosure of width <= 10**-digits via binary splitting."""
     if digits < 1:
@@ -159,21 +157,3 @@ def zeta3(digits: int) -> Enclosure:
         )
     return both
 
-
-class Method(Enum):
-    DIRECT = "direct"
-    ACCELERATED = "accelerated"
-    CROSS = "cross"
-
-
-@dataclass(frozen=True, slots=True)
-class Zeta3Request:
-    digits: int
-    method: Method = Method.CROSS
-
-    def evaluate(self) -> Enclosure:
-        if self.method is Method.DIRECT:
-            return zeta3_direct(self.digits)
-        if self.method is Method.ACCELERATED:
-            return zeta3_accelerated(self.digits)
-        return zeta3(self.digits)

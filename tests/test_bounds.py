@@ -16,7 +16,8 @@ from zeta3forms.bounds import (
     verify_form_bound,
     verify_ratio_bound,
 )
-from zeta3forms.exactnum import Enclosure, sqrt2_enclosure
+from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
+from zeta3forms.zeta3 import zeta3_accelerated, zeta3_direct
 
 F = Fraction
 
@@ -207,3 +208,13 @@ def test_ratio_enclosure_strictly_inside_unit():
     for n in (1, 3, 9):
         enc = ratio_enclosure(n, 40)
         assert 0 < enc.lo and enc.hi < 1
+
+
+def test_digit_keyed_caches_stay_bounded():
+    caches = (ratio_enclosure, shrink_enclosure, zeta3_direct, zeta3_accelerated, sqrt2_enclosure)
+    assert all(fn.cache_info().maxsize == DIGITS_CACHE_SIZE for fn in caches)
+    # more distinct (n, digits) keys than the cache holds, and as many digit counts
+    for i in range(DIGITS_CACHE_SIZE + 20):
+        shrink_enclosure(1 + i % 5, 10 + i)
+    assert shrink_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
+    assert sqrt2_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE

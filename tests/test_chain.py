@@ -10,7 +10,6 @@ from zeta3forms.chain import (
     JustificationKind,
     audit,
     fixed_corpus,
-    power_bound,
     random_corpus,
     report_to_dict,
     report_to_json,
@@ -72,7 +71,7 @@ def test_residual_minus6_5_equals_half_form_abs():
 
 
 def test_power_bound_first_power():
-    step = power_bound(1, 1, 30)
+    step = audit(1, CoeffVector((-6, 5)), 30).step("power_1")
     assert step.step_id == "power_1"
     assert step.numeric is CheckStatus.HOLDS
     assert step.justification.kind is JustificationKind.JUSTIFIED
@@ -80,13 +79,8 @@ def test_power_bound_first_power():
 
 def test_power_bound_square():
     # R_1^2 ~ 0.12206 < zeta(3)^2 ~ 1.44494
-    step = power_bound(1, 2, 30)
+    step = audit(1, CoeffVector((-6, 5)), 30).step("power_2")
     assert step.numeric is CheckStatus.HOLDS
-
-
-def test_power_bound_rejects_k0():
-    with pytest.raises(ValueError):
-        power_bound(1, 0, 30)
 
 
 # -- weighted sums ------------------------------------------------------------------

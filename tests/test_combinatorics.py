@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeta3forms.combinatorics import Dn, binom, d, harmonic, prime_power_lcm, primes_up_to
+from zeta3forms.beukers import dn_cubed
+from zeta3forms.combinatorics import binom, d, harmonic, prime_power_lcm, primes_up_to
 
 F = Fraction
 
@@ -58,16 +59,16 @@ def test_harmonic_rejects_bad_args():
 
 
 def test_d_small_values():
-    assert d(1).value == 1
-    assert d(2).value == 2
-    assert d(3).value == 6
-    assert d(4).value == 12
-    assert d(10).value == 2520
+    assert d(1) == 1
+    assert d(2) == 2
+    assert d(3) == 6
+    assert d(4) == 12
+    assert d(10) == 2520
 
 
 def test_d_cube():
-    ten = d(10)
-    assert ten == Dn(n=10, value=2520, cube=2520**3)
+    assert d(10) == 2520
+    assert dn_cubed(10) == 2520**3
 
 
 def test_d_prime_power_oracle_value():
@@ -82,7 +83,7 @@ def test_d_rejects_zero():
 
 def test_two_method_equivalence_up_to_200():
     for n in range(1, 201):
-        assert d(n).value == prime_power_lcm(n)
+        assert d(n) == prime_power_lcm(n)
 
 
 def _is_prime(n: int) -> bool:
@@ -108,7 +109,7 @@ def _prime_power_base(n: int):
 
 def test_divisibility_chain():
     for n in range(1, 200):
-        lo, hi = d(n).value, d(n + 1).value
+        lo, hi = d(n), d(n + 1)
         assert hi % lo == 0
         q = hi // lo
         base = _prime_power_base(n + 1)

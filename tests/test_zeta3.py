@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeta3forms import zeta3 as zmod
+from zeta3forms.cli import zeta3_methods
 from zeta3forms.exactnum import Enclosure
 from zeta3forms.zeta3 import (
     DisjointEnclosures,
-    Method,
-    Zeta3Request,
     _partial_sum,
     zeta3,
     zeta3_accelerated,
@@ -118,9 +117,11 @@ def test_disjoint_methods_raise(monkeypatch):
 
 
 def test_request_dispatch():
-    assert Zeta3Request(8, Method.DIRECT).evaluate() == zeta3_direct(8)
-    assert Zeta3Request(8, Method.ACCELERATED).evaluate() == zeta3_accelerated(8)
-    assert Zeta3Request(8, Method.CROSS).evaluate() == zeta3(8)
+    methods = zeta3_methods()
+    assert list(methods) == ["direct", "accelerated", "cross"]
+    assert methods["direct"](8) == zeta3_direct(8)
+    assert methods["accelerated"](8) == zeta3_accelerated(8)
+    assert methods["cross"](8) == zeta3(8)
 
 
 def _directed_tail_sum(k_first: int, count: int, bits: int = 100) -> tuple[Fraction, Fraction]:
