@@ -40,7 +40,9 @@ def _pow10(e: int) -> Fraction:
 def _floor_log10(x: Fraction) -> int:
     """Largest e with 10**e <= x, for x > 0."""
     p, q = x.numerator, x.denominator
-    e = len(str(p)) - len(str(q))
+    # 2**(k-1) < p/q < 2**(k+1) for k the bit-length difference, and
+    # 30103/100000 is log10(2) to five places, so e starts next to the answer.
+    e = (p.bit_length() - q.bit_length()) * 30103 // 100000
     while _pow10(e) > x:
         e -= 1
     while _pow10(e + 1) <= x:
@@ -96,12 +98,15 @@ def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
     return fraction_sci(mid, sig) + "±" + fraction_sci(width / 2, 2, "up")
 
 
-def fraction_places(x: Fraction, places: int) -> str:
-    """Plain decimal with a fixed number of places, half-up, x >= 0."""
-    if x < 0:
-        raise ValueError("fraction_places expects a non-negative value")
+def fraction_places(num: int, den: int, places: int) -> str:
+    """Plain decimal of num/den with a fixed number of places, half-up.
+
+    num >= 0 and den > 0 need not be coprime: no gcd is taken.
+    """
+    if num < 0 or den < 1:
+        raise ValueError("fraction_places expects num >= 0 and den >= 1")
     scale = 10**places
-    n = (2 * x.numerator * scale + x.denominator) // (2 * x.denominator)
+    n = (2 * num * scale + den) // (2 * den)
     if places == 0:
         return str(n)
     q, r = divmod(n, scale)
@@ -200,7 +205,8 @@ def cmd_zeta3(args: argparse.Namespace) -> int:
     _banner(args, f"zeta3 digits={args.digits} method={args.method}")
     # One guard digit so the printed error is strictly below 1 ulp.
     enc = zeta3_methods()[args.method](args.digits + 1)
-    print(fraction_places(enc.midpoint(), args.digits))
+    # The midpoint (lo_num + hi_num) / (2 den), printed without reducing it.
+    print(fraction_places(enc.lo_num + enc.hi_num, 2 * enc.den, args.digits))
     return EXIT_OK
 
 

@@ -133,9 +133,11 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     terms = 1661 * digits // 1000 + 2
     s, t_next, den = _partial_sum(terms)
     # (5/2)[S_K, S_K + t_{K+1}], ends ordered by the sign of t_{K+1}, over
-    # 2*den = 4Q: round_out floor-divides each endpoint once, with no gcd.
+    # 2*den = 4Q: round_out floor-divides each endpoint once, with no gcd,
+    # by a Newton reciprocal of 4Q's top bits and an exact remainder check.
     ends = (5 * s, 5 * (s + t_next))
     enc = Enclosure.from_parts(min(ends), max(ends), 2 * den)
+    del s, t_next, den, ends  # freed before round_out's equally large temporaries
     return enc.round_out(budget_bits(digits))
 
 

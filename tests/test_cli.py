@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zeta3forms import bounds
 from zeta3forms.beukers import apery_oracle, dn_cubed
@@ -59,10 +61,32 @@ def test_enclosure_decimal_error_field_when_uncertifiable():
 
 
 def test_fraction_places():
-    assert fraction_places(F("1.20205690315959428"), 10) == "1.2020569032"
-    assert fraction_places(F(5, 4), 0) == "1"
+    assert fraction_places(120205690315959428, 10**17, 10) == "1.2020569032"
+    assert fraction_places(5, 4, 0) == "1"
     with pytest.raises(ValueError):
-        fraction_places(F(-1), 3)
+        fraction_places(-1, 1, 3)
+    with pytest.raises(ValueError):
+        fraction_places(1, 0, 3)
+
+
+def _places_reference(x: Fraction, places: int) -> str:
+    """fraction_places on a reduced Fraction, as it read before taking integers."""
+    scale = 10**places
+    n = (2 * x.numerator * scale + x.denominator) // (2 * x.denominator)
+    if places == 0:
+        return str(n)
+    q, r = divmod(n, scale)
+    return f"{q}.{r:0{places}d}"
+
+
+@given(
+    st.integers(min_value=0, max_value=10**40),
+    st.integers(min_value=1, max_value=10**20),
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=0, max_value=40),
+)
+def test_fraction_places_reads_unreduced_integers(num, den, k, places):
+    assert fraction_places(num * k, den * k, places) == _places_reference(F(num, den), places)
 
 
 # -- form ----------------------------------------------------------------------

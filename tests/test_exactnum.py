@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zeta3forms import exactnum
 from zeta3forms.exactnum import (
     Enclosure,
     Trichotomy,
@@ -428,3 +429,75 @@ def test_copy_and_pickle_keep_the_fields():
     a = Enclosure.from_parts(6, 10, 4)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert (b.lo_num, b.hi_num, b.den) == (6, 10, 4)
+
+
+# -- outward rounding above the Newton crossover --------------------------------
+#
+# Past exactnum._NEWTON_MIN_BITS of quotient and of divisor, round_out divides
+# by a Newton reciprocal and an exact remainder correction. Each case below
+# must still give the Fraction reference endpoints.
+
+_BIG = exactnum._NEWTON_MIN_BITS + 2000
+
+
+def _newton_cases() -> dict[str, tuple[Enclosure, int]]:
+    rng = random.Random(20261018)
+    odd = rng.getrandbits(_BIG) | (1 << (_BIG - 1)) | 1
+    a, b = sorted(rng.getrandbits(_BIG + 900) for _ in range(2))
+    inv = pow(2, -_BIG, odd)  # (inv << _BIG) % odd == 1
+    # numerators near odd**2 / 2**1001: the quotients have _BIG - 1 bits
+    near = rng.getrandbits(2 * _BIG - 1001) | (1 << (2 * _BIG - 1002))
+    return {
+        "mixed-signs": (Enclosure.from_parts(-a, b, odd), _BIG),
+        "negative": (Enclosure.from_parts(-b, -a, odd), _BIG),
+        "power-of-two-den": (Enclosure.from_parts(-a, b, 1 << (_BIG + 3)), _BIG),
+        "den-barely-above-quotient": (Enclosure.from_parts(-near, near, odd), 1000),
+        # shifted numerators are exact multiples of den: remainder 0
+        "exact-multiple": (Enclosure.from_parts(-5 * odd, 7 * odd, odd), _BIG),
+        # shifted numerators are k*den - 1: remainder den - 1
+        "k-den-minus-one": (Enclosure.from_parts(3 * odd - inv, 5 * odd + inv, odd), _BIG),
+    }
+
+
+NEWTON_CASES = _newton_cases()
+
+
+def _takes_newton_path(a: Enclosure, bits: int) -> bool:
+    length = a.den.bit_length()
+    qbits = max(a.lo_num.bit_length(), a.hi_num.bit_length()) + bits - length + 1
+    return min(qbits, length) >= exactnum._NEWTON_MIN_BITS
+
+
+@pytest.mark.parametrize("name", list(NEWTON_CASES))
+def test_round_out_matches_reference_above_newton_crossover(name):
+    a, bits = NEWTON_CASES[name]
+    assert _takes_newton_path(a, bits)
+    rounded = a.round_out(bits)
+    assert _ends(rounded) == _ref_round_out(_ends(a), bits)
+    assert rounded.den == 1 << bits
+
+
+def test_newton_edge_cases_have_the_named_remainders():
+    a, bits = NEWTON_CASES["exact-multiple"]
+    assert a.round_out(bits) == Enclosure.from_parts(-5 << bits, 7 << bits, 1 << bits)
+    a, bits = NEWTON_CASES["k-den-minus-one"]
+    for n in (a.lo_num << bits, (-a.hi_num) << bits):
+        assert n % a.den == a.den - 1
+
+
+@pytest.mark.parametrize("units", (-3, -1, 2, 5))
+def test_round_out_is_exact_with_a_perturbed_reciprocal(monkeypatch, units):
+    # The quotient estimate carries _GUARD_BITS more bits than the quotient, so
+    # moving the reciprocal by `units` << _GUARD_BITS moves each estimate by
+    # about `units`; the exact remainder check must step it back.
+    def fields(e: Enclosure) -> tuple[int, int, int]:
+        return e.lo_num, e.hi_num, e.den
+
+    exact = [fields(a.round_out(bits)) for a, bits in NEWTON_CASES.values()]
+    reciprocal = exactnum._reciprocal
+    monkeypatch.setattr(
+        exactnum,
+        "_reciprocal",
+        lambda d, bits: reciprocal(d, bits) + (units << exactnum._GUARD_BITS),
+    )
+    assert [fields(a.round_out(bits)) for a, bits in NEWTON_CASES.values()] == exact

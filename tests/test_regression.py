@@ -5,7 +5,9 @@ enclosure kernel, before the integer-endpoint kernel replaced it; every value
 and every outward rounding is unchanged, so the bytes must be too. The rest
 (the zeta(3) methods and help, form JSON, text audit, an uncertified decay
 table) were recorded before the zeta(3) method dispatch, the audit power step
-and the decay formatting were simplified.
+and the decay formatting were simplified. ``zeta3-accelerated-6000`` was
+recorded while outward rounding still used plain long division; at 6000
+digits its quotient has about 96k bits, so it now takes the Newton path.
 """
 
 import ast
@@ -48,6 +50,11 @@ PINNED_STDOUT = {
         ("zeta3", "--digits", "200", "--method", "accelerated"),
         EXIT_OK,
         "5b27def154784fa9753177800329d89fc9f9df1e4d2d499206e044865530b001",
+    ),
+    "zeta3-accelerated-6000": (
+        ("zeta3", "--digits", "6000", "--method", "accelerated"),
+        EXIT_OK,
+        "a024c81cf303cdee6ce9372fb2c21a5bcbb47180c43e7f82cabd582b8f819d70",
     ),
     "zeta3-help": (
         ("zeta3", "--help"),
