@@ -3,6 +3,8 @@
 
 Tallies per-step numeric statuses and justification kinds, and reports
 whether any audit ever certified the final contradiction (none should).
+Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
+usage error, such as a size below 1 or a negative --random.
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60
@@ -21,14 +23,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import CheckStatus  # noqa: E402
 from zeta3forms.chain import audit, fixed_corpus, random_corpus  # noqa: E402
+from zeta3forms.cli import _nonnegative_int, _positive_int  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--random", type=int, default=1000)
+    parser.add_argument("--random", type=_nonnegative_int, default=1000)
     parser.add_argument("--seed", type=int, default=20260810)
-    parser.add_argument("--digits", type=int, default=60)
-    parser.add_argument("--n-max", type=int, default=20)
+    parser.add_argument("--digits", type=_positive_int, default=60)
+    parser.add_argument("--n-max", type=_positive_int, default=20)
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
 

@@ -3,7 +3,8 @@
 
 The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
 written cell carries a +/- field (not one significant digit certified), as
-the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1.
+the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
+2 on a usage error, such as a size below 1.
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -20,13 +21,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import decay_table  # noqa: E402
-from zeta3forms.cli import EXIT_OK, enclosure_decimal, write_decay_table  # noqa: E402
+from zeta3forms.cli import (  # noqa: E402
+    EXIT_OK,
+    _positive_int,
+    enclosure_decimal,
+    write_decay_table,
+)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=50)
-    parser.add_argument("--digits", type=int, default=220)
+    parser.add_argument("--n-max", type=_positive_int, default=50)
+    parser.add_argument("--digits", type=_positive_int, default=220)
     parser.add_argument("--out", type=Path, default=Path("decay.csv"))
     parser.add_argument("--t-cap-exp", type=int, default=10,
                         help="certify T_{n_max} < 10**-EXP")

@@ -4,13 +4,17 @@ Production route: alpha_n = -2*a_n and beta_n = 2*b_n, where Apery's
 sequences a_n (rational; a_0 = 0, a_1 = 6) and b_n (integer; b_0 = 1,
 b_1 = 5) both satisfy the three-term recurrence
 
-    n^3 u_n = (34n^3 - 51n^2 + 27n - 5) u_{n-1} - (n-1)^3 u_{n-2}
+    n^3 u_n = P(n) u_{n-1} - (n-1)^3 u_{n-2},  P(n) = 34n^3 - 51n^2 + 27n - 5
 
 (van der Poorten, "A proof that Euler missed", Math. Intelligencer 1979;
-Beukers, Bull. LMS 1979). Both are read from tables grown on demand, so
-building the forms for n = 0..N costs O(N) big-number steps. Multiplying by
-d_n^3 = lcm(1..n)^3 clears alpha_n's denominator exactly, giving the integer
-pair (A_n, B_n); that integrality is checked on every form built.
+Beukers, Bull. LMS 1979). Both live in integer tables grown on demand: b_n,
+and Y_n = -A_n = 2 d_n^3 a_n (d_n = lcm(1..n), d_0 = 1), whose recurrence is
+
+    n^3 Y_n = P(n) (d_n/d_{n-1})^3 Y_{n-1} - (n-1)^3 (d_n/d_{n-2})^3 Y_{n-2}.
+
+Forms for n = 0..N cost O(N) big-integer steps and no gcd. Each step's
+division by n^3 must be exact: that remainder check certifies that
+d_n^3 alpha_n is an integer. alpha_n = A_n/d_n^3 is built only when read.
 
 Oracle route (tests only): the double integral over the unit square of
 x^r y^s (-log xy)/(1-xy) equals
@@ -53,11 +57,14 @@ class KernelMoment:
 @dataclass(frozen=True, slots=True)
 class LinearForm:
     n: int
-    alpha: Rat
     beta: int
     A: int  # dn3 * alpha
     B: int  # dn3 * beta
     dn3: int
+
+    @property
+    def alpha(self) -> Rat:
+        return Fraction(self.A, self.dn3)
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +137,7 @@ def _checked_form(n: int, alpha: Rat, beta: int) -> LinearForm:
     scaled = alpha * cube
     if scaled.denominator != 1:
         raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={n}: {scaled}")
-    return LinearForm(n=n, alpha=alpha, beta=beta, A=scaled.numerator, B=beta * cube, dn3=cube)
+    return LinearForm(n=n, beta=beta, A=scaled.numerator, B=beta * cube, dn3=cube)
 
 
 def _assemble(n: int, moment_fn: Callable[[int, int], KernelMoment]) -> LinearForm:
@@ -147,25 +154,32 @@ def _assemble(n: int, moment_fn: Callable[[int, int], KernelMoment]) -> LinearFo
 
 
 # Apery's sequences for the recurrence in the module docstring, grown in
-# lockstep: _APERY_A holds a_n = 0, 6, 351/4, ... and _APERY holds the Apery
-# numbers b_n = 1, 5, 73, 1445, ...
-_APERY_A: list[Fraction] = [Fraction(0), Fraction(6)]
+# lockstep: _APERY holds the Apery numbers b_n = 1, 5, 73, 1445, ... and
+# _APERY_Y holds Y_n = -A_n = 2 d_n^3 a_n = 0, 12, 1404, 750372, ...
 _APERY: list[int] = [1, 5]
+_APERY_Y: list[int] = [0, 12]
 
 
-def _recurrence_step(k: int, table: list):
-    """k^3 u_k from u_{k-1} and u_{k-2} in ``table``."""
-    return (34 * k**3 - 51 * k**2 + 27 * k - 5) * table[k - 1] - (k - 1) ** 3 * table[k - 2]
+def _d_ratio_cubed(k: int) -> int:
+    """(d_k / d_{k-1})^3 for k >= 1, with d_0 = 1."""
+    return 1 if k == 1 else (d(k) // d(k - 1)) ** 3
 
 
 def _grow_apery(n: int) -> None:
     while len(_APERY) <= n:
         k = len(_APERY)
-        b, rem = divmod(_recurrence_step(k, _APERY), k**3)
+        cube, poly, prev = k**3, 34 * k**3 - 51 * k**2 + 27 * k - 5, (k - 1) ** 3
+        b, rem = divmod(poly * _APERY[k - 1] - prev * _APERY[k - 2], cube)
         if rem:
             raise ArithmeticError(f"Apery recurrence not integral at n={k}")
-        _APERY_A.append(_recurrence_step(k, _APERY_A) / k**3)
+        step = _d_ratio_cubed(k)
+        y, rem = divmod(
+            step * (poly * _APERY_Y[k - 1] - prev * _d_ratio_cubed(k - 1) * _APERY_Y[k - 2]), cube
+        )
+        if rem:
+            raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={k}")
         _APERY.append(b)
+        _APERY_Y.append(y)
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +192,9 @@ def linear_form(n: int) -> LinearForm:
     if n < 0:
         raise ValueError("n must be non-negative")
     _grow_apery(n)
-    return _checked_form(n, -2 * _APERY_A[n], 2 * _APERY[n])
+    cube = dn_cubed(n)
+    beta = 2 * _APERY[n]
+    return LinearForm(n=n, beta=beta, A=-_APERY_Y[n], B=beta * cube, dn3=cube)
 
 
 def apery_oracle(n: int) -> int:

@@ -1,9 +1,10 @@
 """Command-line front end: linear forms, certified checks, constants, audits.
 
 All data output is deterministic for a fixed argv: exact rationals print as
-p/q, decimals are directed roundings of enclosure midpoints and are only
-printed to a precision the enclosure actually certifies (a +/- error field
-is appended whenever the width exceeds one unit in the last printed place).
+p/q; decimals are directed roundings of enclosure midpoints, computed from
+the integer fields with no gcd and no Fraction, and are only printed to a
+precision the enclosure certifies (a +/- error field is appended whenever
+the width exceeds one unit in the last printed place).
 
 Exit codes: 0 all requested checks hold / completed, 1 some check fails,
 2 usage error, 3 some check is still unknown after maximal refinement, or
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import bounds, chain
@@ -33,41 +33,43 @@ EXIT_UNKNOWN = 3
 # -- certified decimal printing ----------------------------------------------
 
 
-def _pow10(e: int) -> Fraction:
-    return Fraction(10**e) if e >= 0 else Fraction(1, 10**-e)
+def _below_pow10(num: int, den: int, e: int) -> bool:
+    """num/den < 10**e, for den > 0, by cross-multiplying integers."""
+    return num * 10 ** max(0, -e) < den * 10 ** max(0, e)
 
 
-def _floor_log10(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0."""
-    p, q = x.numerator, x.denominator
-    # 2**(k-1) < p/q < 2**(k+1) for k the bit-length difference, and
+def _floor_log10(num: int, den: int) -> int:
+    """Largest e with 10**e <= num/den, for num, den > 0."""
+    # 2**(k-1) < num/den < 2**(k+1) for k the bit-length difference, and
     # 30103/100000 is log10(2) to five places, so e starts next to the answer.
-    e = (p.bit_length() - q.bit_length()) * 30103 // 100000
-    while _pow10(e) > x:
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while _below_pow10(num, den, e):
         e -= 1
-    while _pow10(e + 1) <= x:
+    while not _below_pow10(num, den, e + 1):
         e += 1
     return e
 
 
-def _round_nonneg(x: Fraction, mode: str) -> int:
+def _round_nonneg(num: int, den: int, mode: str) -> int:
     if mode == "half_up":
-        return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+        return (2 * num + den) // (2 * den)
     if mode == "up":
-        return -((-x.numerator) // x.denominator)
+        return -((-num) // den)
     raise ValueError(f"unknown rounding mode {mode!r}")
 
 
-def fraction_sci(x: Fraction, sig: int, mode: str = "half_up") -> str:
-    """Scientific notation with exactly ``sig`` significant digits."""
-    if sig < 1:
-        raise ValueError("sig must be >= 1")
-    if x == 0:
+def fraction_sci(num: int, den: int, sig: int, mode: str = "half_up") -> str:
+    """num/den (den > 0, not necessarily coprime) in scientific notation
+    with exactly ``sig`` significant digits."""
+    if sig < 1 or den < 1:
+        raise ValueError("fraction_sci expects sig >= 1 and den >= 1")
+    if num == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    ax = -x if x < 0 else x
-    e = _floor_log10(ax)
-    m = _round_nonneg(ax / _pow10(e - sig + 1), mode)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    e = _floor_log10(num, den)
+    shift = e - sig + 1  # m is num/den divided by 10**shift, rounded
+    m = _round_nonneg(num * 10 ** max(0, -shift), den * 10 ** max(0, shift), mode)
     if m >= 10**sig:  # rounding carried into the next decade
         m //= 10
         e += 1
@@ -83,30 +85,33 @@ def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
     the last place; if even one significant digit cannot be certified, the
     half-width is appended as an explicit +/- field (rounded upward).
     """
-    mid = enc.midpoint()
-    width = enc.width()
+    den = enc.den
+    mid = enc.lo_num + enc.hi_num  # over 2 * den
+    width = enc.hi_num - enc.lo_num  # over den
     if width == 0:
-        return fraction_sci(mid, max_sig)
+        return fraction_sci(mid, 2 * den, max_sig)
     if mid == 0:
-        return "0±" + fraction_sci(width / 2, 2, "up")
-    e = _floor_log10(abs(mid))
+        return "0±" + fraction_sci(width, 2 * den, 2, "up")
+    e = _floor_log10(abs(mid), 2 * den)
     sig = max_sig
-    while sig > 1 and width >= _pow10(e - sig + 1):
+    while sig > 1 and not _below_pow10(width, den, e - sig + 1):
         sig -= 1
-    if width < _pow10(e - sig + 1):
-        return fraction_sci(mid, sig)
-    return fraction_sci(mid, sig) + "±" + fraction_sci(width / 2, 2, "up")
+    if _below_pow10(width, den, e - sig + 1):
+        return fraction_sci(mid, 2 * den, sig)
+    return fraction_sci(mid, 2 * den, sig) + "±" + fraction_sci(width, 2 * den, 2, "up")
 
 
 def fraction_places(num: int, den: int, places: int) -> str:
     """Plain decimal of num/den with a fixed number of places, half-up.
 
-    num >= 0 and den > 0 need not be coprime: no gcd is taken.
+    num >= 0 and den > 0 need not be coprime: no gcd is taken. When den is
+    a power of two the final division is a shift.
     """
     if num < 0 or den < 1:
         raise ValueError("fraction_places expects num >= 0 and den >= 1")
     scale = 10**places
-    n = (2 * num * scale + den) // (2 * den)
+    n = 2 * num * scale + den
+    n = n // (2 * den) if den & (den - 1) else n >> den.bit_length()
     if places == 0:
         return str(n)
     q, r = divmod(n, scale)
@@ -135,26 +140,13 @@ def _banner(args: argparse.Namespace, text: str) -> None:
 def cmd_form(args: argparse.Namespace) -> int:
     form = linear_form(args.n)
     _banner(args, f"form n={args.n}")
+    fields = dict(alpha=rat_str(form.alpha), beta=form.beta, A=form.A, B=form.B, dn3=form.dn3)
     if args.json:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "n": form.n,
-                    "alpha": rat_str(form.alpha),
-                    "beta": form.beta,
-                    "A": form.A,
-                    "B": form.B,
-                    "dn3": form.dn3,
-                }
-            )
-        )
+        print(json.dumps({"n": form.n, **fields}))
     else:
-        print(
-            f"alpha={rat_str(form.alpha)} beta={form.beta} "
-            f"A={form.A} B={form.B} dn3={form.dn3}"
-        )
+        print(" ".join(f"{k}={v}" for k, v in fields.items()))
     return EXIT_OK
 
 
@@ -166,17 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fb = bounds.verify_form_bound(n, args.digits)
         rb = bounds.verify_ratio_bound(n, args.digits)
         statuses.extend((fb.status, rb.status))
-        rows.append(
-            (
-                n,
-                fb.status.value,
-                rb.status.value,
-                enclosure_decimal(fb.lhs),
-                enclosure_decimal(fb.rhs),
-                fb.digits_used,
-                rb.digits_used,
-            )
-        )
+        cells = (enclosure_decimal(fb.lhs), enclosure_decimal(fb.rhs), fb.digits_used, rb.digits_used)
+        rows.append((n, fb.status.value, rb.status.value) + cells)
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
@@ -184,11 +167,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         writer.writerows(rows)
     else:
-        for n, b, r, lhs, rhs, bd, rd in rows:
-            print(
-                f"n={n} bound={b} ratio={r} lhs={lhs} rhs={rhs} "
-                f"bound_digits={bd} ratio_digits={rd}"
-            )
+        keys = ("n", "bound", "ratio", "lhs", "rhs", "bound_digits", "ratio_digits")
+        for row in rows:
+            print(" ".join(f"{k}={v}" for k, v in zip(keys, row)))
     return _exit_for(statuses)
 
 

@@ -28,9 +28,10 @@ and each estimate is stepped by +-1 until the exact remainder n - q*den
 lies in [0, den). That remainder check certifies the endpoint; the
 reciprocal's accuracy only decides how many steps it takes. Reduced
 `Fraction` endpoints are built only when read (``lo``, ``hi``, ``width``,
-``midpoint``), at the printing boundary. See Moore, *Interval Analysis*
-(1966), for the interval rules, and Brent & Zimmermann, *Modern Computer
-Arithmetic* (2010), sections 1.4.3 and 3.4, for division by Newton's method.
+``midpoint``); the CLI's decimal printer reads the integers instead. See
+Moore, *Interval Analysis* (1966), for the interval rules, and Brent &
+Zimmermann, *Modern Computer Arithmetic* (2010), sections 1.4.3 and 3.4,
+for division by Newton's method.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.

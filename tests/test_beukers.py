@@ -164,19 +164,40 @@ def test_linear_form_matches_moment_double_sum_up_to_60():
 
 
 def test_integrality_violation_on_corrupted_recurrence_table(monkeypatch):
-    n = 5
+    n = 6
     linear_form(n)  # grow the tables past n
-    corrupted = list(beukers._APERY_A)
-    corrupted[n] += F(1, 7)  # 7 does not divide d_5^3 = 60^3
-    monkeypatch.setattr(beukers, "_APERY_A", corrupted)
+    # Truncate both tables to n entries and add 1 to Y_{n-1}. d_6 = d_5, so the
+    # growth step at n = 6 changes by P(6) = 5665, and 5665 % 6**3 = 49.
+    apery_y = beukers._APERY_Y[:n]
+    apery_y[n - 1] += 1
+    monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:n])
+    monkeypatch.setattr(beukers, "_APERY_Y", apery_y)
     linear_form.cache_clear()
     try:
-        with pytest.raises(IntegralityViolation):
+        with pytest.raises(IntegralityViolation, match="n=6"):
             linear_form(n)
     finally:
         monkeypatch.undo()
         linear_form.cache_clear()
     assert linear_form(n) == beukers._assemble(n, moment)
+
+
+def _fraction_apery_a(n_max: int) -> list[Fraction]:
+    """a_0..a_{n_max} from the recurrence in Fraction arithmetic, as the
+    production table was built before it held the integers Y_n."""
+    a = [F(0), F(6)]
+    for k in range(2, n_max + 1):
+        step = (34 * k**3 - 51 * k**2 + 27 * k - 5) * a[k - 1] - (k - 1) ** 3 * a[k - 2]
+        a.append(step / k**3)
+    return a
+
+
+def test_integer_table_matches_fraction_recurrence_up_to_300():
+    linear_form(300)
+    for n, a_n in enumerate(_fraction_apery_a(300)):
+        assert beukers._APERY_Y[n] == 2 * dn_cubed(n) * a_n
+        form = linear_form(n)
+        assert (form.A, form.alpha) == (-beukers._APERY_Y[n], -2 * a_n)
 
 
 @settings(max_examples=30)

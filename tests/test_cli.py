@@ -34,15 +34,112 @@ def run_cli(capsys, *argv):
 
 
 def test_fraction_sci_basic():
-    assert fraction_sci(F(-12), 7) == "-1.200000e+01"
-    assert fraction_sci(F(1, 3), 4) == "3.333e-01"
-    assert fraction_sci(F(2, 3), 4) == "6.667e-01"
-    assert fraction_sci(F(0), 5) == "0"
-    assert fraction_sci(F(999999, 10**6), 3) == "1.00e+00"  # carry into next decade
+    assert fraction_sci(-12, 1, 7) == "-1.200000e+01"
+    assert fraction_sci(1, 3, 4) == "3.333e-01"
+    assert fraction_sci(2, 3, 4) == "6.667e-01"
+    assert fraction_sci(0, 1, 5) == "0"
+    assert fraction_sci(999999, 10**6, 3) == "1.00e+00"  # carry into next decade
 
 
 def test_fraction_sci_directed_up():
-    assert fraction_sci(F(1001, 10**6), 2, "up") == "1.1e-03"
+    assert fraction_sci(1001, 10**6, 2, "up") == "1.1e-03"
+
+
+# The Fraction printer the integer one replaced, kept as its reference.
+
+
+def _ref_pow10(e: int) -> Fraction:
+    return Fraction(10**e) if e >= 0 else Fraction(1, 10**-e)
+
+
+def _ref_floor_log10(x: Fraction) -> int:
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while _ref_pow10(e) > x:
+        e -= 1
+    while _ref_pow10(e + 1) <= x:
+        e += 1
+    return e
+
+
+def _ref_fraction_sci(x: Fraction, sig: int, mode: str = "half_up") -> str:
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    ax = abs(x)
+    e = _ref_floor_log10(ax)
+    y = ax / _ref_pow10(e - sig + 1)
+    if mode == "half_up":
+        m = (2 * y.numerator + y.denominator) // (2 * y.denominator)
+    else:
+        m = -((-y.numerator) // y.denominator)
+    if m >= 10**sig:
+        m //= 10
+        e += 1
+    digs = str(m)
+    mant = digs if sig == 1 else digs[0] + "." + digs[1:]
+    return f"{sign}{mant}e{e:+03d}"
+
+
+def _ref_enclosure_decimal(enc: Enclosure, max_sig: int) -> str:
+    mid = enc.midpoint()
+    width = enc.width()
+    if width == 0:
+        return _ref_fraction_sci(mid, max_sig)
+    if mid == 0:
+        return "0±" + _ref_fraction_sci(width / 2, 2, "up")
+    e = _ref_floor_log10(abs(mid))
+    sig = max_sig
+    while sig > 1 and width >= _ref_pow10(e - sig + 1):
+        sig -= 1
+    if width < _ref_pow10(e - sig + 1):
+        return _ref_fraction_sci(mid, sig)
+    return _ref_fraction_sci(mid, sig) + "±" + _ref_fraction_sci(width / 2, 2, "up")
+
+
+@st.composite
+def unreduced_enclosures(draw):
+    """Enclosures of every shape the printer branches on, over a den that
+    shares a random factor with both numerators and may have thousands of bits."""
+    shape = draw(st.sampled_from(("any", "point", "zero_midpoint", "negative", "straddle")))
+    a = draw(st.integers(min_value=0, max_value=10**30))
+    w = draw(st.integers(min_value=0, max_value=10 ** draw(st.integers(min_value=0, max_value=30))))
+    if shape == "point":
+        lo = hi = draw(st.sampled_from((a, -a)))
+    elif shape == "zero_midpoint":
+        lo, hi = -a, a
+    elif shape == "negative":
+        hi = -a - 1
+        lo = hi - w
+    elif shape == "straddle":
+        lo, hi = -a - 1, w + 1
+    else:
+        lo = draw(st.sampled_from((a, -a)))
+        hi = lo + w
+    den = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**12),
+            st.integers(min_value=2**3000, max_value=2**3100),
+        )
+    )
+    k = draw(st.integers(min_value=1, max_value=2**100))
+    return Enclosure.from_parts(lo * k, hi * k, den * k)
+
+
+@given(unreduced_enclosures())
+def test_enclosure_decimal_matches_fraction_reference(enc):
+    for sig in range(1, 11):
+        assert enclosure_decimal(enc, sig) == _ref_enclosure_decimal(enc, sig)
+
+
+@given(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(("half_up", "up")),
+)
+def test_fraction_sci_reads_unreduced_integers(num, den, k, sig, mode):
+    assert fraction_sci(num * k, den * k, sig, mode) == _ref_fraction_sci(F(num, den), sig, mode)
 
 
 def test_enclosure_decimal_certifies_precision():
@@ -87,6 +184,16 @@ def _places_reference(x: Fraction, places: int) -> str:
 )
 def test_fraction_places_reads_unreduced_integers(num, den, k, places):
     assert fraction_places(num * k, den * k, places) == _places_reference(F(num, den), places)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**60),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=40),
+)
+def test_fraction_places_over_a_power_of_two(num, j, places):
+    # den = 2**j takes the shift branch
+    assert fraction_places(num, 2**j, places) == _places_reference(F(num, 2**j), places)
 
 
 # -- form ----------------------------------------------------------------------

@@ -8,15 +8,21 @@ table) were recorded before the zeta(3) method dispatch, the audit power step
 and the decay formatting were simplified. ``zeta3-accelerated-6000`` was
 recorded while outward rounding still used plain long division; at 6000
 digits its quotient has about 96k bits, so it now takes the Newton path.
+``form-json-2000`` was recorded while the Apery table still held a_n as
+Fractions, before the integer table Y_n = 2 d_n^3 a_n replaced it.
 """
 
 import ast
+import fractions
 import hashlib
 from pathlib import Path
 
 import pytest
 
+from zeta3forms import beukers, bounds, zeta3
+from zeta3forms.beukers import linear_form
 from zeta3forms.cli import EXIT_FAILS, EXIT_OK, EXIT_UNKNOWN, main
+from zeta3forms.exactnum import sqrt2_enclosure
 
 # Test id -> (argv, exit code, sha256 of stdout). Help text wraps at the
 # terminal width, so the test fixes COLUMNS at 80.
@@ -76,6 +82,11 @@ PINNED_STDOUT = {
         EXIT_UNKNOWN,
         "a83b6af43ef3d1499279e9db226fcdd9d7cc24ab573647c7c2bc6dbeda715c16",
     ),
+    "form-json-2000": (
+        ("form", "--n", "2000", "--json"),
+        EXIT_OK,
+        "c2ed45bb8fb1100230b887318a6782d7dd5087f74a3a47d57334183b25727416",
+    ),
 }
 
 
@@ -87,6 +98,42 @@ def test_stdout_matches_pinned_sha256(capsys, monkeypatch, name):
         got = main([*argv, "--quiet"])
     except SystemExit as exc:  # --help exits through argparse
         got = exc.code
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+class _FractionBuilt(Exception):
+    pass
+
+
+def _refuse_fraction(cls, *args, **kwargs):
+    raise _FractionBuilt(f"Fraction{args}")
+
+
+@pytest.mark.parametrize("name", ["verify", "decay"])
+def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
+    # Start from the seeded Apery tables and empty caches, so every form and
+    # enclosure the command prints is built while Fraction refuses to construct.
+    monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:2])
+    monkeypatch.setattr(beukers, "_APERY_Y", beukers._APERY_Y[:2])
+    caches = (
+        linear_form,
+        bounds.shrink_enclosure,
+        bounds.ratio_enclosure,
+        sqrt2_enclosure,
+        zeta3.zeta3_accelerated,
+        zeta3.zeta3_direct,
+    )
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(fractions.Fraction, "__new__", _refuse_fraction)
+    argv, code, digest = PINNED_STDOUT[name]
+    try:
+        got = main([*argv, "--quiet"])
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
 

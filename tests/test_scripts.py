@@ -40,3 +40,27 @@ def test_corpus_script_is_sound(tmp_path):
     proc = _run([str(SCRIPTS / "run_corpus_audit.py"), "--random", "20"], tmp_path)
     assert proc.returncode == 0
     assert "auditor soundness: OK" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    ("script", "flags"),
+    [
+        ("run_decay_table.py", ["--n-max", "0"]),
+        ("run_decay_table.py", ["--digits", "0"]),
+        ("run_corpus_audit.py", ["--n-max", "0"]),
+        ("run_corpus_audit.py", ["--digits", "0"]),
+        ("run_corpus_audit.py", ["--random", "-1"]),
+    ],
+)
+def test_scripts_reject_bad_sizes_as_usage_errors(tmp_path, script, flags):
+    proc = _run([str(SCRIPTS / script), *flags], tmp_path)
+    assert proc.returncode == 2
+    assert "must be >= " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "decay.csv").exists()
+
+
+def test_corpus_script_accepts_zero_random_vectors(tmp_path):
+    proc = _run([str(SCRIPTS / "run_corpus_audit.py"), "--random", "0"], tmp_path)
+    assert proc.returncode == 0
+    assert "auditor soundness: OK" in proc.stdout
