@@ -26,7 +26,10 @@ its numerator, shifted by ``bits``, by ``den``. Large quotients come from a
 Newton reciprocal of the top bits of ``den``, shared by both endpoints,
 and each estimate is stepped by +-1 until the exact remainder n - q*den
 lies in [0, den). That remainder check certifies the endpoint; the
-reciprocal's accuracy only decides how many steps it takes. Reduced
+reciprocal's accuracy only decides how many steps it takes. Its callers
+are `bounds.ratio_enclosure` at 2048 digits and more, that is the high
+rungs of ``verify`` and ``audit --digits`` runs; ``zeta3`` rounds its own
+sum in `zeta3._round_out`. Reduced
 `Fraction` endpoints are built only when read (``lo``, ``hi``, ``width``,
 ``midpoint``); the CLI's decimal printer reads the integers instead. See
 Moore, *Interval Analysis* (1966), for the interval rules, and Brent &
@@ -343,7 +346,10 @@ _new = object.__new__
 # than this many bits. Measured on a 2-vCPU Xeon with CPython 3.11: the two
 # break even at a 24k-bit quotient over a 24k-bit divisor; Newton is 1.1-2x
 # faster at 32k-48k bits over as many, and 5x at 96k over 426k bits; plain
-# ``//`` stays faster when the divisor is half the quotient's length.
+# ``//`` stays faster when the divisor is half the quotient's length. Above
+# it sit `bounds.ratio_enclosure` calls at 2048 digits and more (16 bits a
+# digit): ``verify --n-max 20 --digits 2500`` makes 20 of them, where Newton
+# is about 2.5x faster than ``//``.
 _NEWTON_MIN_BITS = 32768
 
 # Reciprocals of at most this many bits come from one plain ``//``; about

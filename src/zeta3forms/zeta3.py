@@ -10,6 +10,26 @@ zeta(3) = (5/2) * sum_{k>=1} (-1)^(k-1) / (k^3 C(2k,k)), summed exactly by
 binary splitting; consecutive partial sums bracket the limit (alternating,
 strictly shrinking terms). Linear in digits, good for thousands of digits.
 
+The splitting runs on `decimal.Decimal`, used only as an exact integer type:
+libmpdec multiplies and divides large integers by a number-theoretic
+transform, which beats CPython's Karatsuba once operands pass about 30k
+bits and loses to it below. Measured on a 2-vCPU Xeon with CPython 3.11,
+this route takes 1.2-1.4x the time of the same splitting on ints at 2000
+digits, breaks even near 8000 and takes about 0.7x at 20000. Every operation
+goes through one module context, `_EXACT` (precision MAX_PREC, exponent
+limits MAX_EMAX and MIN_EMIN, with Inexact, Rounded and InvalidOperation
+trapped), so an operation that would round raises instead; the caller's
+thread-local context is never read or changed. The two endpoints
+floor(n * 2**bits / den) and ceil(n * 2**bits / den) come from a bracket
+on operands cut to the quotient's digits plus `_GUARD_DIGITS`, evaluated
+in contexts that round down and up. The bracket decides an endpoint when
+both of its bounds round to the same integer; otherwise an exact divmod
+of the full operands does. Decimal results become ints through their
+digit strings, split in halves, and ints become Decimals only at the
+leaves, where they are small. See Brent & Zimmermann, *Modern Computer
+Arithmetic* (2010), section 1.3 on fast multiplication and section 4.9 on
+binary splitting.
+
 The default entry point intersects both, so a systematic bug in either
 series would surface as a DisjointEnclosures error instead of a wrong but
 confident answer.
@@ -17,6 +37,19 @@ confident answer.
 
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_CEILING,
+    ROUND_FLOOR,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from functools import lru_cache
 
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
@@ -92,34 +125,94 @@ def zeta3_direct(digits: int) -> Enclosure:
     return Enclosure.from_parts(lo, hi, unit * tails).round_out(budget_bits(digits))
 
 
-def _binsplit(a: int, b: int) -> tuple[int, int, int]:
-    """(P, Q, T) over [a, b) for term ratios t_{j+1}/t_j = p_j/q_j.
+def _context(prec: int, rounding: str, traps: list) -> Context:
+    """A decimal context with every field given, so none is inherited from
+    decimal.DefaultContext."""
+    return Context(
+        prec=prec, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN, capitals=1, clamp=0, flags=[], traps=traps
+    )
+
+
+# Decimal serves only as an exact integer type: every operation in this
+# context that would round, or is invalid, raises instead of returning.
+_EXACT = _context(MAX_PREC, ROUND_HALF_EVEN, [Inexact, Rounded, InvalidOperation])
+_mul = _EXACT.multiply
+_add = _EXACT.add
+
+# Digits the bracket in `_round_out` carries beyond the quotient's own; its
+# two bounds then straddle an integer with probability about 10**-39.
+_GUARD_DIGITS = 40
+
+# Decimal strings at most this long go to int() in one call; longer ones are
+# halved first, because CPython's int(str) is quadratic in the length.
+_INT_CHUNK_DIGITS = 2000
+
+
+def _binsplit(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
+    """(P, Q, T) over [a, b) for term ratios t_{j+1}/t_j = p_j/q_j, as exact
+    Decimal integers.
 
     p_j = -j^3, q_j = 2 (j+1)^2 (2j+1); P and Q are the range products and
-    T/Q = sum_{k=a..b-1} prod_{j=a..k} p_j/q_j.
+    T/Q = sum_{k=a..b-1} prod_{j=a..k} p_j/q_j. Each operand is dropped as
+    soon as its last product is formed.
     """
     if b - a == 1:
-        p = -(a**3)
-        q = 2 * (a + 1) ** 2 * (2 * a + 1)
-        return p, q, p
+        p = Decimal(-(a**3))
+        return p, Decimal(2 * (a + 1) ** 2 * (2 * a + 1)), p
     m = (a + b) // 2
     pl, ql, tl = _binsplit(a, m)
     pr, qr, tr = _binsplit(m, b)
-    return pl * pr, ql * qr, tl * qr + pl * tr
+    t = _add(_mul(tl, qr), _mul(pl, tr))
+    del tl, tr
+    q = _mul(ql, qr)
+    del ql, qr
+    return _mul(pl, pr), q, t
 
 
-def _partial_sum(terms: int) -> tuple[int, int, int]:
-    """S_K = sum_{k<=K} t_k and the signed next term t_{K+1}, as integers
-    (s, t, den) with S_K = s/den and t_{K+1} = t/den.
+def _digits_to_int(s: str) -> int:
+    """int(s) for a string of decimal digits, by halving long strings."""
+    if len(s) <= _INT_CHUNK_DIGITS:
+        return int(s)
+    low = len(s) // 2
+    return _digits_to_int(s[:-low]) * 10**low + _digits_to_int(s[-low:])
 
-    Both come out of one binary-splitting pass: over [1, K+1) the products
-    give t_{K+1}/t_1 = P/Q and the sum gives (S_{K+1} - t_1)/t_1 = T/Q, so
-    no factorial is ever materialized, and den = 2Q is left unreduced.
+
+def _exact_round(n: Decimal, scale: Decimal, den: Decimal, ceiling: bool) -> Decimal:
+    """floor (or ceiling) of n*scale/den by one exact division."""
+    q, r = _EXACT.divmod(_mul(n, scale), den)
+    return _add(q, 1) if ceiling and not r.is_zero() else q
+
+
+def _round_out(lo: Decimal, hi: Decimal, den: Decimal, bits: int) -> tuple[int, int]:
+    """(floor(lo * 2**bits / den), ceil(hi * 2**bits / den)) as ints, for
+    Decimal integers 0 < lo <= hi and den > 0.
+
+    Each quotient x = n * 2**bits / den is bracketed from operands cut to
+    prec = (digits of x) + _GUARD_DIGITS significant digits, in a context
+    that rounds down and one that rounds up:
+        RD(RD(n) * RD(2**bits / RU(den))) <= x <= RU(RU(n) * RU(2**bits / RD(den))).
+    When both bounds round to the same integer, that integer is the exact
+    floor (or ceiling) of x. Otherwise one exact divmod of the full operands
+    decides it.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    p, q, t = _binsplit(1, terms + 1)
-    return q + t - p, p, 2 * q
+    if lo.is_signed() or lo.is_zero():
+        raise ArithmeticError("zeta(3) endpoint numerator is not positive")
+    scale = _EXACT.power(2, bits)
+    # an upper bound on the digits of floor(hi * 2**bits / den)
+    prec = max(1, hi.adjusted() + scale.adjusted() - den.adjusted() + 2) + _GUARD_DIGITS
+    down = _context(prec, ROUND_FLOOR, [InvalidOperation])
+    up = _context(prec, ROUND_CEILING, [InvalidOperation])
+    r_down = down.divide(scale, up.plus(den))
+    r_up = up.divide(scale, down.plus(den))
+    ends = []
+    for n, outward in ((lo, down), (hi, up)):
+        below = outward.to_integral_value(down.multiply(down.plus(n), r_down))
+        above = outward.to_integral_value(up.multiply(up.plus(n), r_up))
+        digits = _EXACT.to_sci_string(below)
+        if digits != _EXACT.to_sci_string(above):
+            digits = _EXACT.to_sci_string(_exact_round(n, scale, den, outward is up))
+        ends.append(_digits_to_int(digits))
+    return ends[0], ends[1]
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
@@ -131,14 +224,22 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     # (5/2)|t_{K+1}| drops below 10^-digits once K+1 > 1.661*(digits+0.7)+0.5;
     # 1.661 per digit plus slack covers that without any trial evaluation.
     terms = 1661 * digits // 1000 + 2
-    s, t_next, den = _partial_sum(terms)
-    # (5/2)[S_K, S_K + t_{K+1}], ends ordered by the sign of t_{K+1}, over
-    # 2*den = 4Q: round_out floor-divides each endpoint once, with no gcd,
-    # by a Newton reciprocal of 4Q's top bits and an exact remainder check.
-    ends = (5 * s, 5 * (s + t_next))
-    enc = Enclosure.from_parts(min(ends), max(ends), 2 * den)
-    del s, t_next, den, ends  # freed before round_out's equally large temporaries
-    return enc.round_out(budget_bits(digits))
+    # Over [1, K+1) the products give t_{K+1}/t_1 = P/Q and the sum gives
+    # (S_{K+1} - t_1)/t_1 = T/Q; with t_1 = 1/2, S_K = (Q + T - P)/2Q and
+    # t_{K+1} = P/2Q, so no factorial is ever materialized.
+    p, q, t = _binsplit(1, terms + 1)
+    s = _add(q, _EXACT.subtract(t, p))
+    del t
+    den = _mul(4, q)
+    del q
+    # (5/2)[S_K, S_K + t_{K+1}] over 4Q, ends ordered by the sign of t_{K+1}.
+    ends = (_mul(5, s), _mul(5, _add(s, p)))
+    del s
+    lo, hi = ends[::-1] if p.is_signed() else ends
+    del p, ends
+    bits = budget_bits(digits)
+    lo_num, hi_num = _round_out(lo, hi, den, bits)
+    return Enclosure.from_parts(lo_num, hi_num, 1 << bits)
 
 
 def zeta3(digits: int) -> Enclosure:

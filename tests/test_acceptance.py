@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from zeta3forms import beukers, bounds, chain
-from zeta3forms.beukers import apery_oracle, dn_cubed, linear_form, moment, moment_series_oracle
+from zeta3forms.beukers import apery_oracle, linear_form, moment, moment_series_oracle
 from zeta3forms.bounds import CheckStatus, decay_table, verify_form_bound, verify_ratio_bound
 from zeta3forms.chain import JustificationKind
 from zeta3forms.combinatorics import binom
@@ -36,9 +36,14 @@ def test_criterion_1_integrality():
     started = time.perf_counter()
     violations = []
     for n in range(51):
-        form = linear_form(n)
-        scaled = form.alpha * dn_cubed(n)
-        if scaled.denominator != 1 or scaled.numerator != form.A:
+        # alpha_n from the moment double sum, a route independent of the
+        # integer Apery table; _assemble raises unless d_n^3 * alpha_n is an integer
+        try:
+            independent = beukers._assemble(n, moment)
+        except beukers.IntegralityViolation:
+            violations.append(n)
+            continue
+        if independent.A != linear_form(n).A:
             violations.append(n)
     elapsed = time.perf_counter() - started
     ok = not violations and elapsed < 60.0

@@ -117,11 +117,14 @@ def test_linear_form_n2():
 
 
 def test_integrality_up_to_50():
-    for n in range(51):
+    # alpha_n = -2 a_n from the Fraction recurrence, a route that never sees
+    # the integer table: d_n^3 * alpha_n must be an integer, and it must be A_n.
+    for n, a_n in enumerate(_fraction_apery_a(50)):
         form = linear_form(n)
         assert form.dn3 == dn_cubed(n)
-        assert (form.alpha * form.dn3).denominator == 1
-        assert form.A == form.alpha * form.dn3
+        scaled = -2 * a_n * form.dn3
+        assert scaled.denominator == 1
+        assert scaled.numerator == form.A
         assert form.B == form.beta * form.dn3
 
 

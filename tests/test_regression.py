@@ -7,7 +7,9 @@ and every outward rounding is unchanged, so the bytes must be too. The rest
 table) were recorded before the zeta(3) method dispatch, the audit power step
 and the decay formatting were simplified. ``zeta3-accelerated-6000`` was
 recorded while outward rounding still used plain long division; at 6000
-digits its quotient has about 96k bits, so it now takes the Newton path.
+digits its quotient has about 96k bits. It then went through the Newton
+path of ``Enclosure.round_out``, and now through the Decimal bracket of
+``zeta3._round_out``.
 ``form-json-2000`` was recorded while the Apery table still held a_n as
 Fractions, before the integer table Y_n = 2 d_n^3 a_n replaced it.
 """
@@ -138,14 +140,30 @@ def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
 
 
-# -- source rules: no floating point, no assert ------------------------------------
+# -- source rules: no floating point, no assert, no thread-local decimal context ----
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zeta3forms"
+
+# Functions that read or swap the calling thread's decimal context; the package
+# passes its own contexts explicitly instead.
+_THREAD_CONTEXT = {"getcontext", "setcontext", "localcontext"}
+
+
+def _name_of(node: ast.AST) -> str:
+    """The identifier a name, attribute or imported alias node spells, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return ""
 
 
 def _violations(source: str, name: str) -> list[str]:
     """assert statements (stripped by python -O), float or complex literals,
-    and float(...) calls in one module's source."""
+    float(...) calls, and any mention of the thread-local decimal context
+    functions in one module's source."""
     found = []
     for node in ast.walk(ast.parse(source, filename=name)):
         if isinstance(node, ast.Assert):
@@ -154,17 +172,25 @@ def _violations(source: str, name: str) -> list[str]:
             found.append(f"{name}:{node.lineno}: floating-point literal {node.value!r}")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
             found.append(f"{name}:{node.lineno}: float() call")
+        elif _name_of(node) in _THREAD_CONTEXT:
+            found.append(f"{name}:{node.lineno}: thread-local decimal context {_name_of(node)}")
     return found
 
 
 def test_rule_checker_flags_each_construct():
-    source = "assert x\ny = 0.5\nz = 2j\nw = float(3)\nv = 1e3\n"
+    source = (
+        "assert x\ny = 0.5\nz = 2j\nw = float(3)\nv = 1e3\n"
+        "from decimal import getcontext\nc = decimal.setcontext(c)\nwith localcontext(): pass\n"
+    )
     assert [v.split(": ", 1)[1] for v in _violations(source, "sample.py")] == [
         "assert statement",
         "floating-point literal 0.5",
         "floating-point literal 2j",
         "float() call",
         "floating-point literal 1000.0",
+        "thread-local decimal context getcontext",
+        "thread-local decimal context setcontext",
+        "thread-local decimal context localcontext",
     ]
 
 

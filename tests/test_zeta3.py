@@ -1,15 +1,15 @@
+import decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeta3forms import zeta3 as zmod
 from zeta3forms.cli import zeta3_methods
-from zeta3forms.exactnum import Enclosure
+from zeta3forms.exactnum import Enclosure, budget_bits
 from zeta3forms.zeta3 import (
     DisjointEnclosures,
-    _partial_sum,
     zeta3,
     zeta3_accelerated,
     zeta3_direct,
@@ -52,6 +52,39 @@ def test_direct_term_guard():
         zeta3_direct(25)
 
 
+# -- int reference for the accelerated route ------------------------------------
+# The same (P, Q, T) recursion in CPython ints, rounded by Enclosure.round_out:
+# how zeta3_accelerated computed its enclosure before its Decimal rewrite.
+
+
+def _binsplit(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) over [a, b) for term ratios p_j/q_j = -j^3 / (2 (j+1)^2 (2j+1))."""
+    if b - a == 1:
+        p = -(a**3)
+        q = 2 * (a + 1) ** 2 * (2 * a + 1)
+        return p, q, p
+    m = (a + b) // 2
+    pl, ql, tl = _binsplit(a, m)
+    pr, qr, tr = _binsplit(m, b)
+    return pl * pr, ql * qr, tl * qr + pl * tr
+
+
+def _partial_sum(terms: int) -> tuple[int, int, int]:
+    """(s, t, den) with S_K = s/den and the signed next term t_{K+1} = t/den."""
+    p, q, t = _binsplit(1, terms + 1)
+    return q + t - p, p, 2 * q
+
+
+def _reference_accelerated(digits: int) -> Enclosure:
+    s, t_next, den = _partial_sum(1661 * digits // 1000 + 2)
+    ends = (5 * s, 5 * (s + t_next))
+    return Enclosure.from_parts(min(ends), max(ends), 2 * den).round_out(budget_bits(digits))
+
+
+def _fields(enc: Enclosure) -> tuple[int, int, int]:
+    return enc.lo_num, enc.hi_num, enc.den
+
+
 def test_accelerated_first_partial_brackets_from_above():
     # one term: S_1 = 1/2, next term -1/48; (5/2)*[1/2 - 1/48, 1/2] = [115/96, 5/4]
     s, t_next, den = _partial_sum(1)
@@ -59,6 +92,97 @@ def test_accelerated_first_partial_brackets_from_above():
     assert F(t_next, den) == F(-1, 48)
     assert zeta3_accelerated(10).hi < F(5, 4)
     assert zeta3_accelerated(10).lo > F(115, 96)
+
+
+# 2001 and 6000 digits sit on both sides of the reference's Newton crossover:
+# its round_out divides by plain // at 2001 digits (a 32k-bit quotient) and by
+# a Newton reciprocal at 6000 (a 96k-bit quotient).
+@given(st.integers(min_value=1, max_value=300))
+@example(2001)
+@example(6000)
+@settings(max_examples=40, deadline=None)
+def test_accelerated_matches_int_reference(digits):
+    assert _fields(zeta3_accelerated(digits)) == _fields(_reference_accelerated(digits))
+
+
+def _fresh_fields(digits: int) -> tuple[int, int, int]:
+    """zeta3_accelerated(digits) computed afresh, leaving no cache entry behind."""
+    zeta3_accelerated.cache_clear()
+    try:
+        return _fields(zeta3_accelerated(digits))
+    finally:
+        zeta3_accelerated.cache_clear()
+
+
+@pytest.mark.parametrize("guard, sizes", [(40, (3, 60, 2001)), (0, (6, 6000))])
+def test_accelerated_ignores_the_callers_decimal_context(monkeypatch, guard, sizes):
+    # A 5-digit context that rounds silently would corrupt any operation that
+    # fell back on it. Without guard digits the exact fallback runs too.
+    monkeypatch.setattr(zmod, "_GUARD_DIGITS", guard)
+    with decimal.localcontext(prec=5, traps=[]):
+        got = [_fresh_fields(d) for d in sizes]
+    assert got == [_fields(_reference_accelerated(d)) for d in sizes]
+
+
+def test_exact_context_raises_instead_of_rounding():
+    exact = zmod._EXACT
+    assert all(exact.traps[s] for s in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation))
+    with pytest.raises(decimal.Inexact):
+        exact.to_integral_exact(decimal.Decimal("2.5"))
+    # The same traps at a reachable precision: 1/3 is not rounded silently.
+    # (At MAX_PREC itself libmpdec cannot allocate the quotient and raises
+    # MemoryError, which is no way to test a trap.)
+    narrow = exact.copy()
+    narrow.prec = 5
+    with pytest.raises(decimal.Inexact):
+        narrow.divide(1, 3)
+    with pytest.raises(decimal.Inexact):
+        narrow.multiply(123456, 7)
+
+
+# With the default 40 guard digits the bracket decides every endpoint; with
+# none, both brackets straddle an integer at 6 and 6000 digits, so the exact
+# divmod gives both endpoints, first the floor, then the ceiling.
+@pytest.mark.parametrize(
+    "guard, digits, fallbacks",
+    [(40, 1, []), (40, 60, []), (40, 2001, []), (40, 6000, []), (0, 6, [False, True]), (0, 6000, [False, True])],
+)
+def test_exact_fallback_runs_only_when_the_bracket_straddles(monkeypatch, guard, digits, fallbacks):
+    calls = []
+    exact_round = zmod._exact_round
+
+    def spy(n, scale, den, ceiling):
+        calls.append(ceiling)
+        return exact_round(n, scale, den, ceiling)
+
+    monkeypatch.setattr(zmod, "_exact_round", spy)
+    monkeypatch.setattr(zmod, "_GUARD_DIGITS", guard)
+    got = _fresh_fields(digits)
+    assert calls == fallbacks
+    assert got == _fields(_reference_accelerated(digits))
+
+
+@given(
+    st.integers(min_value=1, max_value=10**60),
+    st.integers(min_value=0, max_value=10**60),
+    st.integers(min_value=1, max_value=10**60),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from([0, 40]),
+)
+@example(3, 0, 3, 4, 40)  # 3 * 2**4 / 3 = 16 exactly: floor and ceiling are both 16
+@settings(max_examples=200, deadline=None)
+def test_round_out_matches_int_floor_and_ceiling(lo, extra, den, bits, guard):
+    hi = lo + extra
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zmod, "_GUARD_DIGITS", guard)
+        got = zmod._round_out(decimal.Decimal(lo), decimal.Decimal(hi), decimal.Decimal(den), bits)
+    assert got == ((lo << bits) // den, -((-hi << bits) // den))
+
+
+def test_round_out_rejects_a_non_positive_endpoint():
+    one = decimal.Decimal(1)
+    with pytest.raises(ArithmeticError, match="not positive"):
+        zmod._round_out(decimal.Decimal(0), one, one, 16)
 
 
 def test_accelerated_matches_direct():
