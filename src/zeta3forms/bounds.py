@@ -12,6 +12,21 @@ disjoint, and Unknown (after adaptive refinement) only when they overlap.
 (sqrt(2)-1)^4 = 17 - 12*sqrt(2) exactly, so (sqrt(2)-1)^(4n) is computed as
 the n-th power of 17 - 12*sqrt(2) in Z[sqrt(2)], leaving a single sqrt(2)
 enclosure as the only irrational input.
+
+Rungs that cannot decide are skipped (`deciding_rungs`). Every checked lhs
+is the enclosure E of |I_n| at that rung times a positive factor: E itself
+in the form check, R_n = E / (2 (sqrt(2)-1)^(4n) d_n^6) in the ratio check
+and, raised to a power, in the audit's power steps. When E = [0, h] with
+h > 0, each such lhs is [0, h'] with h' > 0, so at that rung:
+
+    HOLDS needs lo > 0, and lo = 0;
+    FAILS needs hi <= 0, and hi > 0, or lhs >= rhs, and rhs > 0;
+    so the rung's status is UNKNOWN, and nothing but E is built there.
+
+(rhs > 0 because (sqrt(2)-1)^(4n) is intersected with (34^-n, 33^-n) and
+zeta(3) > 0.) The last rung is always evaluated, so a check still unknown
+there reports that rung's enclosures. HOLDS and FAILS are decided by
+`sandwich_status` only.
 """
 
 from __future__ import annotations
@@ -59,7 +74,7 @@ def refinement_digits(digits: int):
         dd *= 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def unit_pair(n: int) -> tuple[int, int]:
     """(a, b) with (17 - 12*sqrt(2))^n = a + b*sqrt(2), by powering in Z[sqrt(2)]."""
     if n < 0:
@@ -106,6 +121,7 @@ def rhs_bound(n: int, digits: int) -> Enclosure:
     return shrink_enclosure(n, digits) * zeta3(digits) * 2
 
 
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def form_abs_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of |alpha_n + beta_n*zeta(3)| = |A_n + B_n*zeta(3)| / d_n^3."""
     form = linear_form(n)
@@ -140,15 +156,30 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
     return CheckStatus.UNKNOWN
 
 
+def deciding_rungs(n: int, digits: int):
+    """The rungs of refinement_digits(digits) at which the enclosure of |I_n|
+    does not touch zero, then the last rung whatever its enclosure.
+
+    A rung where that enclosure is [0, h] with h > 0 ends UNKNOWN in every
+    check built on |I_n| (see the module docstring), so it is skipped.
+    """
+    *rungs, last = refinement_digits(digits)
+    for dd in rungs:
+        form_abs = form_abs_enclosure(n, dd)
+        if not form_abs.lo_num <= 0 < form_abs.hi_num:
+            yield dd
+    yield last
+
+
 def _check_sandwich(
     n: int, digits: int, sides: Callable[[int], tuple[Enclosure, Enclosure]]
 ) -> CheckResult:
-    """Decide 0 < lhs < rhs, with (lhs, rhs) = sides(dd), up the refinement ladder."""
+    """Decide 0 < lhs < rhs, with (lhs, rhs) = sides(dd), up the deciding rungs."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for dd in refinement_digits(digits):
+    for dd in deciding_rungs(n, digits):
         lhs, rhs = sides(dd)
         status = sandwich_status(lhs, rhs)
         if status is not CheckStatus.UNKNOWN:

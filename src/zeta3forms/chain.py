@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import product
 from typing import Optional, Sequence
 
-from .bounds import CheckStatus, ratio_enclosure, refinement_digits, sandwich_status
+from .bounds import CheckStatus, deciding_rungs, ratio_enclosure, sandwich_status
 from .exactnum import Enclosure, Trichotomy, trichotomy
 from .zeta3 import zeta3
 
@@ -173,7 +173,7 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     report = None
-    for dd in refinement_digits(digits):
+    for dd in deciding_rungs(n, digits):
         report = _audit_once(n, c, dd)
         if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
             break

@@ -68,7 +68,8 @@ def budget_bits(digits: int) -> int:
     return BITS_PER_DIGIT * max(1, digits)
 
 
-# Size of every cache keyed by requested digits, so long runs stay bounded.
+# Size of every production cache, keyed by requested digits or by n, so long
+# runs stay bounded.
 DIGITS_CACHE_SIZE = 256
 
 

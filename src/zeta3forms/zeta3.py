@@ -183,14 +183,33 @@ def _exact_round(n: Decimal, scale: Decimal, den: Decimal, ceiling: bool) -> Dec
     return _add(q, 1) if ceiling and not r.is_zero() else q
 
 
+def _reciprocals(scale: Decimal, den: Decimal, down: Context, up: Context) -> tuple[Decimal, Decimal]:
+    """(r_down, r_up) with r_down <= scale / den <= r_up, for scale, den > 0,
+    from one division at the precision p of ``down`` and ``up``.
+
+    r_down = RD(scale / RU(den)), and r_up = RU(r_down * (1 + 3e)) with
+    e = 10**(1-p). Why r_up bounds scale/den from above: for 10**a <= y, a
+    directed rounding of y > 0 to p digits moves it by less than
+    10**(a+1-p) and leaves it >= 10**a, so by less than e times y and e
+    times its rounding. So RU(den) < den*(1 + e), and the quotient
+    scale/RU(den) < r_down*(1 + e). Multiplying, scale/den =
+    (scale/RU(den)) * (RU(den)/den) < r_down*(1 + e)**2 <= r_down*(1 + 3e),
+    since e <= 1. The fused multiply-add rounds r_down*3e + r_down once, up.
+    """
+    r_down = down.divide(scale, up.plus(den))
+    three_e = Decimal((0, (3,), 1 - down.prec))  # exact: 3 * 10**(1-p)
+    return r_down, up.fma(r_down, three_e, r_down)
+
+
 def _round_out(lo: Decimal, hi: Decimal, den: Decimal, bits: int) -> tuple[int, int]:
     """(floor(lo * 2**bits / den), ceil(hi * 2**bits / den)) as ints, for
     Decimal integers 0 < lo <= hi and den > 0.
 
     Each quotient x = n * 2**bits / den is bracketed from operands cut to
     prec = (digits of x) + _GUARD_DIGITS significant digits, in a context
-    that rounds down and one that rounds up:
-        RD(RD(n) * RD(2**bits / RU(den))) <= x <= RU(RU(n) * RU(2**bits / RD(den))).
+    that rounds down and one that rounds up, by the reciprocal bounds
+    r_down <= 2**bits / den <= r_up of `_reciprocals`:
+        RD(RD(n) * r_down) <= x <= RU(RU(n) * r_up).
     When both bounds round to the same integer, that integer is the exact
     floor (or ceiling) of x. Otherwise one exact divmod of the full operands
     decides it.
@@ -202,8 +221,7 @@ def _round_out(lo: Decimal, hi: Decimal, den: Decimal, bits: int) -> tuple[int, 
     prec = max(1, hi.adjusted() + scale.adjusted() - den.adjusted() + 2) + _GUARD_DIGITS
     down = _context(prec, ROUND_FLOOR, [InvalidOperation])
     up = _context(prec, ROUND_CEILING, [InvalidOperation])
-    r_down = down.divide(scale, up.plus(den))
-    r_up = up.divide(scale, down.plus(den))
+    r_down, r_up = _reciprocals(scale, den, down, up)
     ends = []
     for n, outward in ((lo, down), (hi, up)):
         below = outward.to_integral_value(down.multiply(down.plus(n), r_down))
@@ -242,6 +260,7 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     return Enclosure.from_parts(lo_num, hi_num, 1 << bits)
 
 
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def zeta3(digits: int) -> Enclosure:
     """Intersection of the two methods' enclosures (the safe default).
 

@@ -3,12 +3,16 @@ from fractions import Fraction
 import pytest
 
 from zeta3forms import bounds
+from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
+    CheckResult,
     CheckStatus,
     EnclosureLost,
     decay_table,
+    deciding_rungs,
     form_abs_enclosure,
     ratio_enclosure,
+    refinement_digits,
     rhs_bound,
     sandwich_status,
     shrink_enclosure,
@@ -16,8 +20,9 @@ from zeta3forms.bounds import (
     verify_form_bound,
     verify_ratio_bound,
 )
+from zeta3forms.cli import EXIT_UNKNOWN, main
 from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
-from zeta3forms.zeta3 import zeta3_accelerated, zeta3_direct
+from zeta3forms.zeta3 import zeta3, zeta3_accelerated, zeta3_direct
 
 F = Fraction
 
@@ -211,10 +216,107 @@ def test_ratio_enclosure_strictly_inside_unit():
 
 
 def test_digit_keyed_caches_stay_bounded():
-    caches = (ratio_enclosure, shrink_enclosure, zeta3_direct, zeta3_accelerated, sqrt2_enclosure)
+    caches = (
+        ratio_enclosure,
+        shrink_enclosure,
+        form_abs_enclosure,
+        unit_pair,
+        linear_form,
+        zeta3,
+        zeta3_direct,
+        zeta3_accelerated,
+        sqrt2_enclosure,
+    )
     assert all(fn.cache_info().maxsize == DIGITS_CACHE_SIZE for fn in caches)
     # more distinct (n, digits) keys than the cache holds, and as many digit counts
     for i in range(DIGITS_CACHE_SIZE + 20):
         shrink_enclosure(1 + i % 5, 10 + i)
     assert shrink_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
     assert sqrt2_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
+
+
+def test_n_keyed_caches_stay_bounded_in_a_long_verify(capsys):
+    assert main(["verify", "--n-max", "300", "--csv", "--quiet"]) == EXIT_UNKNOWN
+    capsys.readouterr()
+    caches = (linear_form, unit_pair, form_abs_enclosure, ratio_enclosure, shrink_enclosure)
+    sizes = {fn.__name__: fn.cache_info().currsize for fn in caches}
+    assert max(sizes.values()) <= DIGITS_CACHE_SIZE, sizes
+    assert sizes["linear_form"] == DIGITS_CACHE_SIZE  # 300 forms were built
+
+
+# -- the skip of rungs that cannot decide -----------------------------------------
+
+
+def _full_ladder(n: int, digits: int, sides) -> CheckResult:
+    """How _check_sandwich decided before it skipped rungs: every rung of the
+    ladder is built and compared until one decides."""
+    for dd in refinement_digits(digits):
+        lhs, rhs = sides(dd)
+        status = sandwich_status(lhs, rhs)
+        if status is not CheckStatus.UNKNOWN:
+            break
+    return CheckResult(n=n, lhs=lhs, rhs=rhs, status=status, digits_used=dd)
+
+
+def _outcome(res: CheckResult) -> tuple:
+    return (
+        res.status,
+        res.digits_used,
+        (res.lhs.lo_num, res.lhs.hi_num, res.lhs.den),
+        (res.rhs.lo_num, res.rhs.hi_num, res.rhs.den),
+    )
+
+
+@pytest.mark.parametrize("digits", [1, 7, 30])
+def test_skipping_rungs_matches_the_full_ladder(digits):
+    # At each of these digit counts the sweep holds rows decided at the first
+    # rung, rows decided higher up after skipped rungs, and rows still unknown
+    # at the last rung, where every earlier rung was skipped.
+    skipped = 0
+    for n in range(1, 251):
+        form = _full_ladder(n, digits, lambda dd: (form_abs_enclosure(n, dd), rhs_bound(n, dd)))
+        ratio = _full_ladder(n, digits, lambda dd: (ratio_enclosure(n, dd), zeta3(dd)))
+        assert _outcome(verify_form_bound(n, digits)) == _outcome(form), n
+        assert _outcome(verify_ratio_bound(n, digits)) == _outcome(ratio), n
+        skipped += len(list(refinement_digits(digits))) - len(list(deciding_rungs(n, digits)))
+    assert skipped > 0
+
+
+def test_deciding_rungs_skip_an_enclosure_touching_zero(monkeypatch):
+    monkeypatch.setattr(bounds, "form_abs_enclosure", lambda n, digits: Enclosure.from_parts(0, 1, digits))
+    # [0, h] with h > 0 cannot decide, but the last rung is always evaluated
+    assert list(deciding_rungs(3, 10)) == [160]
+    res = verify_form_bound(3, 10)
+    assert (res.status, res.digits_used, res.lhs) == (CheckStatus.UNKNOWN, 160, Enclosure(0, F(1, 160)))
+
+
+def test_deciding_rungs_keep_an_enclosure_that_is_exactly_zero(monkeypatch):
+    # |I_n| enclosed by the point 0 decides at once: 0 < 0 fails
+    monkeypatch.setattr(bounds, "form_abs_enclosure", lambda n, digits: Enclosure.point(0))
+    assert list(deciding_rungs(3, 10)) == list(refinement_digits(10))
+    ratio_enclosure.cache_clear()
+    try:
+        for check in (verify_form_bound, verify_ratio_bound):
+            res = check(3, 10)
+            assert (res.status, res.digits_used) == (CheckStatus.FAILS, 10)
+    finally:
+        ratio_enclosure.cache_clear()  # drop the R_3 built from the stub
+
+
+def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
+    # Every check of verify --n-max 200 builds its lhs and rhs at one rung only:
+    # the rung that decides it, or the last one.
+    for cached in (ratio_enclosure, shrink_enclosure, form_abs_enclosure, zeta3):
+        cached.cache_clear()
+    rhs_calls = []
+
+    def counted_rhs_bound(n, digits):
+        rhs_calls.append((n, digits))
+        return rhs_bound(n, digits)
+
+    monkeypatch.setattr(bounds, "rhs_bound", counted_rhs_bound)
+    assert main(["verify", "--n-max", "200", "--csv", "--quiet"]) == EXIT_UNKNOWN
+    capsys.readouterr()
+    assert ratio_enclosure.cache_info().misses == 200
+    assert shrink_enclosure.cache_info().misses == 200
+    assert len(rhs_calls) == 200

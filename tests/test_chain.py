@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeta3forms.bounds import CheckStatus, form_abs_enclosure
+from zeta3forms import chain
+from zeta3forms.bounds import CheckStatus, deciding_rungs, form_abs_enclosure, refinement_digits
 from zeta3forms.chain import (
     ChainReport,
     CoeffVector,
@@ -215,3 +216,29 @@ def test_report_step_lookup():
     assert isinstance(report, ChainReport)
     with pytest.raises(KeyError):
         report.step("nonexistent")
+
+
+def _full_ladder_audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
+    """How audit refined before it skipped rungs: every rung of the ladder is
+    audited until no step is unknown."""
+    for dd in refinement_digits(digits):
+        report = chain._audit_once(n, c, dd)
+        if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
+            break
+    return report
+
+
+def _fields(report: ChainReport) -> tuple:
+    encs = (report.R, report.S, report.residual)
+    return (report_to_dict(report), tuple((e.lo_num, e.hi_num, e.den) for e in encs))
+
+
+@pytest.mark.parametrize("digits", [3, 5])
+def test_skipping_rungs_matches_the_full_ladder_audit(digits):
+    vectors = [CoeffVector(c) for c in ((-6, 5), (1, 1), (3, -1, 4, 1, -5), (2, 0, -7), (1, 2, 3, 4))]
+    skipped = 0
+    for n in range(1, 41):
+        for c in vectors:
+            assert _fields(audit(n, c, digits)) == _fields(_full_ladder_audit(n, c, digits)), (n, c)
+        skipped += len(list(refinement_digits(digits))) - len(list(deciding_rungs(n, digits)))
+    assert skipped > 0

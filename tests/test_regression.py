@@ -12,6 +12,10 @@ path of ``Enclosure.round_out``, and now through the Decimal bracket of
 ``zeta3._round_out``.
 ``form-json-2000`` was recorded while the Apery table still held a_n as
 Fractions, before the integer table Y_n = 2 d_n^3 a_n replaced it.
+``verify-unknown``, ``verify-digits-1`` and ``verify-digits-700`` were
+recorded while every check still built its enclosures at every rung of the
+refinement ladder, before rungs where the enclosure of |I_n| touches zero
+were skipped.
 """
 
 import ast
@@ -89,6 +93,21 @@ PINNED_STDOUT = {
         EXIT_OK,
         "c2ed45bb8fb1100230b887318a6782d7dd5087f74a3a47d57334183b25727416",
     ),
+    "verify-unknown": (
+        ("verify", "--n-max", "200", "--csv"),
+        EXIT_UNKNOWN,
+        "2fde6e4d5f51fd5b6dcb0564e9e0cb38f5e582623b2b8f30438a7eb881991b96",
+    ),
+    "verify-digits-1": (
+        ("verify", "--n-max", "50", "--digits", "1", "--csv"),
+        EXIT_UNKNOWN,
+        "e7f3bfd9aefa582d37fac9b1bd59efe7290592d014250ff2868957f1fcdcc496",
+    ),
+    "verify-digits-700": (
+        ("verify", "--n-max", "60", "--digits", "700", "--csv"),
+        EXIT_OK,
+        "4ef8f20e67961283298f859a794932284bfe419125bd12b9488bb1968de6ddef",
+    ),
 }
 
 
@@ -120,9 +139,11 @@ def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
     monkeypatch.setattr(beukers, "_APERY_Y", beukers._APERY_Y[:2])
     caches = (
         linear_form,
+        bounds.form_abs_enclosure,
         bounds.shrink_enclosure,
         bounds.ratio_enclosure,
         sqrt2_enclosure,
+        zeta3.zeta3,
         zeta3.zeta3_accelerated,
         zeta3.zeta3_direct,
     )
@@ -140,13 +161,20 @@ def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
 
 
-# -- source rules: no floating point, no assert, no thread-local decimal context ----
+# -- source rules: no floating point, no assert, no thread-local decimal context,
+# -- no unbounded cache ---------------------------------------------------------
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zeta3forms"
 
 # Functions that read or swap the calling thread's decimal context; the package
 # passes its own contexts explicitly instead.
 _THREAD_CONTEXT = {"getcontext", "setcontext", "localcontext"}
+
+
+# The only functions whose caches may grow without bound: test-only oracles,
+# the kernel moments of the O(n^2) double sum and the Legendre coefficients it
+# pairs them with. Every other lru_cache states a maxsize other than None.
+_UNBOUNDED_CACHE_ALLOWED = {"beukers.moment", "legendre.coeffs"}
 
 
 def _name_of(node: ast.AST) -> str:
@@ -160,13 +188,47 @@ def _name_of(node: ast.AST) -> str:
     return ""
 
 
+def _unbounded_cache(node: ast.AST, decorators: set[int]) -> str:
+    """What makes ``node`` an unbounded or unsized cache, else ''.
+
+    ``decorators`` holds the ids of the decorator nodes of the module."""
+    if isinstance(node, ast.Call) and _name_of(node.func) == "lru_cache":
+        sizes = node.args[:1] or [k.value for k in node.keywords if k.arg == "maxsize"]
+        if not sizes:
+            return "lru_cache without maxsize"
+        if isinstance(sizes[0], ast.Constant) and sizes[0].value is None:
+            return "lru_cache(maxsize=None)"
+    elif id(node) in decorators and _name_of(node) == "lru_cache":
+        return "bare lru_cache"
+    elif isinstance(node, ast.Attribute) and node.attr == "cache" and _name_of(node.value) == "functools":
+        return "functools.cache"
+    elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+        if any(alias.name == "cache" for alias in node.names):
+            return "functools.cache"
+    return ""
+
+
 def _violations(source: str, name: str) -> list[str]:
     """assert statements (stripped by python -O), float or complex literals,
-    float(...) calls, and any mention of the thread-local decimal context
-    functions in one module's source."""
+    float(...) calls, any mention of the thread-local decimal context
+    functions, and caches with no stated bound (outside
+    _UNBOUNDED_CACHE_ALLOWED) in one module's source."""
+    tree = ast.parse(source, filename=name)
+    module = Path(name).stem
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    decorators = {id(dec) for fn in functions for dec in fn.decorator_list}
+    allowed = {
+        id(dec)
+        for fn in functions
+        if f"{module}.{fn.name}" in _UNBOUNDED_CACHE_ALLOWED
+        for dec in fn.decorator_list
+    }
     found = []
-    for node in ast.walk(ast.parse(source, filename=name)):
-        if isinstance(node, ast.Assert):
+    for node in ast.walk(tree):
+        cache = "" if id(node) in allowed else _unbounded_cache(node, decorators)
+        if cache:
+            found.append(f"{name}:{node.lineno}: unbounded cache {cache}")
+        elif isinstance(node, ast.Assert):
             found.append(f"{name}:{node.lineno}: assert statement")
         elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{name}:{node.lineno}: floating-point literal {node.value!r}")
@@ -191,6 +253,34 @@ def test_rule_checker_flags_each_construct():
         "thread-local decimal context getcontext",
         "thread-local decimal context setcontext",
         "thread-local decimal context localcontext",
+    ]
+    caches = (
+        "@lru_cache\ndef f(n): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef g(n): pass\n"
+        "@lru_cache()\ndef h(n): pass\n"
+        "k = lru_cache(None)(k)\n"
+        "from functools import cache\n"
+        "m = functools.cache(m)\n"
+        "@lru_cache(maxsize=DIGITS_CACHE_SIZE)\ndef bounded(n): pass\n"
+        "@lru_cache(maxsize=None)\ndef moment(r, s): pass\n"
+    )
+
+    def by_line(found: list[str]) -> list[str]:
+        return sorted(found, key=lambda v: int(v.split(":")[1]))
+
+    flagged = [
+        "sample.py:1: unbounded cache bare lru_cache",
+        "sample.py:3: unbounded cache lru_cache(maxsize=None)",
+        "sample.py:5: unbounded cache lru_cache without maxsize",
+        "sample.py:7: unbounded cache lru_cache(maxsize=None)",
+        "sample.py:8: unbounded cache functools.cache",
+        "sample.py:9: unbounded cache functools.cache",
+        "sample.py:12: unbounded cache lru_cache(maxsize=None)",
+    ]
+    assert by_line(_violations(caches, "sample.py")) == flagged
+    # the exemption names one function of one module: beukers.moment
+    assert by_line(_violations(caches, "beukers.py")) == [
+        v.replace("sample", "beukers") for v in flagged if ":12:" not in v
     ]
 
 

@@ -179,6 +179,30 @@ def test_round_out_matches_int_floor_and_ceiling(lo, extra, den, bits, guard):
     assert got == ((lo << bits) // den, -((-hi << bits) // den))
 
 
+@given(
+    st.integers(min_value=1, max_value=10**80),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=50),
+)
+@example(10**6 + 1, 1, 1)
+@example(999, 20, 1)
+# RU(den) = 2e6 and RD(2**84 / 1e6) = 1e19 each lose almost a unit in the last
+# place: 2**85 / den ~ 3.87e19 exceeds r_down (1 + 2e) = 3e19, so the bound
+# needs the e**2 term of (1 + e)**2.
+@example(10**6 + 1, 85, 1)
+@settings(max_examples=300, deadline=None)
+def test_reciprocals_bound_the_quotient_from_both_sides(den, bits, prec):
+    down = zmod._context(prec, decimal.ROUND_FLOOR, [decimal.InvalidOperation])
+    up = zmod._context(prec, decimal.ROUND_CEILING, [decimal.InvalidOperation])
+    r_down, r_up = zmod._reciprocals(zmod._EXACT.power(2, bits), decimal.Decimal(den), down, up)
+    (p_down, q_down), (p_up, q_up) = r_down.as_integer_ratio(), r_up.as_integer_ratio()
+    # r_down <= 2**bits / den <= r_up, cross-multiplied in integers
+    assert p_down * den <= q_down << bits
+    assert q_up << bits <= p_up * den
+    # and r_up stays close: RU(r_down (1 + 3e)) <= r_down (1 + 3e)(1 + e) <= r_down (1 + 7e)
+    assert p_up * q_down * 10 ** (prec - 1) <= p_down * q_up * (10 ** (prec - 1) + 7)
+
+
 def test_round_out_rejects_a_non_positive_endpoint():
     one = decimal.Decimal(1)
     with pytest.raises(ArithmeticError, match="not positive"):
@@ -236,8 +260,12 @@ def test_rejects_bad_digits():
 def test_disjoint_methods_raise(monkeypatch):
     shifted = Enclosure(F(2), F(2) + F(1, 10**12))
     monkeypatch.setattr(zmod, "zeta3_direct", lambda digits: shifted)
-    with pytest.raises(DisjointEnclosures):
-        zmod.zeta3(9)
+    zeta3.cache_clear()  # an intersection cached earlier would hide the disagreement
+    try:
+        with pytest.raises(DisjointEnclosures):
+            zmod.zeta3(9)
+    finally:
+        zeta3.cache_clear()
 
 
 def test_request_dispatch():
