@@ -24,6 +24,7 @@ unjustified, and vice versa.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,20 +37,24 @@ from .zeta3 import zeta3
 
 
 class InvalidCoeffVector(ValueError):
-    """Coefficient vector violates m >= 1 or c_m != 0."""
+    """Coefficient vector has a non-integer entry, or violates m >= 1 or c_m != 0."""
 
 
 @dataclass(frozen=True, slots=True)
 class CoeffVector:
     """Integer coefficients c_0..c_m of a degree-m candidate relation.
 
-    Positivity of c_0 is audited on reports, never enforced here.
+    Positivity of c_0 is audited on reports, never enforced here. A float,
+    Fraction or str entry is rejected, never truncated to another relation.
     """
 
     c: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.c)
+        try:
+            c = tuple(operator.index(x) for x in self.c)
+        except TypeError as exc:
+            raise InvalidCoeffVector(f"coefficients must be integers: {exc}") from None
         if len(c) < 2:
             raise InvalidCoeffVector("need m >= 1, i.e. at least c_0 and c_1")
         if c[-1] == 0:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, TextIO
 from . import bounds, chain
 from .beukers import linear_form
 from .bounds import CheckStatus, DecayRow
-from .exactnum import Enclosure, rat_str
+from .exactnum import Enclosure, floor_div_scaled, rat_str
 from .zeta3 import zeta3, zeta3_accelerated, zeta3_direct
 
 EXIT_OK = 0
@@ -104,14 +104,14 @@ def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
 def fraction_places(num: int, den: int, places: int) -> str:
     """Plain decimal of num/den with a fixed number of places, half-up.
 
-    num >= 0 and den > 0 need not be coprime: no gcd is taken. When den is
-    a power of two the final division is a shift.
+    num >= 0 and den > 0 need not be coprime: no gcd is taken. The final
+    division cancels den's power of two first (`floor_div_scaled`), so a
+    power-of-two den costs a shift.
     """
     if num < 0 or den < 1:
         raise ValueError("fraction_places expects num >= 0 and den >= 1")
     scale = 10**places
-    n = 2 * num * scale + den
-    n = n // (2 * den) if den & (den - 1) else n >> den.bit_length()
+    n = floor_div_scaled(2 * num * scale + den, 0, 2 * den)
     if places == 0:
         return str(n)
     q, r = divmod(n, scale)

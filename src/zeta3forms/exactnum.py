@@ -21,20 +21,16 @@ gcd:
 * comparisons cross-multiply integers.
 
 Sizes stay bounded because long computations round outward onto a 2**-bits
-grid (`Enclosure.round_out`): each endpoint is one exact floor division of
-its numerator, shifted by ``bits``, by ``den``. Large quotients come from a
-Newton reciprocal of the top bits of ``den``, shared by both endpoints,
-and each estimate is stepped by +-1 until the exact remainder n - q*den
-lies in [0, den). That remainder check certifies the endpoint; the
-reciprocal's accuracy only decides how many steps it takes. Its callers
-are `bounds.ratio_enclosure` at 2048 digits and more, that is the high
-rungs of ``verify`` and ``audit --digits`` runs; ``zeta3`` rounds its own
-sum in `zeta3._round_out`. Reduced
-`Fraction` endpoints are built only when read (``lo``, ``hi``, ``width``,
-``midpoint``); the CLI's decimal printer reads the integers instead. See
-Moore, *Interval Analysis* (1966), for the interval rules, and Brent &
-Zimmermann, *Modern Computer Arithmetic* (2010), sections 1.4.3 and 3.4,
-for division by Newton's method.
+grid (`Enclosure.round_out`). Each endpoint is one exact floor division,
+`floor_div_scaled`: floor(n * 2**bits / den) with the power of two that
+``den`` carries cancelled first, which leaves the same rational and so the
+same quotient. Every production denominator carries 2**bits or more
+(``bounds.ratio_enclosure`` is built from zeta(3)'s enclosure on a 2**-bits
+grid, and ``zeta3_direct`` sums in units of a power of two), so the divisor
+shrinks to its odd part. Reduced `Fraction`s are built only when an
+endpoint is read (``lo``, ``hi``, ``width``, ``midpoint``) and by
+``__hash__`` and ``__str__``; the CLI's decimal printer reads the integers
+instead. See Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.
@@ -326,8 +322,9 @@ class Enclosure:
         """
         if bits < 1:
             raise ValueError("bits must be >= 1")
-        lo, neg_hi = _floor_div_pair(self.lo_num << bits, (-self.hi_num) << bits, self.den)
-        return _raw(lo, -neg_hi, 1 << bits)
+        lo = floor_div_scaled(self.lo_num, bits, self.den)
+        hi = -floor_div_scaled(-self.hi_num, bits, self.den)
+        return _raw(lo, hi, 1 << bits)
 
     def __str__(self) -> str:
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
@@ -343,69 +340,16 @@ _set_den = Enclosure.den.__set__
 _new = object.__new__
 
 
-# `_floor_div_pair` uses plain ``//`` when the quotient or the divisor is shorter
-# than this many bits. Measured on a 2-vCPU Xeon with CPython 3.11: the two
-# break even at a 24k-bit quotient over a 24k-bit divisor; Newton is 1.1-2x
-# faster at 32k-48k bits over as many, and 5x at 96k over 426k bits; plain
-# ``//`` stays faster when the divisor is half the quotient's length. Above
-# it sit `bounds.ratio_enclosure` calls at 2048 digits and more (16 bits a
-# digit): ``verify --n-max 20 --digits 2500`` makes 20 of them, where Newton
-# is about 2.5x faster than ``//``.
-_NEWTON_MIN_BITS = 32768
+def floor_div_scaled(n: int, bits: int, den: int) -> int:
+    """floor(n * 2**bits / den), exactly, for bits >= 0 and den > 0.
 
-# Reciprocals of at most this many bits come from one plain ``//``; about
-# where CPython's multiplication switches from schoolbook to Karatsuba.
-_RECIPROCAL_BASE_BITS = 2048
-
-# Extra bits carried by each Newton level and by the quotient estimate, so
-# estimates land within a unit or two of the exact quotient.
-_GUARD_BITS = 64
-
-
-def _reciprocal(d: int, bits: int) -> int:
-    """About 2**(2*bits) // d, for d of exactly ``bits`` bits.
-
-    Newton's iteration x -> 2x - d*x**2 / 2**(2*bits), started from the
-    reciprocal of the top half of d, doubles the precision at each level.
-    The result may be off by a few units; callers correct for that.
+    The power of two 2**t dividing den is cancelled first: floor(floor(x/2**t)
+    / odd) = floor(x / (2**t * odd)) for integer x, so shifting n * 2**bits
+    right by t and dividing by den's odd part gives the same quotient from a
+    shorter divisor.
     """
-    if bits <= _RECIPROCAL_BASE_BITS:
-        return (1 << (2 * bits)) // d
-    half = bits // 2 + _GUARD_BITS
-    r = _reciprocal(d >> (bits - half), half)
-    return (r << (bits - half + 1)) - ((d * r * r) >> (2 * half))
-
-
-def _floor_div_pair(a: int, b: int, den: int) -> tuple[int, int]:
-    """(a // den, b // den), exactly, for den > 0.
-
-    Small operands use plain ``//``. Otherwise the top bits of each
-    numerator n are multiplied by one shared reciprocal of den's top bits,
-    and the estimate q is stepped by +-1 until the exact remainder
-    n - q*den lies in [0, den), which makes q the floor whatever the
-    reciprocal's error.
-    """
-    length = den.bit_length()
-    qbits = max(a.bit_length(), b.bit_length()) - length + 1
-    if qbits < _NEWTON_MIN_BITS or length < _NEWTON_MIN_BITS:
-        return a // den, b // den
-    # den * 2**-shift, truncated to exactly `prec` bits, and its reciprocal.
-    prec = qbits + _GUARD_BITS
-    shift = length - prec
-    recip = _reciprocal(den >> shift if shift >= 0 else den << -shift, prec)
-    quotients = []
-    for n in (a, b):
-        cut = max(0, n.bit_length() - prec - 1)
-        q = ((n >> cut) * recip) >> (2 * prec + shift - cut)
-        r = n - q * den
-        while r < 0:
-            q -= 1
-            r += den
-        while r >= den:
-            q += 1
-            r -= den
-        quotients.append(q)
-    return quotients[0], quotients[1]
+    t = (den & -den).bit_length() - 1
+    return ((n << bits) >> t) // (den >> t)
 
 
 def _raw(lo_num: int, hi_num: int, den: int) -> Enclosure:

@@ -40,6 +40,15 @@ def test_vector_validation():
     assert CoeffVector((1, 2, 3)).all_positive
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.9, F(7, 2), F(4, 1), "3"])
+def test_vector_rejects_non_integer_coefficients(bad):
+    # int() would truncate these to a different relation: (0.5, 1.9) -> (0, 1).
+    with pytest.raises(InvalidCoeffVector):
+        CoeffVector((1, bad))
+    with pytest.raises(InvalidCoeffVector):
+        CoeffVector((bad, 1))
+
+
 # -- residuals ---------------------------------------------------------------------
 
 

@@ -290,6 +290,12 @@ def test_zeta3_direct_infeasible_digits_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "zeta3", "--digits", "400", "--method", "direct", "--quiet")
     assert code == EXIT_USAGE
     assert "error" in err
+    # The CLI asks for one guard digit, so its limit is one below the library's.
+    code, out, _ = run_cli(capsys, "zeta3", "--digits", "17", "--method", "direct", "--quiet")
+    assert (code, out) == (EXIT_OK, "1.20205690315959429\n")
+    code, _, err = run_cli(capsys, "zeta3", "--digits", "18", "--method", "direct", "--quiet")
+    assert code == EXIT_USAGE
+    assert "error" in err
 
 
 # -- audit -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zeta3forms import exactnum
 from zeta3forms.exactnum import (
     Enclosure,
     Trichotomy,
     budget_bits,
+    floor_div_scaled,
     rat_str,
     sqrt2_enclosure,
     trichotomy,
@@ -431,16 +432,15 @@ def test_copy_and_pickle_keep_the_fields():
         assert (b.lo_num, b.hi_num, b.den) == (6, 10, 4)
 
 
-# -- outward rounding above the Newton crossover --------------------------------
+# -- outward rounding on large operands ------------------------------------------
 #
-# Past exactnum._NEWTON_MIN_BITS of quotient and of divisor, round_out divides
-# by a Newton reciprocal and an exact remainder correction. Each case below
-# must still give the Fraction reference endpoints.
+# Quotients and divisors of about 35k bits, the size of a ratio_enclosure
+# rounding at 2200 digits. Each case must give the Fraction reference endpoints.
 
-_BIG = exactnum._NEWTON_MIN_BITS + 2000
+_BIG = 34768
 
 
-def _newton_cases() -> dict[str, tuple[Enclosure, int]]:
+def _large_cases() -> dict[str, tuple[Enclosure, int]]:
     rng = random.Random(20261018)
     odd = rng.getrandbits(_BIG) | (1 << (_BIG - 1)) | 1
     a, b = sorted(rng.getrandbits(_BIG + 900) for _ in range(2))
@@ -459,45 +459,73 @@ def _newton_cases() -> dict[str, tuple[Enclosure, int]]:
     }
 
 
-NEWTON_CASES = _newton_cases()
+LARGE_CASES = _large_cases()
 
 
-def _takes_newton_path(a: Enclosure, bits: int) -> bool:
-    length = a.den.bit_length()
-    qbits = max(a.lo_num.bit_length(), a.hi_num.bit_length()) + bits - length + 1
-    return min(qbits, length) >= exactnum._NEWTON_MIN_BITS
-
-
-@pytest.mark.parametrize("name", list(NEWTON_CASES))
-def test_round_out_matches_reference_above_newton_crossover(name):
-    a, bits = NEWTON_CASES[name]
-    assert _takes_newton_path(a, bits)
+@pytest.mark.parametrize("name", list(LARGE_CASES))
+def test_round_out_matches_reference_on_large_operands(name):
+    a, bits = LARGE_CASES[name]
     rounded = a.round_out(bits)
     assert _ends(rounded) == _ref_round_out(_ends(a), bits)
     assert rounded.den == 1 << bits
 
 
+# Remainders 0 and den - 1 are where an inexact division would err first.
 def test_newton_edge_cases_have_the_named_remainders():
-    a, bits = NEWTON_CASES["exact-multiple"]
+    a, bits = LARGE_CASES["exact-multiple"]
     assert a.round_out(bits) == Enclosure.from_parts(-5 << bits, 7 << bits, 1 << bits)
-    a, bits = NEWTON_CASES["k-den-minus-one"]
+    a, bits = LARGE_CASES["k-den-minus-one"]
     for n in (a.lo_num << bits, (-a.hi_num) << bits):
         assert n % a.den == a.den - 1
 
 
-@pytest.mark.parametrize("units", (-3, -1, 2, 5))
-def test_round_out_is_exact_with_a_perturbed_reciprocal(monkeypatch, units):
-    # The quotient estimate carries _GUARD_BITS more bits than the quotient, so
-    # moving the reciprocal by `units` << _GUARD_BITS moves each estimate by
-    # about `units`; the exact remainder check must step it back.
-    def fields(e: Enclosure) -> tuple[int, int, int]:
-        return e.lo_num, e.hi_num, e.den
+# -- cancelling the denominator's power of two -------------------------------------
+#
+# round_out divides by den's odd part after cancelling its factor 2**k. The
+# cases put k below, at and above the grid exponent.
 
-    exact = [fields(a.round_out(bits)) for a, bits in NEWTON_CASES.values()]
-    reciprocal = exactnum._reciprocal
-    monkeypatch.setattr(
-        exactnum,
-        "_reciprocal",
-        lambda d, bits: reciprocal(d, bits) + (units << exactnum._GUARD_BITS),
-    )
-    assert [fields(a.round_out(bits)) for a, bits in NEWTON_CASES.values()] == exact
+
+def _numerators(bits: int, den: int, remainder: str, rng: random.Random) -> tuple[int, int]:
+    """(a, c) with a * 2**bits and -c * 2**bits both leaving the named
+    remainder modulo den: "zero", "max" (den - gcd(2**bits, den), the largest
+    possible) or "random"."""
+    g = math.gcd(1 << bits, den)
+    m = den // g
+    if remainder == "random":
+        return rng.getrandbits(m.bit_length()), rng.getrandbits(m.bit_length())
+    r = 0 if remainder == "zero" else -pow((1 << bits) // g, -1, m) % m
+    return r, -r
+
+
+@pytest.mark.parametrize("bits", (1, 7, 160, 3000))
+@pytest.mark.parametrize("k", ("0", "bits-1", "bits", "bits+7"))
+@pytest.mark.parametrize("signs", ("mixed", "negative"))
+@pytest.mark.parametrize("remainder", ("random", "zero", "max"))
+def test_round_out_cancels_the_power_of_two_in_den(bits, k, signs, remainder):
+    rng = random.Random(f"{bits}-{k}-{signs}-{remainder}")
+    shift = {"0": 0, "bits-1": bits - 1, "bits": bits, "bits+7": bits + 7}[k]
+    den = (rng.getrandbits(bits + 40) | 1) << shift
+    m = den // math.gcd(1 << bits, den)
+    a, c = _numerators(bits, den, remainder, rng)
+    j1, j2 = sorted(rng.getrandbits(bits + 60) + 2 for _ in range(2))
+    if signs == "mixed":
+        lo, hi = a - j2 * m, c + j1 * m
+    else:
+        lo, hi = a - (j2 + 2) * m, c - j1 * m
+    e = Enclosure.from_parts(lo, hi, den)
+    assert lo < 0 and (hi > 0) == (signs == "mixed")
+    assert (den & -den) == 1 << shift
+    rounded = e.round_out(bits)
+    assert _ends(rounded) == _ref_round_out(_ends(e), bits)
+    assert rounded.den == 1 << bits
+
+
+@given(
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=1, max_value=10**20),
+    st.integers(min_value=0, max_value=220),
+)
+def test_floor_div_scaled_is_the_exact_floor(n, bits, odd, k):
+    den = odd << k
+    assert floor_div_scaled(n, bits, den) == (n * 2**bits) // den

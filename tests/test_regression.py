@@ -16,6 +16,11 @@ Fractions, before the integer table Y_n = 2 d_n^3 a_n replaced it.
 recorded while every check still built its enclosures at every rung of the
 refinement ladder, before rungs where the enclosure of |I_n| touches zero
 were skipped.
+``verify-digits-2500`` and ``audit-json-2500`` were recorded while
+`Enclosure.round_out` still divided large operands through a Newton
+reciprocal: all 20 roundings of `bounds.ratio_enclosure` in that verify run,
+and the rounding of R in that audit (whose exact endpoints the JSON prints),
+took that path. Both now cancel the grid's power of two and divide once.
 """
 
 import ast
@@ -107,6 +112,16 @@ PINNED_STDOUT = {
         ("verify", "--n-max", "60", "--digits", "700", "--csv"),
         EXIT_OK,
         "4ef8f20e67961283298f859a794932284bfe419125bd12b9488bb1968de6ddef",
+    ),
+    "verify-digits-2500": (
+        ("verify", "--n-max", "20", "--digits", "2500", "--csv"),
+        EXIT_OK,
+        "0c8c0528610dc51a7f5e578f9689852acfa18e415ee51650683981708524fe7e",
+    ),
+    "audit-json-2500": (
+        ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "17", "--digits", "2500", "--json"),
+        EXIT_FAILS,
+        "cab03a2e98bc928158290ed91d9a178ded84435fa5b1ea87abc9aa9ae34ba0b6",
     ),
 }
 

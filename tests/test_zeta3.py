@@ -94,9 +94,8 @@ def test_accelerated_first_partial_brackets_from_above():
     assert zeta3_accelerated(10).lo > F(115, 96)
 
 
-# 2001 and 6000 digits sit on both sides of the reference's Newton crossover:
-# its round_out divides by plain // at 2001 digits (a 32k-bit quotient) and by
-# a Newton reciprocal at 6000 (a 96k-bit quotient).
+# 2001 and 6000 digits check the Decimal bracket against the reference's
+# exact floor division at a 32k-bit and a 96k-bit quotient.
 @given(st.integers(min_value=1, max_value=300))
 @example(2001)
 @example(6000)
