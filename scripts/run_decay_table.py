@@ -4,7 +4,7 @@
 The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
 written cell carries a +/- field (not one significant digit certified), as
 the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
-2 on a usage error, such as a size below 1.
+2 on a usage error, such as a size below 1 or a negative EXP.
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from zeta3forms.bounds import decay_table  # noqa: E402
 from zeta3forms.cli import (  # noqa: E402
     EXIT_OK,
+    _nonnegative_int,
     _positive_int,
     enclosure_decimal,
     write_decay_table,
@@ -34,8 +35,8 @@ def main() -> int:
     parser.add_argument("--n-max", type=_positive_int, default=50)
     parser.add_argument("--digits", type=_positive_int, default=220)
     parser.add_argument("--out", type=Path, default=Path("decay.csv"))
-    parser.add_argument("--t-cap-exp", type=int, default=10,
-                        help="certify T_{n_max} < 10**-EXP")
+    parser.add_argument("--t-cap-exp", type=_nonnegative_int, default=10,
+                        help="certify T_{n_max} < 10**-EXP, EXP >= 0")
     args = parser.parse_args()
 
     started = time.perf_counter()

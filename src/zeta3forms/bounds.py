@@ -15,9 +15,9 @@ enclosure as the only irrational input.
 
 Rungs that cannot decide are skipped (`deciding_rungs`). Every checked lhs
 is the enclosure E of |I_n| at that rung times a positive factor: E itself
-in the form check, R_n = E / (2 (sqrt(2)-1)^(4n) d_n^6) in the ratio check
-and, raised to a power, in the audit's power steps. When E = [0, h] with
-h > 0, each such lhs is [0, h'] with h' > 0, so at that rung:
+in the form check, and R_n = E / (2 (sqrt(2)-1)^(4n) d_n^6) in the ratio
+check and in the audit's power steps, which carry that check's status. When
+E = [0, h] with h > 0, each such lhs is [0, h'] with h' > 0, so at that rung:
 
     HOLDS needs lo > 0, and lo = 0;
     FAILS needs hi <= 0, and hi > 0, or lhs >= rhs, and rhs > 0;

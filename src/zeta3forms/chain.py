@@ -9,7 +9,7 @@ the literal statement 0 < S < 0.
 Each step gets two independent verdicts:
 
 * ``numeric``: is the displayed inequality true for this n, as certified by
-  enclosures (holds / fails / unknown)?
+  enclosures (holds / fails / unknown)? Power steps share the base bound's.
 * ``justification``: does the step follow from the previous one, or does it
   silently require a condition? Multiplying a strict inequality by c <= 0
   does not preserve it, and replacing the upper bound by zero requires the
@@ -156,18 +156,14 @@ def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
     return acc
 
 
-def _weighted_sum(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
-    # sum_{k=1..m+1} c_{k-1} x^k = x * (c_0 + c_1 x + ... + c_m x^m)
-    return x * _poly_enclosure(coeffs, x)
-
-
 def weighted_sum_enclosure(n: int, c: CoeffVector, digits: int) -> Enclosure:
-    """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k."""
+    """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k = R_n * sum_i c_i R_n^i."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return _weighted_sum(c.c, ratio_enclosure(n, digits))
+    ratio = ratio_enclosure(n, digits)
+    return ratio * _poly_enclosure(c.c, ratio)
 
 
 def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
@@ -188,23 +184,20 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
 def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     z = zeta3(digits)
     ratio = ratio_enclosure(n, digits)
-    steps: list[StepReport] = []
 
-    # Powers k = 1..m+1 of the base bound, 0 < R_n^k < zeta(3)^k since both
-    # sides are positive; k = 1 is the base bound itself. Running products of
-    # these non-negative enclosures carry exactly the fields of ratio**k, z**k.
-    rk, zk = ratio, z
-    for k in range(1, c.m + 2):
-        if k > 1:
-            rk, zk = rk * ratio, zk * z
-        steps.append(StepReport(f"power_{k}", sandwich_status(rk, zk), Justification.justified()))
+    # Powers k = 1..m+1 of the base bound: 0 < R_n^k < zeta(3)^k. R_n's enclosure
+    # is >= 0 (round_out, a floor, of |I_n| over a positive divisor), zeta(3)'s
+    # is > 0, and on such enclosures [lo^k, hi^k] (numerators and denominator
+    # raised to the k) compares with 0 and with the other side as [lo, hi] does.
+    base = sandwich_status(ratio, z)
+    steps = [StepReport(f"power_{k}", base, Justification.justified()) for k in range(1, c.m + 2)]
 
     # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
     # bounds is only an inference when every multiplier is positive. The
     # upper bound is z * residual with residual = sum_i c_i zeta(3)^i, so one
     # Horner pass serves this step and the substitution.
-    weighted = _weighted_sum(c.c, ratio)
-    residual = _poly_enclosure(c.c, z)
+    weighted = weighted_sum_enclosure(n, c, digits)
+    residual = residual_enclosure(c, digits)
     upper = z * residual
     if c.all_positive:
         ws_just = Justification.justified()

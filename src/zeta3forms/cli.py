@@ -22,7 +22,7 @@ from . import bounds, chain
 from .beukers import linear_form
 from .bounds import CheckStatus, DecayRow
 from .exactnum import Enclosure, floor_div_scaled, rat_str
-from .zeta3 import zeta3, zeta3_accelerated, zeta3_direct
+from .zeta3 import direct_max_digits, zeta3, zeta3_accelerated, zeta3_direct
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -185,6 +185,9 @@ def zeta3_methods() -> dict[str, Callable[[int], Enclosure]]:
 def cmd_zeta3(args: argparse.Namespace) -> int:
     _banner(args, f"zeta3 digits={args.digits} method={args.method}")
     # One guard digit so the printed error is strictly below 1 ulp.
+    if args.method == "direct" and args.digits >= direct_max_digits():
+        limit = f"--method direct goes up to --digits {direct_max_digits() - 1}"
+        raise ValueError(f"{limit}; use --method accelerated or cross")
     enc = zeta3_methods()[args.method](args.digits + 1)
     # The midpoint (lo_num + hi_num) / (2 den), printed without reducing it.
     print(fraction_places(enc.lo_num + enc.hi_num, 2 * enc.den, args.digits))

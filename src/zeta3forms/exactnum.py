@@ -386,9 +386,9 @@ def trichotomy(a: Enclosure) -> Trichotomy:
     """Certified sign of every value in the enclosure.
 
     POSITIVE iff lo > 0, NEGATIVE iff hi < 0, CONTAINS_ZERO otherwise
-    (exactly when lo <= 0 <= hi). This is the only decision procedure the
-    package uses for strict inequalities. The denominator is positive, so
-    an endpoint has the sign of its numerator.
+    (exactly when lo <= 0 <= hi). It and `bounds.sandwich_status` are the
+    package's decision procedures for strict inequalities. The denominator
+    is positive, so an endpoint has the sign of its numerator.
     """
     if a.lo_num > 0:
         return Trichotomy.POSITIVE

@@ -59,7 +59,7 @@ class DisjointEnclosures(ArithmeticError):
     """The two zeta(3) methods produced non-overlapping intervals."""
 
 
-# Direct summation refuses term counts beyond this (about 18 digits).
+# Direct summation refuses term counts beyond this (see direct_max_digits).
 _DIRECT_TERM_LIMIT = 3_000_000
 
 # Precision at which the direct series participates in the cross-check.
@@ -100,17 +100,20 @@ def _direct_terms(digits: int) -> int:
     return k
 
 
+def direct_max_digits() -> int:
+    """Largest digits zeta3_direct accepts: 10**(digits + 1) <= _DIRECT_TERM_LIMIT**3."""
+    return len(str(_DIRECT_TERM_LIMIT**3)) - 2
+
+
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def zeta3_direct(digits: int) -> Enclosure:
     """Enclosure of width <= 10**-digits from the defining series sum 1/k^3."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    top = direct_max_digits()
+    if digits > top:
+        raise ValueError(f"zeta3_direct goes up to {top} digits; use zeta3_accelerated beyond")
     terms = _direct_terms(digits)
-    if terms > _DIRECT_TERM_LIMIT:
-        raise ValueError(
-            f"direct summation would need {terms} terms; use zeta3_accelerated "
-            f"beyond ~18 digits"
-        )
     # Directed fixed-point partial sum: floor per term, so the true partial
     # sum lies in [acc, acc + terms] units of 2**-bits.
     bits = _bits_for_decimal(digits + 2) + terms.bit_length()

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
@@ -171,6 +173,47 @@ def test_sandwich_status_classification():
     assert fails_zero is CheckStatus.FAILS
     assert unknown is CheckStatus.UNKNOWN
     assert unknown_sign is CheckStatus.UNKNOWN
+
+
+# The audit reports sandwich_status(R_n, zeta(3)) for every power step
+# 0 < R_n^k < zeta(3)^k. That rests on this lemma: for a >= 0 and b > 0,
+# x -> x^k keeps every comparison, so the status of (a**k, b**k) is that of
+# (a, b). Each example is (a, b, status) as from_parts fields; they include
+# a = [0, 0], a = [0, h], and a touching b from below (UNKNOWN) and from
+# above (FAILS).
+POWER_LEMMA_EXAMPLES = [
+    ((0, 0, 1), (1, 2, 1), CheckStatus.FAILS),
+    ((0, 3, 4), (1, 2, 1), CheckStatus.UNKNOWN),
+    ((0, 5, 2), (1, 2, 1), CheckStatus.UNKNOWN),
+    ((1, 3, 4), (1, 2, 1), CheckStatus.HOLDS),
+    ((1, 2, 2), (1, 2, 1), CheckStatus.UNKNOWN),
+    ((3, 5, 2), (1, 2, 1), CheckStatus.UNKNOWN),
+    ((2, 3, 1), (1, 2, 1), CheckStatus.FAILS),
+    ((7, 9, 3), (4, 5, 6), CheckStatus.FAILS),
+]
+
+
+def _status_of_every_power(a: Enclosure, b: Enclosure) -> CheckStatus:
+    status = sandwich_status(a, b)
+    for k in range(1, 7):
+        assert sandwich_status(a**k, b**k) is status, (a, b, k)
+    return status
+
+
+@pytest.mark.parametrize(("a", "b", "status"), POWER_LEMMA_EXAMPLES)
+def test_powers_keep_the_sandwich_status_on_examples(a, b, status):
+    assert _status_of_every_power(Enclosure.from_parts(*a), Enclosure.from_parts(*b)) is status
+
+
+@st.composite
+def _enclosures_from(draw, lo_min: int) -> Enclosure:
+    lo = draw(st.integers(lo_min, 60))
+    return Enclosure.from_parts(lo, draw(st.integers(lo, 120)), draw(st.integers(1, 30)))
+
+
+@given(_enclosures_from(0), _enclosures_from(1))
+def test_powers_keep_the_sandwich_status(a, b):
+    _status_of_every_power(a, b)
 
 
 # -- decay -------------------------------------------------------------------------

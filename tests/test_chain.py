@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from zeta3forms import chain
-from zeta3forms.bounds import CheckStatus, deciding_rungs, form_abs_enclosure, refinement_digits
+from zeta3forms.bounds import (
+    CheckStatus,
+    deciding_rungs,
+    form_abs_enclosure,
+    refinement_digits,
+    sandwich_status,
+)
 from zeta3forms.chain import (
     ChainReport,
     CoeffVector,
@@ -17,6 +23,7 @@ from zeta3forms.chain import (
     residual_enclosure,
     weighted_sum_enclosure,
 )
+from zeta3forms.zeta3 import zeta3
 
 F = Fraction
 
@@ -242,12 +249,40 @@ def _fields(report: ChainReport) -> tuple:
     return (report_to_dict(report), tuple((e.lo_num, e.hi_num, e.den) for e in encs))
 
 
+LADDER_VECTORS = [
+    CoeffVector(c) for c in ((-6, 5), (1, 1), (3, -1, 4, 1, -5), (2, 0, -7), (1, 2, 3, 4))
+]
+
+
 @pytest.mark.parametrize("digits", [3, 5])
 def test_skipping_rungs_matches_the_full_ladder_audit(digits):
-    vectors = [CoeffVector(c) for c in ((-6, 5), (1, 1), (3, -1, 4, 1, -5), (2, 0, -7), (1, 2, 3, 4))]
     skipped = 0
     for n in range(1, 41):
-        for c in vectors:
+        for c in LADDER_VECTORS:
             assert _fields(audit(n, c, digits)) == _fields(_full_ladder_audit(n, c, digits)), (n, c)
         skipped += len(list(refinement_digits(digits))) - len(list(deciding_rungs(n, digits)))
     assert skipped > 0
+
+
+HOLDS_AND_UNKNOWN = {CheckStatus.HOLDS, CheckStatus.UNKNOWN}
+
+
+@pytest.mark.parametrize(
+    ("digits", "statuses"),
+    [(1, HOLDS_AND_UNKNOWN), (2, HOLDS_AND_UNKNOWN), (3, HOLDS_AND_UNKNOWN),
+     (7, HOLDS_AND_UNKNOWN), (30, {CheckStatus.HOLDS})],
+)
+def test_power_steps_match_the_multiplied_out_powers(digits, statuses):
+    """Every power_k step reports what the powers themselves decide:
+    sandwich_status(R**k, zeta(3)**k) at the precision the audit ended on.
+    The low precisions reach audits whose R is [0, h] at the last rung."""
+    seen = set()
+    for n in range(1, 41):
+        for c in LADDER_VECTORS:
+            report = audit(n, c, digits)
+            z = zeta3(report.digits_used)
+            for k in range(1, c.m + 2):
+                status = sandwich_status(report.R**k, z**k)
+                assert report.step(f"power_{k}").numeric is status, (n, c, k)
+                seen.add(status)
+    assert seen == statuses

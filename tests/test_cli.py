@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zeta3forms import bounds
+from zeta3forms import zeta3 as zmod
 from zeta3forms.beukers import apery_oracle, dn_cubed
 from zeta3forms.cli import (
     EXIT_FAILS,
@@ -295,7 +296,16 @@ def test_zeta3_direct_infeasible_digits_is_usage_error(capsys):
     assert (code, out) == (EXIT_OK, "1.20205690315959429\n")
     code, _, err = run_cli(capsys, "zeta3", "--digits", "18", "--method", "direct", "--quiet")
     assert code == EXIT_USAGE
-    assert "error" in err
+    assert "--method direct goes up to --digits 17; use --method accelerated or cross" in err
+
+
+def test_zeta3_direct_limit_follows_the_term_limit(capsys, monkeypatch):
+    # 10^(d+1) <= 1000^3 for d <= 8: the library goes to 8 digits, the CLI to 7.
+    monkeypatch.setattr(zmod, "_DIRECT_TERM_LIMIT", 1000)
+    assert zmod.direct_max_digits() == 8
+    code, _, err = run_cli(capsys, "zeta3", "--digits", "8", "--method", "direct", "--quiet")
+    assert code == EXIT_USAGE
+    assert "--method direct goes up to --digits 7;" in err
 
 
 # -- audit -----------------------------------------------------------------------

@@ -21,11 +21,18 @@ were skipped.
 reciprocal: all 20 roundings of `bounds.ratio_enclosure` in that verify run,
 and the rounding of R in that audit (whose exact endpoints the JSON prints),
 took that path. Both now cancel the grid's power of two and divide once.
+``audit-unknown-power`` was recorded while the audit still multiplied out
+R_n^k and zeta(3)^k for each power step; its power steps end ``unknown``,
+because R's enclosure at the last rung is [0, h]. They now all carry the
+base bound's status.
 """
 
 import ast
 import fractions
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +130,11 @@ PINNED_STDOUT = {
         EXIT_FAILS,
         "cab03a2e98bc928158290ed91d9a178ded84435fa5b1ea87abc9aa9ae34ba0b6",
     ),
+    "audit-unknown-power": (
+        ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "8", "--digits", "1", "--json"),
+        EXIT_FAILS,
+        "d4ca3cb5af9aabf4526b25c6615612da780d038d0aef2b2b24a557efda079309",
+    ),
 }
 
 
@@ -136,6 +148,20 @@ def test_stdout_matches_pinned_sha256(capsys, monkeypatch, name):
         got = exc.code
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("name", ["verify", "decay", "audit", "zeta3"])
+def test_stdout_matches_pinned_sha256_under_python_O(name):
+    """The guards are not asserts: under ``python -O`` the CLI prints the
+    same bytes and exits the same. Only the child runs with -O; this
+    process's asserts stay live."""
+    argv, code, digest = PINNED_STDOUT[name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "zeta3forms", *argv, "--quiet"], capture_output=True, env=env
+    )
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)
 
 
 class _FractionBuilt(Exception):

@@ -50,6 +50,7 @@ def test_corpus_script_is_sound(tmp_path):
         ("run_corpus_audit.py", ["--n-max", "0"]),
         ("run_corpus_audit.py", ["--digits", "0"]),
         ("run_corpus_audit.py", ["--random", "-1"]),
+        ("run_decay_table.py", ["--t-cap-exp", "-1"]),
     ],
 )
 def test_scripts_reject_bad_sizes_as_usage_errors(tmp_path, script, flags):

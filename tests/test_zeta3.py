@@ -52,6 +52,13 @@ def test_direct_term_guard():
         zeta3_direct(25)
 
 
+@pytest.mark.parametrize("limit", [999, 1000, 1001, 3_000_000])
+def test_direct_max_digits_is_the_last_count_under_the_term_limit(monkeypatch, limit):
+    monkeypatch.setattr(zmod, "_DIRECT_TERM_LIMIT", limit)
+    top = zmod.direct_max_digits()
+    assert zmod._direct_terms(top) <= limit < zmod._direct_terms(top + 1)
+
+
 # -- int reference for the accelerated route ------------------------------------
 # The same (P, Q, T) recursion in CPython ints, rounded by Enclosure.round_out:
 # how zeta3_accelerated computed its enclosure before its Decimal rewrite.
