@@ -5,30 +5,42 @@ Direct route: partial sums of sum 1/k^3 with the integral tail bracket
 is only practical to ~18 digits; that is exactly its job here, serving as an
 independent low-precision cross-check against the fast route.
 
-Accelerated route: the classical central-binomial series
-zeta(3) = (5/2) * sum_{k>=1} (-1)^(k-1) / (k^3 C(2k,k)), summed exactly by
-binary splitting; consecutive partial sums bracket the limit (alternating,
-strictly shrinking terms). Linear in digits, good for thousands of digits.
+Accelerated route: the Amdeberhan-Zeilberger series (1997)
+zeta(3) = (1/64) sum_{k>=0} t_k, t_k = (-1)^k (k!)^10 a(k) / ((2k+1)!)^5,
+a(k) = 205k^2 + 250k + 77, summed exactly by binary splitting. The term
+ratio -k^5 / (32 (2k+1)^5) gives about 3 digits per term. The terms
+alternate and strictly shrink, so consecutive partial sums S_K = sum_{k<=K}
+t_k and S_{K+1} bracket the limit. Term count, with no trial evaluation:
+(2k+1)! = (2k+1) C(2k,k) (k!)^2 and (2k+1) C(2k,k) >= sqrt(k) 4^k, so
+(k!)^10 / ((2k+1)!)^5 <= k^(-5/2) 1024^-k; with a(k) <= 532 k^2 this gives
+|t_k| / 64 <= 8.32 * 1024^-k for k >= 1. K = digits // 3 + 2 has K + 1 >=
+(digits + 7) / 3, and 1024^(x/3) > 10^x, so the omitted |t_{K+1}| / 64 <
+8.32 * 10^-(digits+7) < 10^-digits. One term fewer would meet the bound too;
+the spare term keeps this enclosure inside the rounded enclosure of the
+central-binomial series (5/2) sum (-1)^(k-1) / (k^3 C(2k,k)), the test
+oracle, at every size measured (each of 1-3000, 6000 and 20000), so a check
+decided on that enclosure is decided the same on this one.
 
 The splitting runs on `decimal.Decimal`, used only as an exact integer type:
 libmpdec multiplies and divides large integers by a number-theoretic
-transform, which beats CPython's Karatsuba once operands pass about 30k
-bits and loses to it below. Measured on a 2-vCPU Xeon with CPython 3.11,
-this route takes 1.2-1.4x the time of the same splitting on ints at 2000
-digits, breaks even near 8000 and takes about 0.7x at 20000. Every operation
-goes through one module context, `_EXACT` (precision MAX_PREC, exponent
-limits MAX_EMAX and MIN_EMIN, with Inexact, Rounded and InvalidOperation
-trapped), so an operation that would round raises instead; the caller's
-thread-local context is never read or changed. The two endpoints
-floor(n * 2**bits / den) and ceil(n * 2**bits / den) come from a bracket
-on operands cut to the quotient's digits plus `_GUARD_DIGITS`, evaluated
-in contexts that round down and up. The bracket decides an endpoint when
-both of its bounds round to the same integer; otherwise an exact divmod
-of the full operands does. Decimal results become ints through their
-digit strings, split in halves, and ints become Decimals only at the
-leaves, where they are small. See Brent & Zimmermann, *Modern Computer
-Arithmetic* (2010), section 1.3 on fast multiplication and section 4.9 on
-binary splitting.
+transform, which beats CPython's Karatsuba once operands pass about 30k bits
+and loses to it below. Measured on a 2-vCPU Xeon with CPython 3.11, the
+whole route (splitting and rounding) takes 3-4x the time of the same
+splitting on ints with `Enclosure.round_out` at 30-480 digits (1.8 against
+0.45 ms at 480), 2x at 2000, about as long at 6000 and under half at 20000
+(0.32 against 0.74 s). Every operation goes through one module context,
+`_EXACT` (precision MAX_PREC, exponent limits MAX_EMAX and MIN_EMIN, with
+Inexact, Rounded and InvalidOperation trapped), so an operation that would
+round raises instead; the caller's thread-local context is never read or
+changed. The two endpoints floor(n * 2**bits / den) and ceil(n * 2**bits /
+den) come from a bracket on operands cut to the quotient's digits plus
+`_GUARD_DIGITS`, evaluated in contexts that round down and up. The bracket
+decides an endpoint when both of its bounds round to the same integer;
+otherwise an exact divmod of the full operands does. Decimal results become
+ints through their digit strings, split in halves, and ints become Decimals
+only at the leaves, where they are small. See Brent & Zimmermann, *Modern
+Computer Arithmetic* (2010), section 1.3 on fast multiplication and section
+4.9 on binary splitting.
 
 The default entry point intersects both, so a systematic bug in either
 series would surface as a DisjointEnclosures error instead of a wrong but
@@ -151,17 +163,25 @@ _GUARD_DIGITS = 40
 _INT_CHUNK_DIGITS = 2000
 
 
+def _weight(k: int) -> int:
+    """a(k) = 205k^2 + 250k + 77, the polynomial factor of the k-th term."""
+    return 205 * k * k + 250 * k + 77
+
+
 def _binsplit(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
-    """(P, Q, T) over [a, b) for term ratios t_{j+1}/t_j = p_j/q_j, as exact
+    """(P, Q, T) over [a, b) of the Amdeberhan-Zeilberger series, as exact
     Decimal integers.
 
-    p_j = -j^3, q_j = 2 (j+1)^2 (2j+1); P and Q are the range products and
-    T/Q = sum_{k=a..b-1} prod_{j=a..k} p_j/q_j. Each operand is dropped as
+    t_k = a(k) prod_{j=1..k} p_j/q_j with p_j = -j^5 and q_j = 32 (2j+1)^5
+    (p_0 = q_0 = 1). P and Q are the range products and T/Q =
+    sum_{k=a..b-1} t_k / prod_{j<a} (p_j/q_j). Each operand is dropped as
     soon as its last product is formed.
     """
     if b - a == 1:
-        p = Decimal(-(a**3))
-        return p, Decimal(2 * (a + 1) ** 2 * (2 * a + 1)), p
+        if a == 0:
+            return Decimal(1), Decimal(1), Decimal(77)
+        p = -(a**5)
+        return Decimal(p), Decimal(32 * (2 * a + 1) ** 5), Decimal(_weight(a) * p)
     m = (a + b) // 2
     pl, ql, tl = _binsplit(a, m)
     pr, qr, tr = _binsplit(m, b)
@@ -241,21 +261,16 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     """Enclosure of width <= 10**-digits via binary splitting."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    # C(2k,k) >= 4^k/(2 sqrt(k)) gives |t_k| <= 2*4^-k, so the width
-    # (5/2)|t_{K+1}| drops below 10^-digits once K+1 > 1.661*(digits+0.7)+0.5;
-    # 1.661 per digit plus slack covers that without any trial evaluation.
-    terms = 1661 * digits // 1000 + 2
-    # Over [1, K+1) the products give t_{K+1}/t_1 = P/Q and the sum gives
-    # (S_{K+1} - t_1)/t_1 = T/Q; with t_1 = 1/2, S_K = (Q + T - P)/2Q and
-    # t_{K+1} = P/2Q, so no factorial is ever materialized.
-    p, q, t = _binsplit(1, terms + 1)
-    s = _add(q, _EXACT.subtract(t, p))
+    # S_K = sum_{k<=K} t_k leaves |t_{K+1}|/64 < 10**-digits (module docstring).
+    terms = digits // 3 + 2
+    # Over [0, K+2) the sum gives S_{K+1} = T/Q and the products give
+    # t_{K+1} = a(K+1) P/Q, so S_K = (T - a(K+1) P)/Q; no factorial is formed.
+    p, q, t = _binsplit(0, terms + 2)
+    ends = (_EXACT.subtract(t, _mul(_weight(terms + 1), p)), t)
     del t
-    den = _mul(4, q)
+    den = _mul(64, q)
     del q
-    # (5/2)[S_K, S_K + t_{K+1}] over 4Q, ends ordered by the sign of t_{K+1}.
-    ends = (_mul(5, s), _mul(5, _add(s, p)))
-    del s
+    # [S_K, S_{K+1}]/64, ends ordered by the sign of t_{K+1}.
     lo, hi = ends[::-1] if p.is_signed() else ends
     del p, ends
     bits = budget_bits(digits)

@@ -347,8 +347,11 @@ def test_deciding_rungs_keep_an_enclosure_that_is_exactly_zero(monkeypatch):
 
 
 def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
-    # Every check of verify --n-max 200 builds its lhs and rhs at one rung only:
-    # the rung that decides it, or the last one.
+    # Every check of verify --n-max 200 builds its lhs and rhs only at the
+    # deciding rungs up to the one it ends on. All but one end on the first
+    # of them, so each is built once: the form check of n = 14 is unknown at
+    # 30 digits, where |I_14| clears zero and its ratio check holds, and
+    # holds at 60.
     for cached in (ratio_enclosure, shrink_enclosure, form_abs_enclosure, zeta3):
         cached.cache_clear()
     rhs_calls = []
@@ -359,7 +362,14 @@ def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
 
     monkeypatch.setattr(bounds, "rhs_bound", counted_rhs_bound)
     assert main(["verify", "--n-max", "200", "--csv", "--quiet"]) == EXIT_UNKNOWN
-    capsys.readouterr()
-    assert ratio_enclosure.cache_info().misses == 200
-    assert shrink_enclosure.cache_info().misses == 200
-    assert len(rhs_calls) == 200
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    ratio_builds, shrink_builds = ratio_enclosure.cache_info().misses, shrink_enclosure.cache_info().misses
+
+    def built(column: int) -> list[tuple[int, int]]:
+        """(n, rung) of each deciding rung up to the one the check ended on."""
+        return [(n, dd) for n, row in enumerate(rows, 1) for dd in deciding_rungs(n, 30) if dd <= int(row[column])]
+
+    assert rhs_calls == built(5)
+    assert ratio_builds == len(built(6))
+    assert shrink_builds == len(set(built(5)) | set(built(6)))
+    assert (len(rhs_calls), ratio_builds, shrink_builds) == (201, 200, 201)

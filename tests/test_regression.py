@@ -21,15 +21,30 @@ were skipped.
 reciprocal: all 20 roundings of `bounds.ratio_enclosure` in that verify run,
 and the rounding of R in that audit (whose exact endpoints the JSON prints),
 took that path. Both now cancel the grid's power of two and divide once.
-``audit-unknown-power`` was recorded while the audit still multiplied out
-R_n^k and zeta(3)^k for each power step; its power steps end ``unknown``,
-because R's enclosure at the last rung is [0, h]. They now all carry the
-base bound's status.
+``audit-unknown-power`` pins an audit whose power steps end ``unknown``,
+because R's enclosure at the last rung (16 digits) is [0, h]; every power
+step carries the base bound's status.
+
+When zeta(3)'s accelerated series became the Amdeberhan-Zeilberger series,
+its enclosure moved inside the old one at every precision, so the
+enclosures built on it moved and ``audit``, ``verify``, ``decay-unknown``,
+``verify-unknown``, ``verify-digits-1`` and ``audit-json-2500`` were
+re-pinned: each printed interval overlaps its old one, no ``holds`` or
+``fails`` changed, rows 160-161 of ``verify-unknown`` and 7-8 of
+``verify-digits-1`` went from ``unknown`` to ``holds``, and some checks
+decide at a lower rung, so they print fewer digits (``verify`` rows 12-14
+and 22-23). ``decay-unknown``, ``verify-unknown`` and ``verify-digits-1``
+still exit 3. The printed
+zeta(3) digits did not move. ``audit-unknown-power`` used to pin n = 8,
+whose power steps the narrower enclosure certifies (``holds``); n = 12
+still ends ``unknown``, so the pin moved there. ``zeta3-20000`` is the
+size the benchmark prints, recorded from the central-binomial route.
 """
 
 import ast
 import fractions
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -48,12 +63,12 @@ PINNED_STDOUT = {
     "audit": (
         ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "17", "--digits", "60", "--json"),
         EXIT_FAILS,
-        "b696fe27a552d42cefd38835f5edca8e35de3afcad7b12887b58351816f5190f",
+        "6e09419917671f1f14738018d6264a946518563ea7f6073409f59e9b8f1c5cda",
     ),
     "verify": (
         ("verify", "--n-max", "40", "--csv"),
         EXIT_OK,
-        "8cce68d17d554a3f4d4e91e87c8b78eadb026e34b76e899785bc8a28ea64659b",
+        "82389d6291928faddc71f24f2fed94220a6f93ce937cc0e68c0dbc63898de764",
     ),
     "decay": (
         ("decay", "--n-max", "30", "--digits", "220", "--csv"),
@@ -98,7 +113,7 @@ PINNED_STDOUT = {
     "decay-unknown": (
         ("decay", "--n-max", "72", "--digits", "220", "--csv"),
         EXIT_UNKNOWN,
-        "a83b6af43ef3d1499279e9db226fcdd9d7cc24ab573647c7c2bc6dbeda715c16",
+        "0d8a1ba7cdb34b67c170a19003b205a3eced9f6f4f968651e607ae0c93e8c1bb",
     ),
     "form-json-2000": (
         ("form", "--n", "2000", "--json"),
@@ -108,12 +123,12 @@ PINNED_STDOUT = {
     "verify-unknown": (
         ("verify", "--n-max", "200", "--csv"),
         EXIT_UNKNOWN,
-        "2fde6e4d5f51fd5b6dcb0564e9e0cb38f5e582623b2b8f30438a7eb881991b96",
+        "2093078cbbb4d41597884f2ba064e884a462e09a83e404b00fc98c899962c897",
     ),
     "verify-digits-1": (
         ("verify", "--n-max", "50", "--digits", "1", "--csv"),
         EXIT_UNKNOWN,
-        "e7f3bfd9aefa582d37fac9b1bd59efe7290592d014250ff2868957f1fcdcc496",
+        "68cd5c28f321ee3fe37727614232b4d88b4e934bdfa73c5422ad29336afc95e7",
     ),
     "verify-digits-700": (
         ("verify", "--n-max", "60", "--digits", "700", "--csv"),
@@ -128,12 +143,17 @@ PINNED_STDOUT = {
     "audit-json-2500": (
         ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "17", "--digits", "2500", "--json"),
         EXIT_FAILS,
-        "cab03a2e98bc928158290ed91d9a178ded84435fa5b1ea87abc9aa9ae34ba0b6",
+        "ff7b837129f6d362cc09763b77d4d7d0815af4d2d8c94be8b565efd909ebaf56",
     ),
     "audit-unknown-power": (
-        ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "8", "--digits", "1", "--json"),
+        ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "12", "--digits", "1", "--json"),
         EXIT_FAILS,
-        "d4ca3cb5af9aabf4526b25c6615612da780d038d0aef2b2b24a557efda079309",
+        "3c2e02f885ed348d697ee375af7a01b151378f557227607e98d9c9536c946521",
+    ),
+    "zeta3-20000": (
+        ("zeta3", "--digits", "20000"),
+        EXIT_OK,
+        "ad29cfa8a231b7113ed14bc6f4251bde634af1d0c3ee86eb8711cadfb867b3b4",
     ),
 }
 
@@ -148,6 +168,14 @@ def test_stdout_matches_pinned_sha256(capsys, monkeypatch, name):
         got = exc.code
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+def test_audit_unknown_power_pin_reaches_unknown_power_steps(capsys):
+    argv, _, _ = PINNED_STDOUT["audit-unknown-power"]
+    main([*argv, "--quiet"])
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    powers = [s["numeric"] for s in steps if s["id"].startswith("power_")]
+    assert powers == ["unknown"] * 5
 
 
 @pytest.mark.parametrize("name", ["verify", "decay", "audit", "zeta3"])

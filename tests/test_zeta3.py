@@ -1,4 +1,5 @@
 import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -59,17 +60,19 @@ def test_direct_max_digits_is_the_last_count_under_the_term_limit(monkeypatch, l
     assert zmod._direct_terms(top) <= limit < zmod._direct_terms(top + 1)
 
 
-# -- int reference for the accelerated route ------------------------------------
-# The same (P, Q, T) recursion in CPython ints, rounded by Enclosure.round_out:
-# how zeta3_accelerated computed its enclosure before its Decimal rewrite.
+# -- int references for the accelerated route ----------------------------------
+# The Amdeberhan-Zeilberger (P, Q, T) recursion in CPython ints, rounded by
+# Enclosure.round_out: the same rationals as zeta3_accelerated, without
+# Decimal. Its field equality is the net for the Decimal machinery.
 
 
 def _binsplit(a: int, b: int) -> tuple[int, int, int]:
-    """(P, Q, T) over [a, b) for term ratios p_j/q_j = -j^3 / (2 (j+1)^2 (2j+1))."""
+    """(P, Q, T) over [a, b) for t_k = a(k) prod_{j=1..k} (-j^5) / (32 (2j+1)^5)."""
     if b - a == 1:
-        p = -(a**3)
-        q = 2 * (a + 1) ** 2 * (2 * a + 1)
-        return p, q, p
+        if a == 0:
+            return 1, 1, 77
+        p = -(a**5)
+        return p, 32 * (2 * a + 1) ** 5, (205 * a * a + 250 * a + 77) * p
     m = (a + b) // 2
     pl, ql, tl = _binsplit(a, m)
     pr, qr, tr = _binsplit(m, b)
@@ -77,15 +80,43 @@ def _binsplit(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _partial_sum(terms: int) -> tuple[int, int, int]:
-    """(s, t, den) with S_K = s/den and the signed next term t_{K+1} = t/den."""
-    p, q, t = _binsplit(1, terms + 1)
-    return q + t - p, p, 2 * q
+    """(s, t, den) with S_K = sum_{k<=K} t_k / 64 = s/den and the signed next
+    term t_{K+1} / 64 = t/den."""
+    p, q, t = _binsplit(0, terms + 1)
+    k = terms + 1
+    t_next = (205 * k * k + 250 * k + 77) * p * -(k**5)
+    q_next = 32 * (2 * k + 1) ** 5
+    return t * q_next, t_next, 64 * q * q_next
 
 
 def _reference_accelerated(digits: int) -> Enclosure:
-    s, t_next, den = _partial_sum(1661 * digits // 1000 + 2)
-    ends = (5 * s, 5 * (s + t_next))
-    return Enclosure.from_parts(min(ends), max(ends), 2 * den).round_out(budget_bits(digits))
+    s, t_next, den = _partial_sum(digits // 3 + 2)
+    ends = (s, s + t_next)
+    return Enclosure.from_parts(min(ends), max(ends), den).round_out(budget_bits(digits))
+
+
+# The central-binomial series zeta(3) = (5/2) sum_{k>=1} (-1)^(k-1) / (k^3 C(2k,k)),
+# split in ints: an independent series, and the net for the mathematics.
+
+
+def _central_binomial_binsplit(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) over [a, b) for term ratios p_j/q_j = -j^3 / (2 (j+1)^2 (2j+1))."""
+    if b - a == 1:
+        p = -(a**3)
+        q = 2 * (a + 1) ** 2 * (2 * a + 1)
+        return p, q, p
+    m = (a + b) // 2
+    pl, ql, tl = _central_binomial_binsplit(a, m)
+    pr, qr, tr = _central_binomial_binsplit(m, b)
+    return pl * pr, ql * qr, tl * qr + pl * tr
+
+
+def _central_binomial_reference(digits: int) -> Enclosure:
+    """(5/2)[S_K, S_K + t_{K+1}], unrounded, with |(5/2) t_{K+1}| <= 10**-digits."""
+    # t_1 = 1/2; over [1, K+1) S_K = (Q + T - P)/2Q and t_{K+1} = P/2Q
+    p, q, t = _central_binomial_binsplit(1, 1661 * digits // 1000 + 3)
+    ends = (5 * (q + t - p), 5 * (q + t))
+    return Enclosure.from_parts(min(ends), max(ends), 4 * q)
 
 
 def _fields(enc: Enclosure) -> tuple[int, int, int]:
@@ -93,12 +124,12 @@ def _fields(enc: Enclosure) -> tuple[int, int, int]:
 
 
 def test_accelerated_first_partial_brackets_from_above():
-    # one term: S_1 = 1/2, next term -1/48; (5/2)*[1/2 - 1/48, 1/2] = [115/96, 5/4]
-    s, t_next, den = _partial_sum(1)
-    assert F(s, den) == F(1, 2)
-    assert F(t_next, den) == F(-1, 48)
-    assert zeta3_accelerated(10).hi < F(5, 4)
-    assert zeta3_accelerated(10).lo > F(115, 96)
+    # one term: S_0 = 77/64, next term -532/(64*7776); [S_1, S_0] brackets zeta(3)
+    s, t_next, den = _partial_sum(0)
+    assert F(s, den) == F(77, 64)
+    assert F(t_next, den) == F(-532, 64 * 7776)
+    assert zeta3_accelerated(10).hi < F(77, 64)
+    assert zeta3_accelerated(10).lo > F(77, 64) - F(532, 64 * 7776)
 
 
 # 2001 and 6000 digits check the Decimal bracket against the reference's
@@ -109,6 +140,22 @@ def test_accelerated_first_partial_brackets_from_above():
 @settings(max_examples=40, deadline=None)
 def test_accelerated_matches_int_reference(digits):
     assert _fields(zeta3_accelerated(digits)) == _fields(_reference_accelerated(digits))
+
+
+# The central-binomial bracket is 8 (at 233 digits) to 3*10**6 times wider
+# than the accelerated enclosure over 1..300 digits, and zeta(3) lies about a
+# fifth of its width from its nearer end, so the accelerated enclosure lies
+# inside it: a bug in either series breaks the containment.
+@given(st.integers(min_value=1, max_value=300))
+@example(2001)
+@example(6000)
+@example(20000)
+@settings(max_examples=40, deadline=None)
+def test_accelerated_lies_inside_the_central_binomial_bracket(digits):
+    reference = _central_binomial_reference(digits)
+    assert reference.width() <= F(1, 10**digits)
+    enc = zeta3_accelerated(digits)
+    assert enc.intersect(reference) == enc  # enc lies inside reference
 
 
 def _fresh_fields(digits: int) -> tuple[int, int, int]:
@@ -219,15 +266,23 @@ def test_accelerated_matches_direct():
     assert zeta3_accelerated(15).intersect(zeta3_direct(15)) is not None
 
 
-@pytest.mark.parametrize("digits", [1, 5, 17, 60, 333])
-def test_accelerated_term_count_is_rigorous(digits):
-    # the closed-form term count must leave (5/2)|t_{K+1}| <= 10^-digits;
-    # cross-check against the exact factorial form of the omitted term
-    import math
+def _scaled_term(k: int) -> Fraction:
+    """|t_k| / 64 from the factorial form (k!)^10 a(k) / (64 ((2k+1)!)^5)."""
+    return F(math.factorial(k) ** 10 * (205 * k * k + 250 * k + 77), 64 * math.factorial(2 * k + 1) ** 5)
 
-    K = 1661 * digits // 1000 + 2
-    t_next = F(math.factorial(K) ** 2, (K + 1) * math.factorial(2 * K + 2))
-    assert F(5, 2) * t_next <= F(1, 10**digits)
+
+def test_accelerated_term_bound_holds_term_by_term():
+    # the module docstring's lemma: |t_k| / 64 <= 8.32 * 1024^-k for k >= 1
+    for k in range(1, 301):
+        assert _scaled_term(k) <= F(832, 100) / 1024**k, k
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 4, 5, 17, 60, 333, 2000])
+def test_accelerated_term_count_is_rigorous(digits):
+    # the closed-form term count K = digits // 3 + 2 must leave the omitted
+    # |t_{K+1}| / 64 <= 10^-digits, checked on the exact factorial form
+    assert _scaled_term(digits // 3 + 3) <= F(1, 10**digits)
+    assert zeta3_accelerated(digits).width() <= F(1, 10**digits)
 
 
 @given(st.integers(min_value=1, max_value=300))
