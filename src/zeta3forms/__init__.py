@@ -20,7 +20,6 @@ from .bounds import (
     CheckResult,
     CheckStatus,
     DecayRow,
-    EnclosureLost,
     decay_table,
     rhs_bound,
     verify_form_bound,
@@ -52,7 +51,6 @@ __all__ = [
     "DecayRow",
     "DisjointEnclosures",
     "Enclosure",
-    "EnclosureLost",
     "IntegralityViolation",
     "InvalidCoeffVector",
     "KernelMoment",

@@ -15,6 +15,8 @@ and Y_n = -A_n = 2 d_n^3 a_n (d_n = lcm(1..n), d_0 = 1), whose recurrence is
 Forms for n = 0..N cost O(N) big-integer steps and no gcd. Each step's
 division by n^3 must be exact: that remainder check certifies that
 d_n^3 alpha_n is an integer. alpha_n = A_n/d_n^3 is built only when read.
+The same tables bracket zeta(3) between Apery's convergents a_N/b_N
+(``apery_bracket``), which gives I_n with no cancellation.
 
 Oracle route (tests only): the double integral over the unit square of
 x^r y^s (-log xy)/(1-xy) equals
@@ -195,6 +197,30 @@ def linear_form(n: int) -> LinearForm:
     cube = dn_cubed(n)
     beta = 2 * _APERY[n]
     return LinearForm(n=n, beta=beta, A=-_APERY_Y[n], B=beta * cube, dn3=cube)
+
+
+def apery_bracket(N: int) -> Enclosure:
+    """Enclosure [a_N/b_N, a_N/b_N + eps_N] of zeta(3) from Apery's convergents, N >= 1.
+
+    By Apery's Casoratian a_k b_{k-1} - a_{k-1} b_k = 6/k^3 (van der Poorten,
+    section 4), zeta(3) - a_N/b_N = sum_{k>N} t_k, t_k = 6 / (k^3 b_{k-1} b_k).
+
+    Lemma: b_k >= 9 b_{k-1} for k >= 2. By induction, with b_{k-2} <= b_{k-1}
+    (b_0 = 1 <= 5 = b_1, then the hypothesis), the recurrence gives
+    k^3 b_k >= (P(k) - (k-1)^3) b_{k-1} = (33k^3 - 48k^2 + 24k - 4) b_{k-1},
+    and 24k(k-1)^2 - 4 > 0. So t_{k+1}/t_k < b_{k-1}/b_{k+1} <= 1/81 for
+    k >= 2, and the tail is below eps_N = (81/80) t_{N+1}. Built on this
+    bracket, I_n = 2 b_n sum_{k>n} t_k has an exact positive lower end and
+    relative width below eps_N / t_{n+1} <= (81/80) 81^-(N-n).
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _grow_apery(N + 1)
+    cube, scale = dn_cubed(N), 80 * (N + 1) ** 3 * _APERY[N + 1]
+    # a_N/b_N = Y_N / (2 d_N^3 b_N); eps_N is 81 * 6 * 2 d_N^3 over the same den
+    den = 2 * cube * _APERY[N] * scale
+    lo = _APERY_Y[N] * scale
+    return Enclosure.from_parts(lo, lo + 81 * 6 * 2 * cube, den)
 
 
 def apery_oracle(n: int) -> int:

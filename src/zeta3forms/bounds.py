@@ -6,27 +6,16 @@ The central inequality checked here is
 
 together with its divided form 0 < R_n < zeta(3), where R_n is the left side
 divided by 2 (sqrt(2)-1)^(4n) d_n^3. Both are decided purely through
-enclosures; a check reports Holds/Fails only when the enclosures are
-disjoint, and Unknown (after adaptive refinement) only when they overlap.
+enclosures, once, at the requested digits: `sandwich_status` reports
+Holds/Fails only when the enclosures are disjoint, Unknown when they overlap.
 
-(sqrt(2)-1)^4 = 17 - 12*sqrt(2) exactly, so (sqrt(2)-1)^(4n) is computed as
-the n-th power of 17 - 12*sqrt(2) in Z[sqrt(2)], leaving a single sqrt(2)
-enclosure as the only irrational input.
-
-Rungs that cannot decide are skipped (`deciding_rungs`). Every checked lhs
-is the enclosure E of |I_n| at that rung times a positive factor: E itself
-in the form check, and R_n = E / (2 (sqrt(2)-1)^(4n) d_n^6) in the ratio
-check and in the audit's power steps, which carry that check's status. When
-E = [0, h] with h > 0, each such lhs is [0, h'] with h' > 0, so at that rung:
-
-    HOLDS needs lo > 0, and lo = 0;
-    FAILS needs hi <= 0, and hi > 0, or lhs >= rhs, and rhs > 0;
-    so the rung's status is UNKNOWN, and nothing but E is built there.
-
-(rhs > 0 because (sqrt(2)-1)^(4n) is intersected with (34^-n, 33^-n) and
-zeta(3) > 0.) The last rung is always evaluated, so a check still unknown
-there reports that rung's enclosures. HOLDS and FAILS are decided by
-`sandwich_status` only.
+Neither side loses digits to cancellation, so relative widths do not grow
+with n. |I_n| takes zeta(3) from Apery's convergents (`form_abs_enclosure`;
+the tail lemma is in `beukers.apery_bracket`), whose exact lower end
+certifies the "0 <" side. (sqrt(2)-1)^(4n) is the reciprocal of
+(17 + 12*sqrt(2))^n = a + |b|*sqrt(2), a sum of positive terms. The
+certified zeta(3) enclosure enters the right-hand sides only. The ladder
+`refinement_digits` serves `chain.audit` alone.
 """
 
 from __future__ import annotations
@@ -36,14 +25,10 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-from .beukers import dn_cubed, linear_form
+from .beukers import apery_bracket, dn_cubed, linear_form
 from .combinatorics import d
-from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits, sqrt2_enclosure
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
 from .zeta3 import zeta3
-
-
-class EnclosureLost(ArithmeticError):
-    """An enclosure excludes the value it must contain; signals an implementation bug."""
 
 
 class CheckStatus(Enum):
@@ -61,8 +46,7 @@ class CheckResult:
     digits_used: int
 
 
-# Adaptive precision: double the working digits up to this many times when a
-# comparison is still Unknown. Keeps every check total.
+# The audit doubles its working digits up to this many times while a step is Unknown.
 MAX_REFINEMENTS = 4
 
 
@@ -94,24 +78,18 @@ def _mul_z_sqrt2(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
+def _growth_enclosure(n: int, digits: int) -> Enclosure:
+    """Enclosure of (17+12*sqrt(2))^n = a + |b|*sqrt(2), (a, b) = unit_pair(n)."""
+    a, b = unit_pair(n)
+    return sqrt2_enclosure(digits) * -b + a
+
+
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def shrink_enclosure(n: int, digits: int) -> Enclosure:
-    """Enclosure of (sqrt(2)-1)^(4n) = (17-12*sqrt(2))^n, certified positive.
-
-    The sqrt(2)-based interval is intersected with the exact algebraic
-    bracket (34^-n, 33^-n), valid because 17+12*sqrt(2) lies strictly
-    between 33 and 34. The intersection keeps the enclosure strictly
-    positive at any precision, so downstream division is always defined.
-    """
+    """Enclosure of (sqrt(2)-1)^(4n) = 1/(17+12*sqrt(2))^n, certified positive."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    a, b = unit_pair(n)
-    enc = sqrt2_enclosure(digits) * b + a
-    algebraic = Enclosure.from_parts(33**n, 34**n, 34**n * 33**n)  # [34^-n, 33^-n]
-    both = enc.intersect(algebraic)
-    if both is None:
-        raise EnclosureLost(f"unit power enclosure lost the true value at n={n}")
-    return both
+    return _growth_enclosure(n, digits).reciprocal()
 
 
 def rhs_bound(n: int, digits: int) -> Enclosure:
@@ -123,23 +101,26 @@ def rhs_bound(n: int, digits: int) -> Enclosure:
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def form_abs_enclosure(n: int, digits: int) -> Enclosure:
-    """Enclosure of |alpha_n + beta_n*zeta(3)| = |A_n + B_n*zeta(3)| / d_n^3."""
+    """Enclosure of |alpha_n + beta_n*zeta(3)| = |A_n + B_n*zeta(3)| / d_n^3,
+    positive, of relative width below 10**-digits.
+
+    zeta(3) is `beukers.apery_bracket(N)` with N = n + K, K = 11*digits//20 + 2,
+    so the relative width is below (81/80) 81^-K < 10**-(digits+1). Rounding
+    onto a grid under half that width at most doubles it and makes operand
+    sizes follow the digits, not n.
+    """
     form = linear_form(n)
-    return abs((zeta3(digits) * form.B + form.A) / form.dn3)
+    enc = abs((apery_bracket(n + 11 * digits // 20 + 2) * form.B + form.A) / form.dn3)
+    return enc.round_out(enc.den.bit_length() - (enc.hi_num - enc.lo_num).bit_length() + 2)
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def ratio_enclosure(n: int, digits: int) -> Enclosure:
-    """Enclosure of R_n = |I_n| / (2 (sqrt(2)-1)^(4n) d_n^3).
-
-    Since I_n = (A_n + B_n*zeta(3)) / d_n^3, this is
-    |A_n + B_n*zeta(3)| / (2 (sqrt(2)-1)^(4n) d_n^6).
-    """
+    """Enclosure of R_n = |I_n| / (2 (sqrt(2)-1)^(4n) d_n^3), built as the
+    product |I_n| (17+12*sqrt(2))^n / (2 d_n^3) of positive enclosures."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    divisor = shrink_enclosure(n, digits) * (2 * dn_cubed(n))
-    ratio = form_abs_enclosure(n, digits) / divisor
-    return ratio.round_out(budget_bits(digits))
+    return form_abs_enclosure(n, digits) * _growth_enclosure(n, digits) / (2 * dn_cubed(n))
 
 
 def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
@@ -156,45 +137,24 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
     return CheckStatus.UNKNOWN
 
 
-def deciding_rungs(n: int, digits: int):
-    """The rungs of refinement_digits(digits) at which the enclosure of |I_n|
-    does not touch zero, then the last rung whatever its enclosure.
-
-    A rung where that enclosure is [0, h] with h > 0 ends UNKNOWN in every
-    check built on |I_n| (see the module docstring), so it is skipped.
-    """
-    *rungs, last = refinement_digits(digits)
-    for dd in rungs:
-        form_abs = form_abs_enclosure(n, dd)
-        if not form_abs.lo_num <= 0 < form_abs.hi_num:
-            yield dd
-    yield last
-
-
-def _check_sandwich(
-    n: int, digits: int, sides: Callable[[int], tuple[Enclosure, Enclosure]]
-) -> CheckResult:
-    """Decide 0 < lhs < rhs, with (lhs, rhs) = sides(dd), up the deciding rungs."""
+def _check_sandwich(n: int, digits: int, sides: Callable[[], tuple[Enclosure, Enclosure]]) -> CheckResult:
+    """Decide 0 < lhs < rhs, with (lhs, rhs) = sides()."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    for dd in deciding_rungs(n, digits):
-        lhs, rhs = sides(dd)
-        status = sandwich_status(lhs, rhs)
-        if status is not CheckStatus.UNKNOWN:
-            break
-    return CheckResult(n=n, lhs=lhs, rhs=rhs, status=status, digits_used=dd)
+    lhs, rhs = sides()
+    return CheckResult(n=n, lhs=lhs, rhs=rhs, status=sandwich_status(lhs, rhs), digits_used=digits)
 
 
 def verify_form_bound(n: int, digits: int) -> CheckResult:
     """Check 0 < |A_n + B_n*zeta(3)|/d_n^3 < 2 (sqrt(2)-1)^(4n) zeta(3)."""
-    return _check_sandwich(n, digits, lambda dd: (form_abs_enclosure(n, dd), rhs_bound(n, dd)))
+    return _check_sandwich(n, digits, lambda: (form_abs_enclosure(n, digits), rhs_bound(n, digits)))
 
 
 def verify_ratio_bound(n: int, digits: int) -> CheckResult:
     """Check the divided form 0 < R_n < zeta(3); independent of verify_form_bound."""
-    return _check_sandwich(n, digits, lambda dd: (ratio_enclosure(n, dd), zeta3(dd)))
+    return _check_sandwich(n, digits, lambda: (ratio_enclosure(n, digits), zeta3(digits)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,11 +28,12 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .bounds import CheckStatus, deciding_rungs, ratio_enclosure, sandwich_status
-from .exactnum import Enclosure, Trichotomy, trichotomy
+from .bounds import CheckStatus, ratio_enclosure, refinement_digits, sandwich_status
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, Trichotomy, budget_bits, trichotomy
 from .zeta3 import zeta3
 
 
@@ -156,13 +157,20 @@ def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
     return acc
 
 
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
+def _grid_ratio(n: int, digits: int) -> Enclosure:
+    """R_n rounded outward onto zeta(3)'s 2**-budget_bits(digits) grid, so the
+    weighted sum and its upper bound share one power-of-two denominator."""
+    return ratio_enclosure(n, digits).round_out(budget_bits(digits))
+
+
 def weighted_sum_enclosure(n: int, c: CoeffVector, digits: int) -> Enclosure:
     """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k = R_n * sum_i c_i R_n^i."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    ratio = ratio_enclosure(n, digits)
+    ratio = _grid_ratio(n, digits)
     return ratio * _poly_enclosure(c.c, ratio)
 
 
@@ -174,7 +182,7 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     report = None
-    for dd in deciding_rungs(n, digits):
+    for dd in refinement_digits(digits):
         report = _audit_once(n, c, dd)
         if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
             break
@@ -183,10 +191,10 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
 
 def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     z = zeta3(digits)
-    ratio = ratio_enclosure(n, digits)
+    ratio = _grid_ratio(n, digits)
 
     # Powers k = 1..m+1 of the base bound: 0 < R_n^k < zeta(3)^k. R_n's enclosure
-    # is >= 0 (round_out, a floor, of |I_n| over a positive divisor), zeta(3)'s
+    # is >= 0 (round_out, a floor, of a positive enclosure), zeta(3)'s
     # is > 0, and on such enclosures [lo^k, hi^k] (numerators and denominator
     # raised to the k) compares with 0 and with the other side as [lo, hi] does.
     base = sandwich_status(ratio, z)

@@ -7,8 +7,9 @@ precision the enclosure certifies (a +/- error field is appended whenever
 the width exceeds one unit in the last printed place).
 
 Exit codes: 0 all requested checks hold / completed, 1 some check fails,
-2 usage error, 3 some check is still unknown after maximal refinement, or
-some printed decay cell carries a +/- field (not one digit certified).
+2 usage error, 3 some check is unknown (its enclosures overlap at the
+requested digits; `audit` first climbs its refinement ladder), or some
+printed decay cell carries a +/- field (not one digit certified).
 """
 
 from __future__ import annotations

@@ -24,10 +24,11 @@ Sizes stay bounded because long computations round outward onto a 2**-bits
 grid (`Enclosure.round_out`). Each endpoint is one exact floor division,
 `floor_div_scaled`: floor(n * 2**bits / den) with the power of two that
 ``den`` carries cancelled first, which leaves the same rational and so the
-same quotient. Every production denominator carries 2**bits or more
-(``bounds.ratio_enclosure`` is built from zeta(3)'s enclosure on a 2**-bits
-grid, and ``zeta3_direct`` sums in units of a power of two), so the divisor
-shrinks to its odd part. Reduced `Fraction`s are built only when an
+same quotient. The audit's R_n (``chain._grid_ratio``) has denominator
+2**k * 10**digits * 2 d_n^3, from |I_n|'s grid and sqrt(2)'s, so its
+divisor shrinks to 5**digits times the odd part of d_n^3; ``zeta3_direct``
+sums in units of a power of two. ``bounds.form_abs_enclosure``
+divides by its full denominator once per (n, digits). Reduced `Fraction`s are built only when an
 endpoint is read (``lo``, ``hi``, ``width``, ``midpoint``) and by
 ``__hash__`` and ``__str__``; the CLI's decimal printer reads the integers
 instead. See Moore, *Interval Analysis* (1966), for the interval rules.

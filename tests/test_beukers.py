@@ -8,6 +8,7 @@ from zeta3forms import beukers
 from zeta3forms.beukers import (
     IntegralityViolation,
     KernelMoment,
+    apery_bracket,
     apery_oracle,
     dn_cubed,
     linear_form,
@@ -148,6 +149,39 @@ def test_form_enclosure_excludes_zero_up_to_30():
         form = linear_form(n)
         enc = z * form.beta + form.alpha
         assert trichotomy(enc) is not Trichotomy.CONTAINS_ZERO
+
+
+# -- Apery's convergent bracket of zeta(3) ------------------------------------------
+
+
+def test_casoratian_and_ninefold_growth_over_the_table():
+    # a_k b_{k-1} - a_{k-1} b_k = 6/k^3 with a_k = Y_k / (2 d_k^3), multiplied
+    # by 2 d_k^3 k^3 to stay in integers, and the lemma b_k >= 9 b_{k-1} behind
+    # apery_bracket's tail bound, both exactly for 2 <= k <= 1500.
+    beukers._grow_apery(1500)
+    b, y = beukers._APERY, beukers._APERY_Y
+    for k in range(2, 1501):
+        step = dn_cubed(k) // dn_cubed(k - 1)
+        assert k**3 * (y[k] * b[k - 1] - y[k - 1] * b[k] * step) == 12 * dn_cubed(k), k
+        assert b[k] >= 9 * b[k - 1], k
+
+
+def test_apery_bracket_meets_zeta3():
+    z = zeta3(3000)
+    for N in (1, 2, 5, 30, 200, 1500):
+        enc = apery_bracket(N)
+        assert enc.lo_num < enc.hi_num
+        assert enc.intersect(z) is not None, N
+    # the bracket shrinks by more than 81 per step
+    assert apery_bracket(40).width() * 81 < apery_bracket(39).width()
+
+
+def test_apery_bracket_lower_end_is_the_convergent():
+    for N in (1, 2, 10):
+        form = linear_form(N)
+        assert apery_bracket(N).lo == F(-form.A, form.B)
+    with pytest.raises(ValueError):
+        apery_bracket(0)
 
 
 def test_integrality_violation_on_corrupted_moment():

@@ -1,20 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
-    CheckResult,
     CheckStatus,
-    EnclosureLost,
     decay_table,
-    deciding_rungs,
     form_abs_enclosure,
     ratio_enclosure,
-    refinement_digits,
     rhs_bound,
     sandwich_status,
     shrink_enclosure,
@@ -22,7 +18,8 @@ from zeta3forms.bounds import (
     verify_form_bound,
     verify_ratio_bound,
 )
-from zeta3forms.cli import EXIT_UNKNOWN, main
+from zeta3forms.chain import CoeffVector, _audit_once, audit
+from zeta3forms.cli import EXIT_OK, main
 from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
 from zeta3forms.zeta3 import zeta3, zeta3_accelerated, zeta3_direct
 
@@ -43,6 +40,13 @@ def _within(enc: Enclosure, bracket: tuple[Fraction, Fraction]) -> bool:
     return lo <= enc.lo and enc.hi <= hi
 
 
+def _zeta3_route_form_abs(n: int, digits: int) -> Enclosure:
+    """|A_n + B_n*zeta(3)| / d_n^3 from the certified zeta(3) enclosure: the
+    oracle route, which loses about 3.07n digits to cancellation."""
+    form = linear_form(n)
+    return abs((zeta3(digits) * form.B + form.A) / form.dn3)
+
+
 # -- the single sqrt(2) dependency --------------------------------------------
 
 
@@ -61,38 +65,25 @@ def test_unit_pair_multiplicative():
 
 
 def test_shrink_enclosure_always_positive():
-    # the algebraic bracket keeps the enclosure positive even at 1 digit
+    # 1/(a + |b| sqrt(2)) has no cancellation, so it is positive even at 1 digit
     for digits in (1, 2, 5):
         for n in (1, 5, 20, 50):
             enc = shrink_enclosure(n, digits)
             assert enc.lo > 0
-            assert F(1, 34**n) <= enc.lo and enc.hi <= F(1, 33**n)
+            assert enc.width() < enc.lo / 10**digits
 
 
 def test_shrink_enclosure_contains_true_value():
-    # a + b*sqrt(2) with b < 0; a much tighter bracket of the same value must
-    # meet the coarser enclosure
-    s2 = sqrt2_enclosure(40)
+    # a + b*sqrt(2) with b < 0 loses about 1.53n digits to cancellation, so at
+    # 60 digits it is a much tighter bracket of the same value for these n,
+    # and it must meet the coarser enclosure
+    s2 = sqrt2_enclosure(60)
     for n in (1, 2, 7):
         a, b = unit_pair(n)
         tight = Enclosure(a + b * s2.hi, a + b * s2.lo)
         enc = shrink_enclosure(n, 20)
         assert tight.width() < enc.width()
         assert enc.intersect(tight) is not None
-
-
-def test_shrink_enclosure_raises_when_sqrt2_enclosure_misses(monkeypatch):
-    # 17 - 12 * 3/2 = -1 lies outside the algebraic bracket (1/34, 1/33);
-    # a raised error, unlike an assert, survives python -O
-    monkeypatch.setattr(bounds, "sqrt2_enclosure", lambda digits: Enclosure.point(F(3, 2)))
-    shrink_enclosure.cache_clear()
-    try:
-        with pytest.raises(EnclosureLost):
-            shrink_enclosure(1, 20)
-    finally:
-        monkeypatch.undo()
-        shrink_enclosure.cache_clear()
-    assert shrink_enclosure(1, 20).lo > 0
 
 
 def test_rhs_bound_value():
@@ -138,13 +129,19 @@ def test_one_digit_request_still_resolves():
 
 
 def test_unknown_then_refined_at_high_n():
-    # beta_50 ~ 1e74 amplifies the zeta(3) width, so 20 digits cannot
-    # separate the enclosures; the retry loop must escalate
-    single = sandwich_status(form_abs_enclosure(50, 20), rhs_bound(50, 20))
-    assert single is CheckStatus.UNKNOWN
-    refined = verify_form_bound(50, 20)
-    assert refined.status is CheckStatus.HOLDS
-    assert refined.digits_used > 20
+    # verify decides at the requested digits: beta_50 ~ 1e74 would amplify a
+    # 20-digit zeta(3) width past |I_50| ~ 1e-79, but the convergent route
+    # has relative width 1e-20 at every n
+    assert sandwich_status(_zeta3_route_form_abs(50, 20), rhs_bound(50, 20)) is CheckStatus.UNKNOWN
+    res = verify_form_bound(50, 20)
+    assert (res.status, res.digits_used) == (CheckStatus.HOLDS, 20)
+    # the audit still refines: R_50 ~ 1e-70 rounds to [0, h] on the 3-digit
+    # grid, and the ladder climbs until the power steps decide
+    vector = CoeffVector((-6, 5))
+    assert _audit_once(50, vector, 3).step("power_1").numeric is CheckStatus.UNKNOWN
+    refined = audit(50, vector, 3)
+    assert refined.step("power_1").numeric is CheckStatus.HOLDS
+    assert refined.digits_used > 3
 
 
 def test_verify_rejects_bad_args():
@@ -231,7 +228,7 @@ def test_decay_table_spot_values():
 
 
 def test_decay_monotone_form_decrease():
-    # beta_50*10^-170 ~ 1e-96 leaves ample room below |I_50| ~ 1e-79
+    # |I_n| shrinks by about 34x per step, far above a relative width of 1e-170
     encs = [form_abs_enclosure(n, 170) for n in range(1, 51)]
     for cur, nxt in zip(encs, encs[1:]):
         assert nxt.hi < cur.lo
@@ -279,7 +276,7 @@ def test_digit_keyed_caches_stay_bounded():
 
 
 def test_n_keyed_caches_stay_bounded_in_a_long_verify(capsys):
-    assert main(["verify", "--n-max", "300", "--csv", "--quiet"]) == EXIT_UNKNOWN
+    assert main(["verify", "--n-max", "300", "--csv", "--quiet"]) == EXIT_OK
     capsys.readouterr()
     caches = (linear_form, unit_pair, form_abs_enclosure, ratio_enclosure, shrink_enclosure)
     sizes = {fn.__name__: fn.cache_info().currsize for fn in caches}
@@ -287,71 +284,35 @@ def test_n_keyed_caches_stay_bounded_in_a_long_verify(capsys):
     assert sizes["linear_form"] == DIGITS_CACHE_SIZE  # 300 forms were built
 
 
-# -- the skip of rungs that cannot decide -----------------------------------------
+# -- one evaluation per check ------------------------------------------------------
 
 
-def _full_ladder(n: int, digits: int, sides) -> CheckResult:
-    """How _check_sandwich decided before it skipped rungs: every rung of the
-    ladder is built and compared until one decides."""
-    for dd in refinement_digits(digits):
-        lhs, rhs = sides(dd)
-        status = sandwich_status(lhs, rhs)
-        if status is not CheckStatus.UNKNOWN:
-            break
-    return CheckResult(n=n, lhs=lhs, rhs=rhs, status=status, digits_used=dd)
+@pytest.mark.parametrize("digits", [1, 2, 7, 30, 200])
+def test_form_abs_relative_width_is_below_the_requested_digits(digits):
+    for n in (1, 2, 3, 10, 57, 200, 601):
+        enc = form_abs_enclosure(n, digits)
+        assert enc.lo_num > 0
+        assert (enc.hi_num - enc.lo_num) * 10**digits <= enc.lo_num, (n, digits)
 
 
-def _outcome(res: CheckResult) -> tuple:
-    return (
-        res.status,
-        res.digits_used,
-        (res.lhs.lo_num, res.lhs.hi_num, res.lhs.den),
-        (res.rhs.lo_num, res.rhs.hi_num, res.rhs.den),
-    )
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([1, 5, 30]))
+def test_form_abs_meets_the_zeta3_route(n, digits):
+    # at 3.1n + 60 digits the zeta(3) route is tight despite its cancellation
+    oracle = _zeta3_route_form_abs(n, 31 * n // 10 + 60)
+    assert oracle.lo_num > 0
+    assert form_abs_enclosure(n, digits).intersect(oracle) is not None
 
 
-@pytest.mark.parametrize("digits", [1, 7, 30])
-def test_skipping_rungs_matches_the_full_ladder(digits):
-    # At each of these digit counts the sweep holds rows decided at the first
-    # rung, rows decided higher up after skipped rungs, and rows still unknown
-    # at the last rung, where every earlier rung was skipped.
-    skipped = 0
-    for n in range(1, 251):
-        form = _full_ladder(n, digits, lambda dd: (form_abs_enclosure(n, dd), rhs_bound(n, dd)))
-        ratio = _full_ladder(n, digits, lambda dd: (ratio_enclosure(n, dd), zeta3(dd)))
-        assert _outcome(verify_form_bound(n, digits)) == _outcome(form), n
-        assert _outcome(verify_ratio_bound(n, digits)) == _outcome(ratio), n
-        skipped += len(list(refinement_digits(digits))) - len(list(deciding_rungs(n, digits)))
-    assert skipped > 0
-
-
-def test_deciding_rungs_skip_an_enclosure_touching_zero(monkeypatch):
-    monkeypatch.setattr(bounds, "form_abs_enclosure", lambda n, digits: Enclosure.from_parts(0, 1, digits))
-    # [0, h] with h > 0 cannot decide, but the last rung is always evaluated
-    assert list(deciding_rungs(3, 10)) == [160]
-    res = verify_form_bound(3, 10)
-    assert (res.status, res.digits_used, res.lhs) == (CheckStatus.UNKNOWN, 160, Enclosure(0, F(1, 160)))
-
-
-def test_deciding_rungs_keep_an_enclosure_that_is_exactly_zero(monkeypatch):
-    # |I_n| enclosed by the point 0 decides at once: 0 < 0 fails
-    monkeypatch.setattr(bounds, "form_abs_enclosure", lambda n, digits: Enclosure.point(0))
-    assert list(deciding_rungs(3, 10)) == list(refinement_digits(10))
-    ratio_enclosure.cache_clear()
-    try:
-        for check in (verify_form_bound, verify_ratio_bound):
-            res = check(3, 10)
-            assert (res.status, res.digits_used) == (CheckStatus.FAILS, 10)
-    finally:
-        ratio_enclosure.cache_clear()  # drop the R_3 built from the stub
+def test_every_check_holds_at_one_digit_up_to_300():
+    for n in range(1, 301):
+        assert verify_form_bound(n, 1).status is CheckStatus.HOLDS, n
+        assert verify_ratio_bound(n, 1).status is CheckStatus.HOLDS, n
 
 
 def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
-    # Every check of verify --n-max 200 builds its lhs and rhs only at the
-    # deciding rungs up to the one it ends on. All but one end on the first
-    # of them, so each is built once: the form check of n = 14 is unknown at
-    # 30 digits, where |I_14| clears zero and its ratio check holds, and
-    # holds at 60.
+    # Every check of verify --n-max 200 builds its lhs and rhs once, at the
+    # requested digits, and every row holds.
     for cached in (ratio_enclosure, shrink_enclosure, form_abs_enclosure, zeta3):
         cached.cache_clear()
     rhs_calls = []
@@ -361,15 +322,10 @@ def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
         return rhs_bound(n, digits)
 
     monkeypatch.setattr(bounds, "rhs_bound", counted_rhs_bound)
-    assert main(["verify", "--n-max", "200", "--csv", "--quiet"]) == EXIT_UNKNOWN
+    assert main(["verify", "--n-max", "200", "--csv", "--quiet"]) == EXIT_OK
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    ratio_builds, shrink_builds = ratio_enclosure.cache_info().misses, shrink_enclosure.cache_info().misses
-
-    def built(column: int) -> list[tuple[int, int]]:
-        """(n, rung) of each deciding rung up to the one the check ended on."""
-        return [(n, dd) for n, row in enumerate(rows, 1) for dd in deciding_rungs(n, 30) if dd <= int(row[column])]
-
-    assert rhs_calls == built(5)
-    assert ratio_builds == len(built(6))
-    assert shrink_builds == len(set(built(5)) | set(built(6)))
-    assert (len(rhs_calls), ratio_builds, shrink_builds) == (201, 200, 201)
+    assert all(row[1:3] == ["holds", "holds"] and row[5:] == ["30", "30"] for row in rows)
+    assert "±" not in "".join(cell for row in rows for cell in row)
+    assert rhs_calls == [(n, 30) for n in range(1, 201)]
+    builds = [fn.cache_info().misses for fn in (ratio_enclosure, shrink_enclosure, form_abs_enclosure)]
+    assert builds == [200, 200, 200]

@@ -2,14 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeta3forms import chain
-from zeta3forms.bounds import (
-    CheckStatus,
-    deciding_rungs,
-    form_abs_enclosure,
-    refinement_digits,
-    sandwich_status,
-)
+from zeta3forms.beukers import linear_form
+from zeta3forms.bounds import CheckStatus, sandwich_status
 from zeta3forms.chain import (
     ChainReport,
     CoeffVector,
@@ -76,11 +70,13 @@ def test_residual_examples():
 
 
 def test_residual_minus6_5_equals_half_form_abs():
-    # 5*zeta(3) - 6 = I_1/2; both sides are exact affine images of the same
-    # zeta(3) enclosure, so the enclosures agree bit for bit
+    # 5*zeta(3) - 6 = I_1/2; the residual and |I_1| built from the same zeta(3)
+    # enclosure (the oracle route of bounds.form_abs_enclosure) are exact
+    # affine images of it, so the enclosures agree bit for bit
+    form = linear_form(1)
     for digits in (10, 30, 60):
         lhs = residual_enclosure(CoeffVector((-6, 5)), digits)
-        rhs = form_abs_enclosure(1, digits) * F(1, 2)
+        rhs = abs((zeta3(digits) * form.B + form.A) / form.dn3) * F(1, 2)
         assert lhs == rhs
 
 
@@ -234,34 +230,9 @@ def test_report_step_lookup():
         report.step("nonexistent")
 
 
-def _full_ladder_audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
-    """How audit refined before it skipped rungs: every rung of the ladder is
-    audited until no step is unknown."""
-    for dd in refinement_digits(digits):
-        report = chain._audit_once(n, c, dd)
-        if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
-            break
-    return report
-
-
-def _fields(report: ChainReport) -> tuple:
-    encs = (report.R, report.S, report.residual)
-    return (report_to_dict(report), tuple((e.lo_num, e.hi_num, e.den) for e in encs))
-
-
 LADDER_VECTORS = [
     CoeffVector(c) for c in ((-6, 5), (1, 1), (3, -1, 4, 1, -5), (2, 0, -7), (1, 2, 3, 4))
 ]
-
-
-@pytest.mark.parametrize("digits", [3, 5])
-def test_skipping_rungs_matches_the_full_ladder_audit(digits):
-    skipped = 0
-    for n in range(1, 41):
-        for c in LADDER_VECTORS:
-            assert _fields(audit(n, c, digits)) == _fields(_full_ladder_audit(n, c, digits)), (n, c)
-        skipped += len(list(refinement_digits(digits))) - len(list(deciding_rungs(n, digits)))
-    assert skipped > 0
 
 
 HOLDS_AND_UNKNOWN = {CheckStatus.HOLDS, CheckStatus.UNKNOWN}
@@ -275,9 +246,12 @@ HOLDS_AND_UNKNOWN = {CheckStatus.HOLDS, CheckStatus.UNKNOWN}
 def test_power_steps_match_the_multiplied_out_powers(digits, statuses):
     """Every power_k step reports what the powers themselves decide:
     sandwich_status(R**k, zeta(3)**k) at the precision the audit ended on.
-    The low precisions reach audits whose R is [0, h] at the last rung."""
+    The low precisions reach audits whose R is [0, h] at the last rung: from
+    about n = 59 * digits on, R_n is below 2**-(256 * digits), the grid of the
+    last rung of the ladder."""
     seen = set()
-    for n in range(1, 41):
+    extra = [60 * digits] if CheckStatus.UNKNOWN in statuses else []
+    for n in [*range(1, 41), *extra]:
         for c in LADDER_VECTORS:
             report = audit(n, c, digits)
             z = zeta3(report.digits_used)

@@ -31,6 +31,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def widen_form_abs(monkeypatch):
+    """widen_form_abs(n0) replaces |I_n| for n >= n0 by [0, 2h], h its upper
+    end: an enclosure touching 0, which no check can decide and no decay cell
+    can print to one digit. Both sides of every check have relative width
+    10**-digits at every n, so no real precision leaves a check unknown."""
+    exact = bounds.form_abs_enclosure
+
+    def widen(n0: int) -> None:
+        def widened(n: int, digits: int) -> Enclosure:
+            enc = exact(n, digits)
+            return enc if n < n0 else Enclosure.from_parts(0, 2 * enc.hi_num, enc.den)
+
+        monkeypatch.setattr(bounds, "form_abs_enclosure", widened)
+        bounds.ratio_enclosure.cache_clear()
+
+    yield widen
+    bounds.ratio_enclosure.cache_clear()  # drop the R_n built from the widened route
+
+
 # -- decimal formatting -------------------------------------------------------
 
 
@@ -239,9 +259,9 @@ def test_verify_five_rows_all_hold(capsys):
     assert all("bound=holds" in line and "ratio=holds" in line for line in lines)
 
 
-def test_verify_unknown_after_cap_exits_3(capsys):
-    # 1-digit request caps at 16 digits after four doublings, far too coarse
-    # for large n, so those rows stay unknown
+def test_verify_unknown_after_cap_exits_3(capsys, widen_form_abs):
+    # verify evaluates each check once; rows whose |I_n| touches 0 stay unknown
+    widen_form_abs(40)
     code, out, _ = run_cli(capsys, "verify", "--n-max", "50", "--digits", "1", "--quiet")
     assert code == EXIT_UNKNOWN
     assert "bound=unknown" in out
@@ -362,9 +382,10 @@ def test_decay_text_mode(capsys):
     assert out.splitlines()[0].startswith("n=1 d_n=1 abs_form=")
 
 
-def test_decay_exits_3_on_an_uncertified_cell(capsys):
-    # at 220 digits, n = 72 is the first row whose ratio and T_n cells cannot
-    # certify one significant digit and print a +/- field instead
+def test_decay_exits_3_on_an_uncertified_cell(capsys, widen_form_abs):
+    # a row whose |I_n| touches 0 cannot certify one significant digit of its
+    # abs_form and ratio cells and prints a +/- field instead
+    widen_form_abs(72)
     code, out, _ = run_cli(capsys, "decay", "--n-max", "72", "--digits", "220", "--quiet")
     assert "±" in out.splitlines()[-1]
     assert code == EXIT_UNKNOWN
