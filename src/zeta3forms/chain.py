@@ -159,9 +159,17 @@ def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def _grid_ratio(n: int, digits: int) -> Enclosure:
-    """R_n rounded outward onto zeta(3)'s 2**-budget_bits(digits) grid, so the
-    weighted sum and its upper bound share one power-of-two denominator."""
-    return ratio_enclosure(n, digits).round_out(budget_bits(digits))
+    """R_n rounded outward onto a 2**-bits grid, bits = budget_bits(digits)
+    plus the bits by which R_n falls below 1.
+
+    The grid is relative to R_n's size (about 10**(-1.3 n)), so the rounded
+    lower end stays positive at every n, and the power steps decide at the
+    requested digits. It is a multiple of zeta(3)'s 2**-budget_bits(digits)
+    grid, so the weighted sum and its upper bound align by one shift.
+    """
+    ratio = ratio_enclosure(n, digits)
+    below_one = max(0, ratio.den.bit_length() - ratio.hi_num.bit_length())
+    return ratio.round_out(budget_bits(digits) + below_one)
 
 
 def weighted_sum_enclosure(n: int, c: CoeffVector, digits: int) -> Enclosure:

@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import bounds, chain
 from .beukers import linear_form
 from .bounds import CheckStatus, DecayRow
-from .exactnum import Enclosure, floor_div_scaled, rat_str
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, floor_div_scaled, rat_str
 from .zeta3 import direct_max_digits, zeta3, zeta3_accelerated, zeta3_direct
 
 EXIT_OK = 0
@@ -34,9 +35,17 @@ EXIT_UNKNOWN = 3
 # -- certified decimal printing ----------------------------------------------
 
 
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
+def _pow10(k: int) -> int:
+    """10**k: a sweep compares many cells against the same few exponents."""
+    return 10**k
+
+
 def _below_pow10(num: int, den: int, e: int) -> bool:
     """num/den < 10**e, for den > 0, by cross-multiplying integers."""
-    return num * 10 ** max(0, -e) < den * 10 ** max(0, e)
+    if e < 0:
+        return num * _pow10(-e) < den
+    return num < den * _pow10(e)
 
 
 def _floor_log10(num: int, den: int) -> int:

@@ -21,17 +21,22 @@ gcd:
 * comparisons cross-multiply integers.
 
 Sizes stay bounded because long computations round outward onto a 2**-bits
-grid (`Enclosure.round_out`). Each endpoint is one exact floor division,
-`floor_div_scaled`: floor(n * 2**bits / den) with the power of two that
-``den`` carries cancelled first, which leaves the same rational and so the
-same quotient. The audit's R_n (``chain._grid_ratio``) has denominator
-2**k * 10**digits * 2 d_n^3, from |I_n|'s grid and sqrt(2)'s, so its
-divisor shrinks to 5**digits times the odd part of d_n^3; ``zeta3_direct``
-sums in units of a power of two. ``bounds.form_abs_enclosure``
-divides by its full denominator once per (n, digits). Reduced `Fraction`s are built only when an
-endpoint is read (``lo``, ``hi``, ``width``, ``midpoint``) and by
-``__hash__`` and ``__str__``; the CLI's decimal printer reads the integers
-instead. See Moore, *Interval Analysis* (1966), for the interval rules.
+grid (`Enclosure.round_out`). A request for ``digits`` decimal digits gets
+``budget_bits(digits)`` = 4 * digits + 4 bits: 16**-digits <= 10**-digits,
+so operands stay about as long as the digits asked for, and rounding adds
+at most 10**-digits / 8 to a width. The audit's R_n (about 10**(-1.3 n))
+goes onto a grid that many bits below its own size (``chain._grid_ratio``).
+Each endpoint is one exact floor division, `floor_div_scaled`: floor(n *
+2**bits / den) with the power of two that ``den`` carries cancelled first,
+which leaves the same rational and so the same quotient. Before it is
+rounded, the audit's R_n has denominator 2**k * 10**digits * 2 d_n^3, from
+|I_n|'s grid and sqrt(2)'s, so its divisor shrinks to 5**digits times the
+odd part of d_n^3; ``zeta3_direct`` sums in units of a power of two.
+``bounds.form_abs_enclosure`` divides by its full denominator once per (n,
+digits). Reduced `Fraction`s are built only when an endpoint is read
+(``lo``, ``hi``, ``width``, ``midpoint``) and by ``__hash__`` and
+``__str__``; the CLI's decimal printer reads the integers instead. See
+Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.
@@ -56,13 +61,14 @@ Rat = Fraction
 Scalar = Union[int, Fraction]
 
 # Outward-rounding budget: bits of denominator granularity granted per
-# requested decimal digit. 16 bits/digit is ~4.8x the 3.33 bits a decimal
-# digit needs, so budget rounding never dominates the enclosure width.
-BITS_PER_DIGIT = 16
+# requested decimal digit. 4 bits/digit is a grid of 16**-digits <=
+# 10**-digits, and `budget_bits` adds 4 bits, so rounding onto it widens an
+# enclosure by at most 2**(1 - bits) <= 10**-digits / 8.
+BITS_PER_DIGIT = 4
 
 
 def budget_bits(digits: int) -> int:
-    return BITS_PER_DIGIT * max(1, digits)
+    return BITS_PER_DIGIT * max(1, digits) + 4
 
 
 # Size of every production cache, keyed by requested digits or by n, so long

@@ -16,19 +16,21 @@ t_k and S_{K+1} bracket the limit. Term count, with no trial evaluation:
 |t_k| / 64 <= 8.32 * 1024^-k for k >= 1. K = digits // 3 + 2 has K + 1 >=
 (digits + 7) / 3, and 1024^(x/3) > 10^x, so the omitted |t_{K+1}| / 64 <
 8.32 * 10^-(digits+7) < 10^-digits. One term fewer would meet the bound too;
-the spare term keeps this enclosure inside the rounded enclosure of the
+the spare term keeps this enclosure inside the enclosure of the
 central-binomial series (5/2) sum (-1)^(k-1) / (k^3 C(2k,k)), the test
-oracle, at every size measured (each of 1-3000, 6000 and 20000), so a check
-decided on that enclosure is decided the same on this one.
+oracle, rounded onto the same 2**-budget_bits(digits) grid, at every size
+measured (each of 1-3000, 6000 and 20000), so a check decided on that
+enclosure is decided the same on this one. Rounding onto that grid adds at
+most 10**-digits / 8 to the width.
 
 The splitting runs on `decimal.Decimal`, used only as an exact integer type:
 libmpdec multiplies and divides large integers by a number-theoretic
 transform, which beats CPython's Karatsuba once operands pass about 30k bits
 and loses to it below. Measured on a 2-vCPU Xeon with CPython 3.11, the
-whole route (splitting and rounding) takes 3-4x the time of the same
-splitting on ints with `Enclosure.round_out` at 30-480 digits (1.8 against
-0.45 ms at 480), 2x at 2000, about as long at 6000 and under half at 20000
-(0.32 against 0.74 s). Every operation goes through one module context,
+whole route (splitting and rounding) takes 2-3x the time of the same
+splitting on ints with `Enclosure.round_out` at 30-2000 digits (0.61
+against 0.28 ms at 480), 1.2x at 6000 and two thirds of it at 20000 (0.18
+against 0.26 s). Every operation goes through one module context,
 `_EXACT` (precision MAX_PREC, exponent limits MAX_EMAX and MIN_EMIN, with
 Inexact, Rounded and InvalidOperation trapped), so an operation that would
 round raises instead; the caller's thread-local context is never read or

@@ -128,20 +128,24 @@ def test_one_digit_request_still_resolves():
     assert refined.status is CheckStatus.HOLDS
 
 
-def test_unknown_then_refined_at_high_n():
+def test_unknown_then_refined_at_high_n(ratio_touches_zero):
     # verify decides at the requested digits: beta_50 ~ 1e74 would amplify a
     # 20-digit zeta(3) width past |I_50| ~ 1e-79, but the convergent route
     # has relative width 1e-20 at every n
     assert sandwich_status(_zeta3_route_form_abs(50, 20), rhs_bound(50, 20)) is CheckStatus.UNKNOWN
     res = verify_form_bound(50, 20)
     assert (res.status, res.digits_used) == (CheckStatus.HOLDS, 20)
-    # the audit still refines: R_50 ~ 1e-70 rounds to [0, h] on the 3-digit
-    # grid, and the ladder climbs until the power steps decide
+    # so does the audit: R_50 ~ 1e-70 is rounded onto a grid relative to its
+    # size, so the power steps hold at 3 digits
     vector = CoeffVector((-6, 5))
+    natural = audit(50, vector, 3)
+    assert (natural.step("power_1").numeric, natural.digits_used) == (CheckStatus.HOLDS, 3)
+    # with R_50 at [0, h] below 12 digits, the ladder climbs until the power
+    # steps decide
+    ratio_touches_zero(12)
     assert _audit_once(50, vector, 3).step("power_1").numeric is CheckStatus.UNKNOWN
     refined = audit(50, vector, 3)
-    assert refined.step("power_1").numeric is CheckStatus.HOLDS
-    assert refined.digits_used > 3
+    assert (refined.step("power_1").numeric, refined.digits_used) == (CheckStatus.HOLDS, 12)
 
 
 def test_verify_rejects_bad_args():

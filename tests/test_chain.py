@@ -9,6 +9,7 @@ from zeta3forms.chain import (
     CoeffVector,
     InvalidCoeffVector,
     JustificationKind,
+    _grid_ratio,
     audit,
     fixed_corpus,
     random_corpus,
@@ -243,15 +244,16 @@ HOLDS_AND_UNKNOWN = {CheckStatus.HOLDS, CheckStatus.UNKNOWN}
     [(1, HOLDS_AND_UNKNOWN), (2, HOLDS_AND_UNKNOWN), (3, HOLDS_AND_UNKNOWN),
      (7, HOLDS_AND_UNKNOWN), (30, {CheckStatus.HOLDS})],
 )
-def test_power_steps_match_the_multiplied_out_powers(digits, statuses):
+def test_power_steps_match_the_multiplied_out_powers(ratio_touches_zero, digits, statuses):
     """Every power_k step reports what the powers themselves decide:
     sandwich_status(R**k, zeta(3)**k) at the precision the audit ended on.
-    The low precisions reach audits whose R is [0, h] at the last rung: from
-    about n = 59 * digits on, R_n is below 2**-(256 * digits), the grid of the
-    last rung of the ladder."""
-    seen = set()
-    extra = [60 * digits] if CheckStatus.UNKNOWN in statuses else []
-    for n in [*range(1, 41), *extra]:
+    R_n's grid follows its size, so at n = 1..40 and n = 60 * digits the power
+    steps hold at the requested digits. The low precisions then audit
+    n = 60 * digits again with R at [0, h] at every rung of the ladder, where
+    every power step ends unknown."""
+
+    def powers_seen(n: int) -> set[CheckStatus]:
+        seen = set()
         for c in LADDER_VECTORS:
             report = audit(n, c, digits)
             z = zeta3(report.digits_used)
@@ -259,4 +261,30 @@ def test_power_steps_match_the_multiplied_out_powers(digits, statuses):
                 status = sandwich_status(report.R**k, z**k)
                 assert report.step(f"power_{k}").numeric is status, (n, c, k)
                 seen.add(status)
+        return seen
+
+    for n in [*range(1, 41), 60 * digits]:
+        assert sandwich_status(_grid_ratio(n, digits), zeta3(digits)) is CheckStatus.HOLDS, n
+        assert powers_seen(n) == {CheckStatus.HOLDS}, n
+    seen = {CheckStatus.HOLDS}
+    if CheckStatus.UNKNOWN in statuses:
+        ratio_touches_zero()
+        seen |= powers_seen(60 * digits)
     assert seen == statuses
+
+
+def test_grid_ratio_lower_end_is_positive_up_to_300():
+    # R_n ~ 10**(-1.3 n) is rounded onto a grid relative to its size, so its
+    # lower end never rounds to 0
+    for n in range(1, 301):
+        for digits in range(1, 9):
+            assert _grid_ratio(n, digits).lo_num > 0, (n, digits)
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_power_steps_hold_at_one_digit_over_the_fixed_corpus(n):
+    for c in fixed_corpus():
+        report = audit(n, c, 1)
+        assert report.digits_used == 1, c
+        for k in range(1, c.m + 2):
+            assert report.step(f"power_{k}").numeric is CheckStatus.HOLDS, (c, k)

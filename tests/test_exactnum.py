@@ -195,8 +195,14 @@ def test_round_out_preserves_containment(x, p1, p2, bits):
 
 
 def test_budget_bits_scale():
-    assert budget_bits(10) == 160
-    assert budget_bits(0) == 16  # floor of one digit
+    assert budget_bits(10) == 44
+    assert budget_bits(0) == 8  # floor of one digit
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 10, 100, 20000])
+def test_budget_rounding_widens_by_at_most_an_eighth_of_the_digits(digits):
+    # round_out adds at most 2**(1 - bits) to a width
+    assert F(2, 2 ** budget_bits(digits)) <= F(1, 8 * 10**digits)
 
 
 # -- misc operator coverage ----------------------------------------------------

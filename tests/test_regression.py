@@ -21,9 +21,9 @@ were skipped.
 reciprocal: all 20 roundings of `bounds.ratio_enclosure` in that verify run,
 and the rounding of R in that audit (whose exact endpoints the JSON prints),
 took that path. Both now cancel the grid's power of two and divide once.
-``audit-unknown-power`` pins an audit whose power steps end ``unknown``,
-because R's enclosure at the last rung (16 digits) is [0, h]; every power
-step carries the base bound's status.
+``audit-unknown-power`` was recorded as an audit whose power steps end
+``unknown``, because R's enclosure at the last rung (16 digits) was [0, h];
+every power step carries the base bound's status.
 
 When zeta(3)'s accelerated series became the Amdeberhan-Zeilberger series,
 its enclosure moved inside the old one at every precision, so the
@@ -53,6 +53,17 @@ certified, and they stay pinned under their old names and argv as the
 sweeps that used to end uncertified. ``audit-unknown-power`` moved from
 n = 12, whose power steps now hold, to n = 60, where R_60 < 2**-256 rounds
 to [0, h] on the 16-digit grid of the last rung.
+
+When the rounding grid went from 16 to 4 bits per digit (plus 4), and the
+audit's R_n came to be rounded onto a grid relative to its own size,
+``audit``, ``verify-digits-1``, ``audit-json-2500`` and
+``audit-unknown-power`` were re-pinned. The audits' R, S and residual
+endpoints moved onto the coarser grids; ``verify-digits-1`` prints the rhs
+of row 30 as 3e-46 where it printed 2.8e-46. ``audit-unknown-power`` keeps
+its name and argv but no longer reaches ``unknown``: R_60 stays positive on
+its grid, so all five power steps hold at the requested 1 digit, and
+``test_audit_unknown_power_pin_reaches_unknown_power_steps`` reaches the
+``unknown`` power steps through a patched R_n at [0, h].
 """
 
 import ast
@@ -77,7 +88,7 @@ PINNED_STDOUT = {
     "audit": (
         ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "17", "--digits", "60", "--json"),
         EXIT_FAILS,
-        "cdbd8543d433328d069986557350b35bdb1c43c3a3df1ae484cfdcf38dfa6e8c",
+        "65f662d854dc192a5d78ebcd4af12a5043def2087dbb9b44b7c7adbd7b246223",
     ),
     "verify": (
         ("verify", "--n-max", "40", "--csv"),
@@ -142,7 +153,7 @@ PINNED_STDOUT = {
     "verify-digits-1": (
         ("verify", "--n-max", "50", "--digits", "1", "--csv"),
         EXIT_OK,
-        "29a69d14cf71e3fca991228f59b5a643d6b78901be4dcd1836be608683344a4a",
+        "4cf660791e93cad73017a45817b0f467c134cb8e6e12ef27aa66ab9c17ad3605",
     ),
     "verify-digits-700": (
         ("verify", "--n-max", "60", "--digits", "700", "--csv"),
@@ -157,12 +168,12 @@ PINNED_STDOUT = {
     "audit-json-2500": (
         ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "17", "--digits", "2500", "--json"),
         EXIT_FAILS,
-        "bfac06aa37f4a173886a7f7818c94c26edd56c69bc51eed63b9c38fdf9efd8f3",
+        "0eb20c12197c1c895ce9c951310f9390221f96d17bfd9bb231808092bfab60e4",
     ),
     "audit-unknown-power": (
         ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "60", "--digits", "1", "--json"),
         EXIT_FAILS,
-        "48902dece4f0619d1bd5c6c86084ef76ccccdb596fecf748a531f1baa5eca71a",
+        "6e86682a6a3d852ced374402752e385b8d1bead40d34ae030cb6edaad0e983a9",
     ),
     "zeta3-20000": (
         ("zeta3", "--digits", "20000"),
@@ -184,12 +195,21 @@ def test_stdout_matches_pinned_sha256(capsys, monkeypatch, name):
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
 
 
-def test_audit_unknown_power_pin_reaches_unknown_power_steps(capsys):
-    argv, _, _ = PINNED_STDOUT["audit-unknown-power"]
+def _power_steps(capsys, argv) -> tuple[list[str], int]:
     main([*argv, "--quiet"])
-    steps = json.loads(capsys.readouterr().out)["steps"]
-    powers = [s["numeric"] for s in steps if s["id"].startswith("power_")]
-    assert powers == ["unknown"] * 5
+    report = json.loads(capsys.readouterr().out)
+    powers = [s["numeric"] for s in report["steps"] if s["id"].startswith("power_")]
+    return powers, report["digits_used"]
+
+
+def test_audit_unknown_power_pin_reaches_unknown_power_steps(capsys, ratio_touches_zero):
+    argv, _, _ = PINNED_STDOUT["audit-unknown-power"]
+    # the pinned audit decides every power step at the requested digit
+    assert _power_steps(capsys, argv) == (["holds"] * 5, 1)
+    # with R_60 at [0, h] on every rung, the ladder climbs to its last rung
+    # and every power step ends unknown
+    ratio_touches_zero()
+    assert _power_steps(capsys, argv) == (["unknown"] * 5, 16)
 
 
 @pytest.mark.parametrize("name", ["verify", "decay", "audit", "zeta3"])

@@ -48,6 +48,18 @@ def test_direct_width_contract(digits):
     assert _contains_true_value(enc)
 
 
+def test_direct_width_contract_over_its_whole_range():
+    for digits in range(1, zmod.direct_max_digits() + 1):
+        assert zeta3_direct(digits).width() <= F(1, 10**digits), digits
+
+
+def test_accelerated_width_contract_on_the_coarse_grid():
+    # rounding onto the 2**-budget_bits(digits) grid adds at most
+    # 10**-digits / 8 to the series' own width
+    for digits in [*range(1, 401), 1000, 3000]:
+        assert zeta3_accelerated(digits).width() <= F(1, 10**digits), digits
+
+
 def test_direct_term_guard():
     with pytest.raises(ValueError):
         zeta3_direct(25)
@@ -142,10 +154,12 @@ def test_accelerated_matches_int_reference(digits):
     assert _fields(zeta3_accelerated(digits)) == _fields(_reference_accelerated(digits))
 
 
-# The central-binomial bracket is 8 (at 233 digits) to 3*10**6 times wider
-# than the accelerated enclosure over 1..300 digits, and zeta(3) lies about a
-# fifth of its width from its nearer end, so the accelerated enclosure lies
-# inside it: a bug in either series breaks the containment.
+# Rounded onto the same 2**-budget_bits(digits) grid, the central-binomial
+# bracket holds the accelerated enclosure at every size measured (1..3000,
+# 6000, 20000): a bug in either series breaks the containment. Unrounded, the
+# bracket is narrower than one step of that grid below about 20 digits, so
+# the accelerated enclosure overhangs it at 1..17 and 20 digits, and lies
+# inside it from 21 digits on.
 @given(st.integers(min_value=1, max_value=300))
 @example(2001)
 @example(6000)
@@ -155,7 +169,9 @@ def test_accelerated_lies_inside_the_central_binomial_bracket(digits):
     reference = _central_binomial_reference(digits)
     assert reference.width() <= F(1, 10**digits)
     enc = zeta3_accelerated(digits)
-    assert enc.intersect(reference) == enc  # enc lies inside reference
+    assert enc.intersect(reference.round_out(budget_bits(digits))) == enc
+    if digits > 20:
+        assert enc.intersect(reference) == enc  # enc lies inside reference
 
 
 def _fresh_fields(digits: int) -> tuple[int, int, int]:
