@@ -38,7 +38,7 @@ from typing import Callable
 
 from . import legendre
 from .combinatorics import d, harmonic
-from .exactnum import DIGITS_CACHE_SIZE, Enclosure, Rat
+from .exactnum import Enclosure, Rat
 
 
 class IntegralityViolation(ArithmeticError):
@@ -184,7 +184,6 @@ def _grow_apery(n: int) -> None:
         _APERY_Y.append(y)
 
 
-@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def linear_form(n: int) -> LinearForm:
     """The pair (alpha_n, beta_n) with I_n = alpha_n + beta_n*zeta(3).
 

@@ -14,8 +14,7 @@ with n. |I_n| takes zeta(3) from Apery's convergents (`form_abs_enclosure`;
 the tail lemma is in `beukers.apery_bracket`), whose exact lower end
 certifies the "0 <" side. (sqrt(2)-1)^(4n) is the reciprocal of
 (17 + 12*sqrt(2))^n = a + |b|*sqrt(2), a sum of positive terms. The
-certified zeta(3) enclosure enters the right-hand sides only. The ladder
-`refinement_digits` serves `chain.audit` alone.
+certified zeta(3) enclosure enters the right-hand sides only.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 from .beukers import apery_bracket, dn_cubed, linear_form
 from .combinatorics import d
-from .exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits, sqrt2_enclosure
 from .zeta3 import zeta3
 
 
@@ -44,18 +42,6 @@ class CheckResult:
     rhs: Enclosure
     status: CheckStatus
     digits_used: int
-
-
-# The audit doubles its working digits up to this many times while a step is Unknown.
-MAX_REFINEMENTS = 4
-
-
-def refinement_digits(digits: int):
-    """The refinement ladder: digits * 2**k for k = 0..MAX_REFINEMENTS."""
-    dd = digits
-    for _ in range(MAX_REFINEMENTS + 1):
-        yield dd
-        dd *= 2
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
@@ -84,7 +70,6 @@ def _growth_enclosure(n: int, digits: int) -> Enclosure:
     return sqrt2_enclosure(digits) * -b + a
 
 
-@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def shrink_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of (sqrt(2)-1)^(4n) = 1/(17+12*sqrt(2))^n, certified positive."""
     if n < 0:
@@ -109,6 +94,8 @@ def form_abs_enclosure(n: int, digits: int) -> Enclosure:
     onto a grid under half that width at most doubles it and makes operand
     sizes follow the digits, not n.
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     form = linear_form(n)
     enc = abs((apery_bracket(n + 11 * digits // 20 + 2) * form.B + form.A) / form.dn3)
     return enc.round_out(enc.den.bit_length() - (enc.hi_num - enc.lo_num).bit_length() + 2)
@@ -117,10 +104,23 @@ def form_abs_enclosure(n: int, digits: int) -> Enclosure:
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def ratio_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of R_n = |I_n| / (2 (sqrt(2)-1)^(4n) d_n^3), built as the
-    product |I_n| (17+12*sqrt(2))^n / (2 d_n^3) of positive enclosures."""
+    product |I_n| (17+12*sqrt(2))^n / (2 d_n^3) of positive enclosures.
+
+    It is rounded outward onto a 2**-bits grid, bits = budget_bits(digits)
+    plus the bits by which R_n falls below 1. The grid is relative to R_n's
+    size (about 10**(-1.3 n)), so the rounded lower end stays positive at
+    every n, and the audit's power steps decide at the requested digits. It
+    is a multiple of zeta(3)'s 2**-budget_bits(digits) grid, so the audit's
+    weighted sum and its upper bound align by one shift. Before rounding,
+    R_n has denominator 2**k * 10**digits * 2 d_n^3, from |I_n|'s grid and
+    sqrt(2)'s, so the rounding divides by 5**digits times the odd part of
+    d_n^3.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return form_abs_enclosure(n, digits) * _growth_enclosure(n, digits) / (2 * dn_cubed(n))
+    ratio = form_abs_enclosure(n, digits) * _growth_enclosure(n, digits) / (2 * dn_cubed(n))
+    below_one = max(0, ratio.den.bit_length() - ratio.hi_num.bit_length())
+    return ratio.round_out(budget_bits(digits) + below_one)
 
 
 def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
@@ -137,24 +137,20 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
     return CheckStatus.UNKNOWN
 
 
-def _check_sandwich(n: int, digits: int, sides: Callable[[], tuple[Enclosure, Enclosure]]) -> CheckResult:
-    """Decide 0 < lhs < rhs, with (lhs, rhs) = sides()."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    lhs, rhs = sides()
+def _check_sandwich(n: int, digits: int, lhs: Enclosure, rhs: Enclosure) -> CheckResult:
+    """Decide 0 < lhs < rhs, both sides built at (n, digits)."""
     return CheckResult(n=n, lhs=lhs, rhs=rhs, status=sandwich_status(lhs, rhs), digits_used=digits)
 
 
 def verify_form_bound(n: int, digits: int) -> CheckResult:
     """Check 0 < |A_n + B_n*zeta(3)|/d_n^3 < 2 (sqrt(2)-1)^(4n) zeta(3)."""
-    return _check_sandwich(n, digits, lambda: (form_abs_enclosure(n, digits), rhs_bound(n, digits)))
+    return _check_sandwich(n, digits, form_abs_enclosure(n, digits), rhs_bound(n, digits))
 
 
 def verify_ratio_bound(n: int, digits: int) -> CheckResult:
-    """Check the divided form 0 < R_n < zeta(3); independent of verify_form_bound."""
-    return _check_sandwich(n, digits, lambda: (ratio_enclosure(n, digits), zeta3(digits)))
+    """Check the divided form 0 < R_n < zeta(3). It reads the same |I_n| and
+    (17+12*sqrt(2))^n as verify_form_bound, so it is not an independent route."""
+    return _check_sandwich(n, digits, ratio_enclosure(n, digits), zeta3(digits))
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,12 +28,11 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .bounds import CheckStatus, ratio_enclosure, refinement_digits, sandwich_status
-from .exactnum import DIGITS_CACHE_SIZE, Enclosure, Trichotomy, budget_bits, trichotomy
+from .bounds import CheckStatus, ratio_enclosure, sandwich_status
+from .exactnum import Enclosure, Trichotomy, trichotomy
 from .zeta3 import zeta3
 
 
@@ -157,29 +156,26 @@ def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
     return acc
 
 
-@lru_cache(maxsize=DIGITS_CACHE_SIZE)
-def _grid_ratio(n: int, digits: int) -> Enclosure:
-    """R_n rounded outward onto a 2**-bits grid, bits = budget_bits(digits)
-    plus the bits by which R_n falls below 1.
-
-    The grid is relative to R_n's size (about 10**(-1.3 n)), so the rounded
-    lower end stays positive at every n, and the power steps decide at the
-    requested digits. It is a multiple of zeta(3)'s 2**-budget_bits(digits)
-    grid, so the weighted sum and its upper bound align by one shift.
-    """
-    ratio = ratio_enclosure(n, digits)
-    below_one = max(0, ratio.den.bit_length() - ratio.hi_num.bit_length())
-    return ratio.round_out(budget_bits(digits) + below_one)
-
-
 def weighted_sum_enclosure(n: int, c: CoeffVector, digits: int) -> Enclosure:
     """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k = R_n * sum_i c_i R_n^i."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    ratio = _grid_ratio(n, digits)
+    ratio = ratio_enclosure(n, digits)
     return ratio * _poly_enclosure(c.c, ratio)
+
+
+# The audit doubles its working digits up to this many times while a step is Unknown.
+MAX_REFINEMENTS = 4
+
+
+def refinement_digits(digits: int):
+    """The refinement ladder: digits * 2**k for k = 0..MAX_REFINEMENTS."""
+    dd = digits
+    for _ in range(MAX_REFINEMENTS + 1):
+        yield dd
+        dd *= 2
 
 
 def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
@@ -199,7 +195,7 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
 
 def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     z = zeta3(digits)
-    ratio = _grid_ratio(n, digits)
+    ratio = ratio_enclosure(n, digits)
 
     # Powers k = 1..m+1 of the base bound: 0 < R_n^k < zeta(3)^k. R_n's enclosure
     # is >= 0 (round_out, a floor, of a positive enclosure), zeta(3)'s
@@ -286,6 +282,8 @@ def report_to_json(report: ChainReport) -> str:
 # -- deterministic test corpora ----------------------------------------------
 
 FIXED_CORPUS_SIZE = 200
+CORPUS_M_MAX = 4
+CORPUS_COEFF_BOUND = 10
 _FIXED_FILL_SEED = 0x5EED
 
 
@@ -306,16 +304,15 @@ def fixed_corpus() -> tuple[CoeffVector, ...]:
     return tuple(out[:FIXED_CORPUS_SIZE])
 
 
-def random_corpus(
-    count: int, seed: int, m_max: int = 4, coeff_bound: int = 10
-) -> tuple[CoeffVector, ...]:
-    """Seeded pseudo-random coefficient vectors; reproducible across runs."""
+def random_corpus(count: int, seed: int) -> tuple[CoeffVector, ...]:
+    """Seeded pseudo-random coefficient vectors, m <= CORPUS_M_MAX and
+    |c_i| <= CORPUS_COEFF_BOUND; reproducible across runs."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        m = rng.randint(1, m_max)
-        c = [rng.randint(-coeff_bound, coeff_bound) for _ in range(m + 1)]
+        m = rng.randint(1, CORPUS_M_MAX)
+        c = [rng.randint(-CORPUS_COEFF_BOUND, CORPUS_COEFF_BOUND) for _ in range(m + 1)]
         while c[-1] == 0:
-            c[-1] = rng.randint(-coeff_bound, coeff_bound)
+            c[-1] = rng.randint(-CORPUS_COEFF_BOUND, CORPUS_COEFF_BOUND)
         out.append(CoeffVector(tuple(c)))
     return tuple(out)

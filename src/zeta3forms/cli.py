@@ -144,6 +144,19 @@ def _banner(args: argparse.Namespace, text: str) -> None:
         print(f"[zeta3forms] {text}", file=sys.stderr)
 
 
+def _write_table(
+    out: TextIO, as_csv: bool, header: Sequence[str], rows: Sequence[tuple], keys: Sequence[str]
+) -> None:
+    """Rows as CSV under ``header``, or as one line of key=value pairs each."""
+    if as_csv:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for row in rows:
+            print(" ".join(f"{k}={v}" for k, v in zip(keys, row)), file=out)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -170,16 +183,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         statuses.extend((fb.status, rb.status))
         cells = (enclosure_decimal(fb.lhs), enclosure_decimal(fb.rhs), fb.digits_used, rb.digits_used)
         rows.append((n, fb.status.value, rb.status.value) + cells)
-    if args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["n", "bound_status", "ratio_status", "lhs", "rhs", "bound_digits", "ratio_digits"]
-        )
-        writer.writerows(rows)
-    else:
-        keys = ("n", "bound", "ratio", "lhs", "rhs", "bound_digits", "ratio_digits")
-        for row in rows:
-            print(" ".join(f"{k}={v}" for k, v in zip(keys, row)))
+    header = ("n", "bound_status", "ratio_status", "lhs", "rhs", "bound_digits", "ratio_digits")
+    keys = ("n", "bound", "ratio", "lhs", "rhs", "bound_digits", "ratio_digits")
+    _write_table(sys.stdout, args.csv, header, rows, keys)
     return _exit_for(statuses)
 
 
@@ -228,19 +234,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def write_decay_table(rows: Sequence[DecayRow], out: TextIO, as_csv: bool) -> int:
     """Write the decay table to ``out`` as CSV or key=value lines; EXIT_UNKNOWN
     when a cell carries a +/- field (not one digit certified), else EXIT_OK."""
-    header = ["n", "d_n", "abs_form", "rhs_bound", "ratio", "T_n"]
+    header = ("n", "d_n", "abs_form", "rhs_bound", "ratio", "T_n")
     formatted = [
         (row.n, row.dn)
         + tuple(enclosure_decimal(e, 10) for e in (row.form_abs, row.rhs, row.ratio, row.t_n))
         for row in rows
     ]
-    if as_csv:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(formatted)
-    else:
-        for cells in formatted:
-            print(" ".join(f"{k}={v}" for k, v in zip(header, cells)), file=out)
+    _write_table(out, as_csv, header, formatted, header)
     if any("±" in cell for cells in formatted for cell in cells[2:]):
         return EXIT_UNKNOWN
     return EXIT_OK

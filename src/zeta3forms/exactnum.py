@@ -24,19 +24,16 @@ Sizes stay bounded because long computations round outward onto a 2**-bits
 grid (`Enclosure.round_out`). A request for ``digits`` decimal digits gets
 ``budget_bits(digits)`` = 4 * digits + 4 bits: 16**-digits <= 10**-digits,
 so operands stay about as long as the digits asked for, and rounding adds
-at most 10**-digits / 8 to a width. The audit's R_n (about 10**(-1.3 n))
-goes onto a grid that many bits below its own size (``chain._grid_ratio``).
-Each endpoint is one exact floor division, `floor_div_scaled`: floor(n *
-2**bits / den) with the power of two that ``den`` carries cancelled first,
-which leaves the same rational and so the same quotient. Before it is
-rounded, the audit's R_n has denominator 2**k * 10**digits * 2 d_n^3, from
-|I_n|'s grid and sqrt(2)'s, so its divisor shrinks to 5**digits times the
-odd part of d_n^3; ``zeta3_direct`` sums in units of a power of two.
-``bounds.form_abs_enclosure`` divides by its full denominator once per (n,
-digits). Reduced `Fraction`s are built only when an endpoint is read
-(``lo``, ``hi``, ``width``, ``midpoint``) and by ``__hash__`` and
-``__str__``; the CLI's decimal printer reads the integers instead. See
-Moore, *Interval Analysis* (1966), for the interval rules.
+at most 10**-digits / 8 to a width. R_n (about 10**(-1.3 n)) goes onto a
+grid that many bits below its own size (``bounds.ratio_enclosure``). Each
+endpoint is one exact floor division, `floor_div_scaled`: floor(n * 2**bits
+/ den) with the power of two that ``den`` carries cancelled first, which
+leaves the same rational and so the same quotient. ``zeta3_direct`` sums in
+units of a power of two, and ``bounds.form_abs_enclosure`` divides by its
+full denominator once per (n, digits). Reduced `Fraction`s are built only
+when an endpoint is read (``lo``, ``hi``, ``width``, ``midpoint``) and by
+``__hash__`` and ``__str__``; the CLI's decimal printer reads the integers
+instead. See Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.

@@ -258,7 +258,6 @@ def _round_out(lo: Decimal, hi: Decimal, den: Decimal, bits: int) -> tuple[int, 
     return ends[0], ends[1]
 
 
-@lru_cache(maxsize=DIGITS_CACHE_SIZE)
 def zeta3_accelerated(digits: int) -> Enclosure:
     """Enclosure of width <= 10**-digits via binary splitting."""
     if digits < 1:

@@ -18,13 +18,13 @@ def ratio_touches_zero(monkeypatch):
     from zeta3forms import chain
     from zeta3forms.exactnum import Enclosure
 
-    exact = chain._grid_ratio
+    exact = chain.ratio_enclosure
 
     def widen(below: float = float("inf")) -> None:
         def widened(n: int, digits: int) -> Enclosure:
             enc = exact(n, digits)
             return enc if digits >= below else Enclosure.from_parts(0, enc.hi_num, enc.den)
 
-        monkeypatch.setattr(chain, "_grid_ratio", widened)
+        monkeypatch.setattr(chain, "ratio_enclosure", widened)
 
     return widen

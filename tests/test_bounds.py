@@ -21,7 +21,7 @@ from zeta3forms.bounds import (
 from zeta3forms.chain import CoeffVector, _audit_once, audit
 from zeta3forms.cli import EXIT_OK, main
 from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
-from zeta3forms.zeta3 import zeta3, zeta3_accelerated, zeta3_direct
+from zeta3forms.zeta3 import zeta3, zeta3_direct
 
 F = Fraction
 
@@ -262,30 +262,27 @@ def test_ratio_enclosure_strictly_inside_unit():
 def test_digit_keyed_caches_stay_bounded():
     caches = (
         ratio_enclosure,
-        shrink_enclosure,
         form_abs_enclosure,
         unit_pair,
-        linear_form,
         zeta3,
         zeta3_direct,
-        zeta3_accelerated,
         sqrt2_enclosure,
     )
     assert all(fn.cache_info().maxsize == DIGITS_CACHE_SIZE for fn in caches)
     # more distinct (n, digits) keys than the cache holds, and as many digit counts
     for i in range(DIGITS_CACHE_SIZE + 20):
-        shrink_enclosure(1 + i % 5, 10 + i)
-    assert shrink_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
+        ratio_enclosure(1 + i % 5, 10 + i)
+    assert ratio_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
     assert sqrt2_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
 
 
 def test_n_keyed_caches_stay_bounded_in_a_long_verify(capsys):
     assert main(["verify", "--n-max", "300", "--csv", "--quiet"]) == EXIT_OK
     capsys.readouterr()
-    caches = (linear_form, unit_pair, form_abs_enclosure, ratio_enclosure, shrink_enclosure)
+    caches = (unit_pair, form_abs_enclosure, ratio_enclosure)
     sizes = {fn.__name__: fn.cache_info().currsize for fn in caches}
     assert max(sizes.values()) <= DIGITS_CACHE_SIZE, sizes
-    assert sizes["linear_form"] == DIGITS_CACHE_SIZE  # 300 forms were built
+    assert sizes["form_abs_enclosure"] == DIGITS_CACHE_SIZE  # 300 forms were built
 
 
 # -- one evaluation per check ------------------------------------------------------
@@ -317,19 +314,27 @@ def test_every_check_holds_at_one_digit_up_to_300():
 def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
     # Every check of verify --n-max 200 builds its lhs and rhs once, at the
     # requested digits, and every row holds.
-    for cached in (ratio_enclosure, shrink_enclosure, form_abs_enclosure, zeta3):
+    for cached in (ratio_enclosure, form_abs_enclosure, zeta3):
         cached.cache_clear()
-    rhs_calls = []
+    calls = {name: [] for name in ("rhs_bound", "ratio_enclosure", "shrink_enclosure", "linear_form")}
 
-    def counted_rhs_bound(n, digits):
-        rhs_calls.append((n, digits))
-        return rhs_bound(n, digits)
+    def spy(name):
+        fn = getattr(bounds, name)
 
-    monkeypatch.setattr(bounds, "rhs_bound", counted_rhs_bound)
+        def counted(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+
+    # form_abs_enclosure calls linear_form once per build, and verify calls
+    # ratio_enclosure once per row, so these spies count builds
+    for name in calls:
+        spy(name)
     assert main(["verify", "--n-max", "200", "--csv", "--quiet"]) == EXIT_OK
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert all(row[1:3] == ["holds", "holds"] and row[5:] == ["30", "30"] for row in rows)
     assert "±" not in "".join(cell for row in rows for cell in row)
-    assert rhs_calls == [(n, 30) for n in range(1, 201)]
-    builds = [fn.cache_info().misses for fn in (ratio_enclosure, shrink_enclosure, form_abs_enclosure)]
+    assert calls["rhs_bound"] == [(n, 30) for n in range(1, 201)]
+    builds = [len(calls[name]) for name in ("ratio_enclosure", "shrink_enclosure", "linear_form")]
     assert builds == [200, 200, 200]

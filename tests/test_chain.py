@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from zeta3forms.beukers import linear_form
-from zeta3forms.bounds import CheckStatus, sandwich_status
+from zeta3forms.bounds import CheckStatus, ratio_enclosure, sandwich_status
 from zeta3forms.chain import (
     ChainReport,
     CoeffVector,
     InvalidCoeffVector,
     JustificationKind,
-    _grid_ratio,
     audit,
     fixed_corpus,
     random_corpus,
@@ -264,7 +263,7 @@ def test_power_steps_match_the_multiplied_out_powers(ratio_touches_zero, digits,
         return seen
 
     for n in [*range(1, 41), 60 * digits]:
-        assert sandwich_status(_grid_ratio(n, digits), zeta3(digits)) is CheckStatus.HOLDS, n
+        assert sandwich_status(ratio_enclosure(n, digits), zeta3(digits)) is CheckStatus.HOLDS, n
         assert powers_seen(n) == {CheckStatus.HOLDS}, n
     seen = {CheckStatus.HOLDS}
     if CheckStatus.UNKNOWN in statuses:
@@ -278,7 +277,7 @@ def test_grid_ratio_lower_end_is_positive_up_to_300():
     # lower end never rounds to 0
     for n in range(1, 301):
         for digits in range(1, 9):
-            assert _grid_ratio(n, digits).lo_num > 0, (n, digits)
+            assert ratio_enclosure(n, digits).lo_num > 0, (n, digits)
 
 
 @pytest.mark.parametrize("n", [60, 200])

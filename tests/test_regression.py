@@ -1,69 +1,21 @@
 """Regression nets: pinned CLI stdout, and the package's source rules.
 
-The first four sha256 digests were recorded from the Fraction-endpoint
-enclosure kernel, before the integer-endpoint kernel replaced it; every value
-and every outward rounding is unchanged, so the bytes must be too. The rest
-(the zeta(3) methods and help, form JSON, text audit, an uncertified decay
-table) were recorded before the zeta(3) method dispatch, the audit power step
-and the decay formatting were simplified. ``zeta3-accelerated-6000`` was
-recorded while outward rounding still used plain long division; at 6000
-digits its quotient has about 96k bits. It then went through the Newton
-path of ``Enclosure.round_out``, and now through the Decimal bracket of
-``zeta3._round_out``.
-``form-json-2000`` was recorded while the Apery table still held a_n as
-Fractions, before the integer table Y_n = 2 d_n^3 a_n replaced it.
-``verify-unknown``, ``verify-digits-1`` and ``verify-digits-700`` were
-recorded while every check still built its enclosures at every rung of the
-refinement ladder, before rungs where the enclosure of |I_n| touches zero
-were skipped.
-``verify-digits-2500`` and ``audit-json-2500`` were recorded while
-`Enclosure.round_out` still divided large operands through a Newton
-reciprocal: all 20 roundings of `bounds.ratio_enclosure` in that verify run,
-and the rounding of R in that audit (whose exact endpoints the JSON prints),
-took that path. Both now cancel the grid's power of two and divide once.
-``audit-unknown-power`` was recorded as an audit whose power steps end
-``unknown``, because R's enclosure at the last rung (16 digits) was [0, h];
-every power step carries the base bound's status.
+Each pin is an argv with its exit code and the sha256 of its stdout:
 
-When zeta(3)'s accelerated series became the Amdeberhan-Zeilberger series,
-its enclosure moved inside the old one at every precision, so the
-enclosures built on it moved and ``audit``, ``verify``, ``decay-unknown``,
-``verify-unknown``, ``verify-digits-1`` and ``audit-json-2500`` were
-re-pinned: each printed interval overlaps its old one, no ``holds`` or
-``fails`` changed, rows 160-161 of ``verify-unknown`` and 7-8 of
-``verify-digits-1`` went from ``unknown`` to ``holds``, and some checks
-decide at a lower rung, so they print fewer digits (``verify`` rows 12-14
-and 22-23). ``decay-unknown``, ``verify-unknown`` and ``verify-digits-1``
-still exit 3. The printed
-zeta(3) digits did not move. ``audit-unknown-power`` used to pin n = 8,
-whose power steps the narrower enclosure certifies (``holds``); n = 12
-still ends ``unknown``, so the pin moved there. ``zeta3-20000`` is the
-size the benchmark prints, recorded from the central-binomial route.
+- ``audit``, ``audit-text``, ``audit-json-2500``, ``audit-unknown-power``:
+  the chain audit's report, JSON endpoints and text, at 60, 30, 2500 and 1 digits.
+- ``verify``, ``verify-unknown``, ``verify-digits-*``: the verify table for
+  n up to 200, at 1 to 2500 digits.
+- ``decay``, ``decay-unknown``: the decay table at 220 digits.
+- ``zeta3*``: zeta(3)'s printed digits by each method, up to 20000 digits,
+  and the subcommand's help text.
+- ``form-json``, ``form-json-2000``: the exact linear forms at n = 50 and 2000.
 
-When |I_n| came to take zeta(3) from Apery's convergents and (sqrt(2)-1)^(4n)
-from the reciprocal of (17 + 12 sqrt(2))^n, each check was evaluated once,
-at the requested digits, and ``audit``, ``verify``, ``decay-unknown``,
-``verify-unknown``, ``verify-digits-1``, ``audit-json-2500`` and
-``audit-unknown-power`` were re-pinned. No ``holds`` or ``fails`` changed,
-every ``unknown`` check became ``holds``, every cell prints from the
-requested digits with no +/- field, and every new enclosure meets the old
-one. The names ``decay-unknown``, ``verify-unknown`` and ``verify-digits-1``
-no longer describe their output: all three exit 0 with every check or cell
-certified, and they stay pinned under their old names and argv as the
-sweeps that used to end uncertified. ``audit-unknown-power`` moved from
-n = 12, whose power steps now hold, to n = 60, where R_60 < 2**-256 rounds
-to [0, h] on the 16-digit grid of the last rung.
+The names ending in ``unknown`` keep the argv of sweeps that once ended
+uncertified; every check in them now decides.
 
-When the rounding grid went from 16 to 4 bits per digit (plus 4), and the
-audit's R_n came to be rounded onto a grid relative to its own size,
-``audit``, ``verify-digits-1``, ``audit-json-2500`` and
-``audit-unknown-power`` were re-pinned. The audits' R, S and residual
-endpoints moved onto the coarser grids; ``verify-digits-1`` prints the rhs
-of row 30 as 3e-46 where it printed 2.8e-46. ``audit-unknown-power`` keeps
-its name and argv but no longer reaches ``unknown``: R_60 stays positive on
-its grid, so all five power steps hold at the requested 1 digit, and
-``test_audit_unknown_power_pin_reaches_unknown_power_steps`` reaches the
-``unknown`` power steps through a patched R_n at [0, h].
+The source rules: no assert, no floating point, no thread-local decimal
+context, and no unbounded cache outside the test oracles.
 """
 
 import ast
@@ -77,8 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from zeta3forms import beukers, bounds, zeta3
-from zeta3forms.beukers import linear_form
+from zeta3forms import beukers, bounds, chain, zeta3
 from zeta3forms.cli import EXIT_FAILS, EXIT_OK, main
 from zeta3forms.exactnum import sqrt2_enclosure
 
@@ -241,13 +192,10 @@ def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
     monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:2])
     monkeypatch.setattr(beukers, "_APERY_Y", beukers._APERY_Y[:2])
     caches = (
-        linear_form,
         bounds.form_abs_enclosure,
-        bounds.shrink_enclosure,
         bounds.ratio_enclosure,
         sqrt2_enclosure,
         zeta3.zeta3,
-        zeta3.zeta3_accelerated,
         zeta3.zeta3_direct,
     )
     for cached in caches:
@@ -392,3 +340,34 @@ def test_package_has_no_assert_and_no_floating_point():
     assert len(modules) >= 8
     found = [v for path in modules for v in _violations(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+# -- a cache is kept only where its keys come back ---------------------------------
+
+
+def _package_caches() -> dict[str, object]:
+    """Every lru_cache on a zeta3forms module attribute, by module.function."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zeta3forms."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_info") and hasattr(value, "__wrapped__"):
+                    inner = value.__wrapped__
+                    found[f"{inner.__module__.rsplit('.', 1)[1]}.{inner.__qualname__}"] = value
+    return found
+
+
+def test_every_production_cache_records_hits(capsys):
+    # From cleared caches, a verify sweep, a decay table and the benchmark's
+    # audit pattern (n = i mod 20 + 1 at 60 digits) hit every production cache.
+    caches = {k: fn for k, fn in _package_caches().items() if k not in _UNBOUNDED_CACHE_ALLOWED}
+    assert {"bounds.ratio_enclosure", "zeta3.zeta3", "cli._pow10"} <= set(caches)
+    for fn in caches.values():
+        fn.cache_clear()
+    assert main(["verify", "--n-max", "200", "--quiet"]) == EXIT_OK
+    assert main(["decay", "--n-max", "30", "--quiet"]) == EXIT_OK
+    for i, c in enumerate(chain.random_corpus(100, seed=3)):
+        chain.audit(i % 20 + 1, c, 60)
+    capsys.readouterr()
+    idle = {k: fn.cache_info() for k, fn in caches.items() if fn.cache_info().hits == 0}
+    assert idle == {}

@@ -174,22 +174,13 @@ def test_accelerated_lies_inside_the_central_binomial_bracket(digits):
         assert enc.intersect(reference) == enc  # enc lies inside reference
 
 
-def _fresh_fields(digits: int) -> tuple[int, int, int]:
-    """zeta3_accelerated(digits) computed afresh, leaving no cache entry behind."""
-    zeta3_accelerated.cache_clear()
-    try:
-        return _fields(zeta3_accelerated(digits))
-    finally:
-        zeta3_accelerated.cache_clear()
-
-
 @pytest.mark.parametrize("guard, sizes", [(40, (3, 60, 2001)), (0, (6, 6000))])
 def test_accelerated_ignores_the_callers_decimal_context(monkeypatch, guard, sizes):
     # A 5-digit context that rounds silently would corrupt any operation that
     # fell back on it. Without guard digits the exact fallback runs too.
     monkeypatch.setattr(zmod, "_GUARD_DIGITS", guard)
     with decimal.localcontext(prec=5, traps=[]):
-        got = [_fresh_fields(d) for d in sizes]
+        got = [_fields(zeta3_accelerated(d)) for d in sizes]
     assert got == [_fields(_reference_accelerated(d)) for d in sizes]
 
 
@@ -226,7 +217,7 @@ def test_exact_fallback_runs_only_when_the_bracket_straddles(monkeypatch, guard,
 
     monkeypatch.setattr(zmod, "_exact_round", spy)
     monkeypatch.setattr(zmod, "_GUARD_DIGITS", guard)
-    got = _fresh_fields(digits)
+    got = _fields(zeta3_accelerated(digits))
     assert calls == fallbacks
     assert got == _fields(_reference_accelerated(digits))
 
