@@ -4,7 +4,8 @@
 Tallies per-step numeric statuses and justification kinds, and reports
 whether any audit ever certified the final contradiction (none should).
 Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
-usage error, such as a size below 1 or a negative --random.
+usage error, such as a size below 1, a negative --random or a --json-out
+path that cannot be written (checked before any computation).
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60
@@ -34,6 +35,11 @@ def main() -> int:
     parser.add_argument("--n-max", type=_positive_int, default=20)
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
+    if args.json_out is not None:
+        try:
+            args.json_out.open("w", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"cannot write --json-out: {exc}")
 
     corpus = list(fixed_corpus()) + list(random_corpus(args.random, seed=args.seed))
     numeric: Counter[str] = Counter()

@@ -4,7 +4,8 @@
 The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
 written cell carries a +/- field (not one significant digit certified), as
 the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
-2 on a usage error, such as a size below 1 or a negative EXP.
+2 on a usage error, such as a size below 1, a negative EXP or an --out
+path that cannot be written (checked before any computation).
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -38,6 +39,10 @@ def main() -> int:
     parser.add_argument("--t-cap-exp", type=_nonnegative_int, default=10,
                         help="certify T_{n_max} < 10**-EXP, EXP >= 0")
     args = parser.parse_args()
+    try:
+        args.out.open("w", encoding="utf-8").close()
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
 
     started = time.perf_counter()
     rows = decay_table(args.n_max, args.digits)

@@ -207,9 +207,11 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
     # bounds is only an inference when every multiplier is positive. The
     # upper bound is z * residual with residual = sum_i c_i zeta(3)^i, so one
-    # Horner pass serves this step and the substitution.
-    weighted = weighted_sum_enclosure(n, c, digits)
-    residual = residual_enclosure(c, digits)
+    # Horner pass serves this step and the substitution. S and the residual
+    # are built from the R_n and zeta(3) above, as the public
+    # weighted_sum_enclosure and residual_enclosure build them.
+    weighted = ratio * _poly_enclosure(c.c, ratio)
+    residual = _poly_enclosure(c.c, z)
     upper = z * residual
     if c.all_positive:
         ws_just = Justification.justified()

@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import bounds, chain
 from .beukers import linear_form
 from .bounds import CheckStatus, DecayRow
-from .exactnum import DIGITS_CACHE_SIZE, Enclosure, floor_div_scaled, rat_str
+from .exactnum import Enclosure, floor_div_scaled, rat_str
 from .zeta3 import direct_max_digits, zeta3, zeta3_accelerated, zeta3_direct
 
 EXIT_OK = 0
@@ -35,17 +34,11 @@ EXIT_UNKNOWN = 3
 # -- certified decimal printing ----------------------------------------------
 
 
-@lru_cache(maxsize=DIGITS_CACHE_SIZE)
-def _pow10(k: int) -> int:
-    """10**k: a sweep compares many cells against the same few exponents."""
-    return 10**k
-
-
 def _below_pow10(num: int, den: int, e: int) -> bool:
     """num/den < 10**e, for den > 0, by cross-multiplying integers."""
     if e < 0:
-        return num * _pow10(-e) < den
-    return num < den * _pow10(e)
+        return num * 10**-e < den
+    return num < den * 10**e
 
 
 def _floor_log10(num: int, den: int) -> int:
@@ -60,26 +53,14 @@ def _floor_log10(num: int, den: int) -> int:
     return e
 
 
-def _round_nonneg(num: int, den: int, mode: str) -> int:
-    if mode == "half_up":
-        return (2 * num + den) // (2 * den)
-    if mode == "up":
-        return -((-num) // den)
-    raise ValueError(f"unknown rounding mode {mode!r}")
-
-
-def fraction_sci(num: int, den: int, sig: int, mode: str = "half_up") -> str:
-    """num/den (den > 0, not necessarily coprime) in scientific notation
-    with exactly ``sig`` significant digits."""
-    if sig < 1 or den < 1:
-        raise ValueError("fraction_sci expects sig >= 1 and den >= 1")
-    if num == 0:
-        return "0"
+def _sci(num: int, den: int, sig: int, e: int, up: bool = False) -> str:
+    """num/den (num != 0, den > 0) to ``sig`` significant digits, given
+    e = floor(log10 |num/den|); rounded half up, or away from zero if ``up``."""
     sign = "-" if num < 0 else ""
-    num = abs(num)
-    e = _floor_log10(num, den)
-    shift = e - sig + 1  # m is num/den divided by 10**shift, rounded
-    m = _round_nonneg(num * 10 ** max(0, -shift), den * 10 ** max(0, shift), mode)
+    shift = e - sig + 1  # m is |num/den| divided by 10**shift, rounded
+    num = abs(num) * 10 ** max(0, -shift)
+    den = den * 10 ** max(0, shift)
+    m = -(-num // den) if up else (2 * num + den) // (2 * den)
     if m >= 10**sig:  # rounding carried into the next decade
         m //= 10
         e += 1
@@ -88,12 +69,26 @@ def fraction_sci(num: int, den: int, sig: int, mode: str = "half_up") -> str:
     return f"{sign}{mant}e{e:+03d}"
 
 
+def fraction_sci(num: int, den: int, sig: int, mode: str = "half_up") -> str:
+    """num/den (den > 0, not necessarily coprime) in scientific notation
+    with exactly ``sig`` significant digits, rounded "half_up" or "up"."""
+    if sig < 1 or den < 1:
+        raise ValueError("fraction_sci expects sig >= 1 and den >= 1")
+    if num == 0:
+        return "0"
+    if mode not in ("half_up", "up"):
+        raise ValueError(f"unknown rounding mode {mode!r}")
+    return _sci(num, den, sig, _floor_log10(abs(num), den), mode == "up")
+
+
 def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
     """Midpoint decimal certified to < 1 ulp of the printed precision.
 
-    The precision is lowered until the enclosure width is below one unit in
-    the last place; if even one significant digit cannot be certified, the
-    half-width is appended as an explicit +/- field (rounded upward).
+    With e = floor(log10 |mid|), the sig-th digit is in place 10**(e-sig+1),
+    and for width > 0, width < 10**(e-sig+1) exactly when
+    sig <= e - floor(log10 width). So sig = min(max_sig, e - floor(log10
+    width)); when that is below 1, one digit is printed and the half-width
+    is appended as an explicit +/- field (rounded upward).
     """
     den = enc.den
     mid = enc.lo_num + enc.hi_num  # over 2 * den
@@ -103,12 +98,11 @@ def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
     if mid == 0:
         return "0±" + fraction_sci(width, 2 * den, 2, "up")
     e = _floor_log10(abs(mid), 2 * den)
-    sig = max_sig
-    while sig > 1 and not _below_pow10(width, den, e - sig + 1):
-        sig -= 1
-    if _below_pow10(width, den, e - sig + 1):
-        return fraction_sci(mid, 2 * den, sig)
-    return fraction_sci(mid, 2 * den, sig) + "±" + fraction_sci(width, 2 * den, 2, "up")
+    sig = min(max_sig, e - _floor_log10(width, den))
+    text = _sci(mid, 2 * den, max(sig, 1), e)
+    if sig < 1:
+        text += "±" + fraction_sci(width, 2 * den, 2, "up")
+    return text
 
 
 def fraction_places(num: int, den: int, places: int) -> str:
@@ -120,12 +114,11 @@ def fraction_places(num: int, den: int, places: int) -> str:
     """
     if num < 0 or den < 1:
         raise ValueError("fraction_places expects num >= 0 and den >= 1")
-    scale = 10**places
-    n = floor_div_scaled(2 * num * scale + den, 0, 2 * den)
+    digs = str(floor_div_scaled(2 * num * 10**places + den, 0, 2 * den))
     if places == 0:
-        return str(n)
-    q, r = divmod(n, scale)
-    return f"{q}.{r:0{places}d}"
+        return digs
+    digs = digs.rjust(places + 1, "0")
+    return f"{digs[:-places]}.{digs[-places:]}"
 
 
 # -- exit-code aggregation -----------------------------------------------------

@@ -117,13 +117,22 @@ def _ref_enclosure_decimal(enc: Enclosure, max_sig: int) -> str:
     return _ref_fraction_sci(mid, sig) + "±" + _ref_fraction_sci(width / 2, 2, "up")
 
 
+SHAPES = ("any", "point", "zero_midpoint", "negative", "straddle", "boundary")
+
+
 @st.composite
-def unreduced_enclosures(draw):
+def unreduced_enclosures(draw, shapes=SHAPES):
     """Enclosures of every shape the printer branches on, over a den that
     shares a random factor with both numerators and may have thousands of bits."""
-    shape = draw(st.sampled_from(("any", "point", "zero_midpoint", "negative", "straddle")))
+    shape = draw(st.sampled_from(shapes))
     a = draw(st.integers(min_value=0, max_value=10**30))
     w = draw(st.integers(min_value=0, max_value=10 ** draw(st.integers(min_value=0, max_value=30))))
+    den = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**12),
+            st.integers(min_value=2**3000, max_value=2**3100),
+        )
+    )
     if shape == "point":
         lo = hi = draw(st.sampled_from((a, -a)))
     elif shape == "zero_midpoint":
@@ -133,21 +142,37 @@ def unreduced_enclosures(draw):
         lo = hi - w
     elif shape == "straddle":
         lo, hi = -a - 1, w + 1
+    elif shape == "boundary":
+        # width exactly 10**j or one 1/den below it, and the midpoint at
+        # +-10**i or 1/(2 den) beside it: where "< 1 ulp" and "<= 1 ulp" differ.
+        # den carries 10**t so that j and i may go down to -t.
+        t = draw(st.integers(min_value=0, max_value=12))
+        den *= 10**t
+        j = draw(st.integers(min_value=-t, max_value=20))
+        i = max(-t, j + draw(st.integers(min_value=-2, max_value=12)))
+
+        def times_den(p: int) -> int:  # 10**p * den, an integer for p >= -t
+            return den * 10**p if p >= 0 else den // 10**-p
+
+        w = times_den(j) - draw(st.sampled_from((0, 1)))
+        m = draw(st.sampled_from((2, -2))) * times_den(i) + draw(st.sampled_from((0, 1, -1)))
+        # over 2 den: midpoint m / (2 den), width 2 w / (2 den) = w / den
+        lo, hi, den = m - w, m + w, 2 * den
     else:
         lo = draw(st.sampled_from((a, -a)))
         hi = lo + w
-    den = draw(
-        st.one_of(
-            st.integers(min_value=1, max_value=10**12),
-            st.integers(min_value=2**3000, max_value=2**3100),
-        )
-    )
     k = draw(st.integers(min_value=1, max_value=2**100))
     return Enclosure.from_parts(lo * k, hi * k, den * k)
 
 
 @given(unreduced_enclosures())
 def test_enclosure_decimal_matches_fraction_reference(enc):
+    for sig in range(1, 11):
+        assert enclosure_decimal(enc, sig) == _ref_enclosure_decimal(enc, sig)
+
+
+@given(unreduced_enclosures(shapes=("boundary",)))
+def test_enclosure_decimal_matches_fraction_reference_at_the_boundary(enc):
     for sig in range(1, 11):
         assert enclosure_decimal(enc, sig) == _ref_enclosure_decimal(enc, sig)
 

@@ -177,6 +177,28 @@ def test_stdout_matches_pinned_sha256_under_python_O(name):
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)
 
 
+def test_every_check_and_cell_certified_at_default_flags(capsys):
+    """The workflow's step of the same name: at default digits every verify
+    check decides and no decay cell carries a +/- field, also under
+    ``python -O``, and the 1-digit audit at n = 200 holds every power step
+    without refining."""
+    for argv in (("verify", "--n-max", "1000"), ("decay", "--n-max", "200")):
+        assert main([*argv, "--quiet"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "unknown" not in out and "±" not in out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "zeta3forms", "verify", "--n-max", "200", "--quiet"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == EXIT_OK
+    assert b"unknown" not in proc.stdout and "±".encode() not in proc.stdout
+    audit = ("audit", "--coeffs", "3,-1,4,1,-5", "--n", "200", "--digits", "1", "--json")
+    assert _power_steps(capsys, audit) == (["holds"] * 5, 1)
+
+
 class _FractionBuilt(Exception):
     pass
 
@@ -361,7 +383,7 @@ def test_every_production_cache_records_hits(capsys):
     # From cleared caches, a verify sweep, a decay table and the benchmark's
     # audit pattern (n = i mod 20 + 1 at 60 digits) hit every production cache.
     caches = {k: fn for k, fn in _package_caches().items() if k not in _UNBOUNDED_CACHE_ALLOWED}
-    assert {"bounds.ratio_enclosure", "zeta3.zeta3", "cli._pow10"} <= set(caches)
+    assert {"bounds.ratio_enclosure", "zeta3.zeta3"} <= set(caches)
     for fn in caches.values():
         fn.cache_clear()
     assert main(["verify", "--n-max", "200", "--quiet"]) == EXIT_OK

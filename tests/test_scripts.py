@@ -85,6 +85,20 @@ def test_scripts_reject_bad_sizes_as_usage_errors(tmp_path, script, flags):
     assert not (tmp_path / "decay.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("script", "flag"),
+    [("run_decay_table.py", "--out"), ("run_corpus_audit.py", "--json-out")],
+)
+def test_scripts_reject_an_unwritable_output_path_as_a_usage_error(tmp_path, script, flag):
+    target = tmp_path / "missing" / "out"
+    proc = _run([str(SCRIPTS / script), flag, str(target)], tmp_path)
+    assert proc.returncode == 2
+    assert f"cannot write {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # refused before any computation
+    assert not (tmp_path / "missing").exists()
+
+
 def test_corpus_script_accepts_zero_random_vectors(tmp_path):
     proc = _run([str(SCRIPTS / "run_corpus_audit.py"), "--random", "0"], tmp_path)
     assert proc.returncode == 0
