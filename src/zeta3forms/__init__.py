@@ -7,15 +7,7 @@ rational interval enclosures, tabulates the decay of the bound, and audits
 power-and-sum inequality chains for arbitrary integer coefficient vectors.
 """
 
-from .beukers import (
-    IntegralityViolation,
-    KernelMoment,
-    LinearForm,
-    apery_oracle,
-    linear_form,
-    moment,
-    moment_series_oracle,
-)
+from .beukers import IntegralityViolation, LinearForm, linear_form
 from .bounds import (
     CheckResult,
     CheckStatus,
@@ -36,9 +28,8 @@ from .chain import (
     residual_enclosure,
     weighted_sum_enclosure,
 )
-from .combinatorics import binom, d, harmonic, prime_power_lcm
+from .combinatorics import d
 from .exactnum import Enclosure, Rat, Trichotomy, rat_str, sqrt2_enclosure, trichotomy
-from .legendre import LegendrePoly, rodrigues_coeffs
 from .zeta3 import DisjointEnclosures, zeta3_accelerated, zeta3_direct
 
 __version__ = "0.1.0"
@@ -53,28 +44,19 @@ __all__ = [
     "Enclosure",
     "IntegralityViolation",
     "InvalidCoeffVector",
-    "KernelMoment",
-    "LegendrePoly",
     "LinearForm",
     "Rat",
     "StepReport",
     "Trichotomy",
-    "apery_oracle",
     "audit",
-    "binom",
     "d",
     "decay_table",
     "fixed_corpus",
-    "harmonic",
     "linear_form",
-    "moment",
-    "moment_series_oracle",
-    "prime_power_lcm",
     "random_corpus",
     "rat_str",
     "residual_enclosure",
     "rhs_bound",
-    "rodrigues_coeffs",
     "sqrt2_enclosure",
     "trichotomy",
     "verify_form_bound",

@@ -74,10 +74,10 @@ def fraction_sci(num: int, den: int, sig: int, mode: str = "half_up") -> str:
     with exactly ``sig`` significant digits, rounded "half_up" or "up"."""
     if sig < 1 or den < 1:
         raise ValueError("fraction_sci expects sig >= 1 and den >= 1")
-    if num == 0:
-        return "0"
     if mode not in ("half_up", "up"):
         raise ValueError(f"unknown rounding mode {mode!r}")
+    if num == 0:
+        return "0"
     return _sci(num, den, sig, _floor_log10(abs(num), den), mode == "up")
 
 

@@ -287,3 +287,14 @@ def test_power_steps_hold_at_one_digit_over_the_fixed_corpus(n):
         assert report.digits_used == 1, c
         for k in range(1, c.m + 2):
             assert report.step(f"power_{k}").numeric is CheckStatus.HOLDS, (c, k)
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+@pytest.mark.parametrize("digits", [60, 1])
+def test_audit_builds_S_and_residual_as_the_public_helpers(n, digits):
+    # _audit_once builds S and the residual inline, from the R_n and zeta(3)
+    # it already holds; they must equal the public helpers' enclosures
+    for c in fixed_corpus():
+        report = audit(n, c, digits)
+        assert report.S == weighted_sum_enclosure(n, c, report.digits_used), c
+        assert report.residual == residual_enclosure(c, report.digits_used), c

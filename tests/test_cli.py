@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import binom
 from zeta3forms import bounds
 from zeta3forms import zeta3 as zmod
-from zeta3forms.beukers import apery_oracle, dn_cubed
+from zeta3forms.beukers import dn_cubed
 from zeta3forms.cli import (
     EXIT_FAILS,
     EXIT_OK,
@@ -60,6 +61,13 @@ def test_fraction_sci_basic():
     assert fraction_sci(2, 3, 4) == "6.667e-01"
     assert fraction_sci(0, 1, 5) == "0"
     assert fraction_sci(999999, 10**6, 3) == "1.00e+00"  # carry into next decade
+
+
+def test_fraction_sci_rejects_unknown_mode_at_zero_too():
+    with pytest.raises(ValueError, match="bogus"):
+        fraction_sci(1, 1, 5, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        fraction_sci(0, 1, 5, "bogus")
 
 
 def test_fraction_sci_directed_up():
@@ -269,7 +277,8 @@ def test_form_json_at_n_1000(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["dn3"] == dn_cubed(1000)
-    assert payload["B"] == 2 * apery_oracle(1000) * dn_cubed(1000)
+    apery_1000 = sum((binom(1000, k) * binom(1000 + k, k)) ** 2 for k in range(1001))
+    assert payload["B"] == 2 * apery_1000 * dn_cubed(1000)
     assert F(payload["alpha"]) * payload["dn3"] == payload["A"]
 
 

