@@ -5,7 +5,9 @@ Tallies per-step numeric statuses and justification kinds, and reports
 whether any audit ever certified the final contradiction (none should).
 Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
 usage error, such as a size below 1, a negative --random or a --json-out
-path that cannot be written (checked before any computation).
+path that cannot be written (checked before any computation), 4 on an
+internal fault (an `ArithmeticError`), reported on one stderr line with
+nothing on stdout.
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60
@@ -24,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import CheckStatus  # noqa: E402
 from zeta3forms.chain import audit, fixed_corpus, random_corpus  # noqa: E402
-from zeta3forms.cli import _nonnegative_int, _positive_int  # noqa: E402
+from zeta3forms.cli import EXIT_INTERNAL, _nonnegative_int, _positive_int  # noqa: E402
 
 
 def main() -> int:
@@ -81,4 +83,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ArithmeticError as exc:
+        print(f"run_corpus_audit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INTERNAL)

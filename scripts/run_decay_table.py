@@ -5,7 +5,9 @@ The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
 written cell carries a +/- field (not one significant digit certified), as
 the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
 2 on a usage error, such as a size below 1, a negative EXP or an --out
-path that cannot be written (checked before any computation).
+path that cannot be written (checked before any computation); 4 on an
+internal fault (an `ArithmeticError`), reported on one stderr line with
+nothing on stdout.
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import decay_table  # noqa: E402
 from zeta3forms.cli import (  # noqa: E402
+    EXIT_INTERNAL,
     EXIT_OK,
     _nonnegative_int,
     _positive_int,
@@ -64,4 +67,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ArithmeticError as exc:
+        print(f"run_decay_table: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INTERNAL)

@@ -116,5 +116,5 @@ def apery_bracket(N: int) -> Enclosure:
     # a_N/b_N = Y_N / (2 d_N^3 b_N); eps_N is 81 * 6 * 2 d_N^3 over the same den
     den = 2 * cube * _APERY[N] * scale
     lo = _APERY_Y[N] * scale
-    return Enclosure.from_parts(lo, lo + 81 * 6 * 2 * cube, den)
+    return Enclosure(lo, lo + 81 * 6 * 2 * cube, den)
 

@@ -150,7 +150,7 @@ def residual_enclosure(c: CoeffVector, digits: int) -> Enclosure:
 
 
 def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
-    acc = Enclosure.point(coeffs[-1])
+    acc = Enclosure(coeffs[-1], coeffs[-1])
     for ck in reversed(coeffs[:-1]):
         acc = acc * x + ck
     return acc

@@ -9,7 +9,9 @@ the width exceeds one unit in the last printed place).
 Exit codes: 0 all requested checks hold / completed, 1 some check fails,
 2 usage error, 3 some check is unknown (its enclosures overlap at the
 requested digits; `audit` first climbs its refinement ladder), or some
-printed decay cell carries a +/- field (not one digit certified).
+printed decay cell carries a +/- field (not one digit certified), 4 internal
+fault (an `ArithmeticError`, such as the two zeta(3) methods disagreeing),
+reported on one stderr line with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 # -- certified decimal printing ----------------------------------------------
@@ -325,6 +328,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (chain.InvalidCoeffVector, ValueError) as exc:
         print(f"zeta3forms: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"zeta3forms: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

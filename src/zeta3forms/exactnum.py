@@ -12,12 +12,11 @@ endpoints are the exact rationals lo_num/den and hi_num/den. The
 denominator is never reduced, and no operation on enclosures computes a
 gcd:
 
-* ``+`` and ``-`` align denominators: when one divides the other both are
-  scaled to the larger, otherwise to their product;
+* ``+`` aligns denominators: when one divides the other both are scaled
+  to the larger, otherwise to their product;
 * ``*`` multiplies the denominators and picks endpoints by sign cases (two
   products when a factor is non-negative, four with min/max otherwise);
-* ``**k`` raises numerators and denominator to the k-th power, and
-  ``reciprocal`` maps [a/d, b/d] to [d*a, d*b] / (a*b);
+* ``reciprocal`` maps [a/d, b/d] to [d*a, d*b] / (a*b);
 * comparisons cross-multiply integers.
 
 Sizes stay bounded because long computations round outward onto a 2**-bits
@@ -90,8 +89,6 @@ class Trichotomy(Enum):
 def _scales(d: int, e: int) -> tuple[int, int, int]:
     """(s, t, den) with d*s == e*t == den: the larger of d and e when it is a
     multiple of the other, else d*e."""
-    if d == e:
-        return 1, 1, d
     if d > e:
         if d % e == 0:
             return 1, d // e, d
@@ -105,10 +102,9 @@ class Enclosure:
     and den > 0.
 
     Arithmetic is containment-sound: if x is in ``a`` and y is in ``b`` then
-    x op y is in ``a op b``. Scalars (int or Fraction) mix freely with
-    enclosures and are treated as zero-width intervals. ``==`` and ``hash``
-    compare values, so the same interval over two unreduced denominators is
-    one value.
+    x op y is in ``a op b``. Int scalars mix with enclosures in ``+``, ``*``
+    and ``/`` as zero-width intervals. ``==`` and ``hash`` compare values, so
+    the same interval over two unreduced denominators is one value.
     """
 
     __slots__ = ("lo_num", "hi_num", "den")
@@ -117,11 +113,17 @@ class Enclosure:
     hi_num: int
     den: int
 
-    def __init__(self, lo: Scalar, hi: Scalar) -> None:
-        lo, hi = _scalar(lo), _scalar(hi)
-        s, t, den = _scales(lo.denominator, hi.denominator)
-        lo_num, hi_num = lo.numerator * s, hi.numerator * t
-        _check_order(lo_num, hi_num, den)
+    def __init__(self, lo_num: int, hi_num: int, den: int = 1) -> None:
+        """[lo_num/den, hi_num/den] from integers, kept unreduced."""
+        for field in (lo_num, hi_num, den):
+            if not isinstance(field, int):
+                raise TypeError(f"enclosure fields must be int, not {type(field).__name__}")
+        if den < 1:
+            raise ValueError("den must be >= 1")
+        if lo_num > hi_num:
+            raise ValueError(
+                f"inverted enclosure: lo={Fraction(lo_num, den)} > hi={Fraction(hi_num, den)}"
+            )
         _set_lo(self, lo_num)
         _set_hi(self, hi_num)
         _set_den(self, den)
@@ -130,20 +132,7 @@ class Enclosure:
         raise AttributeError(f"Enclosure is immutable; cannot set {name!r}")
 
     def __reduce__(self):
-        return Enclosure.from_parts, (self.lo_num, self.hi_num, self.den)
-
-    @staticmethod
-    def point(x: Scalar) -> Enclosure:
-        x = _scalar(x)
-        return _raw(x.numerator, x.numerator, x.denominator)
-
-    @staticmethod
-    def from_parts(lo_num: int, hi_num: int, den: int) -> Enclosure:
-        """[lo_num/den, hi_num/den] from integers, kept unreduced."""
-        if den < 1:
-            raise ValueError("den must be >= 1")
-        _check_order(lo_num, hi_num, den)
-        return _raw(lo_num, hi_num, den)
+        return Enclosure, (self.lo_num, self.hi_num, self.den)
 
     # -- exact endpoints, built on access ---------------------------------
 
@@ -167,7 +156,8 @@ class Enclosure:
         return self.lo_num == self.hi_num
 
     def contains(self, x: Scalar) -> bool:
-        x = _scalar(x)
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"contains expects an int or Fraction, not {type(x).__name__}")
         p, q = x.numerator * self.den, x.denominator
         return self.lo_num * q <= p <= self.hi_num * q
 
@@ -178,17 +168,11 @@ class Enclosure:
 
     def lies_below(self, other: Enclosure) -> bool:
         """Every point of ``self`` is strictly below every point of ``other``."""
-        d, e = self.den, other.den
-        if d == e:
-            return self.hi_num < other.lo_num
-        return self.hi_num * e < other.lo_num * d
+        return self.hi_num * other.den < other.lo_num * self.den
 
     def lies_at_or_above(self, other: Enclosure) -> bool:
         """Every point of ``self`` is at or above every point of ``other``."""
-        d, e = self.den, other.den
-        if d == e:
-            return self.lo_num >= other.hi_num
-        return self.lo_num * e >= other.hi_num * d
+        return self.lo_num * other.den >= other.hi_num * self.den
 
     def intersect(self, other: Enclosure) -> Optional[Enclosure]:
         """Common part of two enclosures, or None when they are disjoint."""
@@ -218,45 +202,29 @@ class Enclosure:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
-        if type(other) is int:
+    def __add__(self, other: Union[Enclosure, int]) -> Enclosure:
+        if isinstance(other, int):
             shift = other * self.den
             return _raw(self.lo_num + shift, self.hi_num + shift, self.den)
-        o = other if type(other) is Enclosure else _coerce(other)
-        if o is None:
+        if not isinstance(other, Enclosure):
             return NotImplemented
-        if self.den == o.den:
-            return _raw(self.lo_num + o.lo_num, self.hi_num + o.hi_num, self.den)
-        s, t, den = _scales(self.den, o.den)
-        return _raw(self.lo_num * s + o.lo_num * t, self.hi_num * s + o.hi_num * t, den)
+        s, t, den = _scales(self.den, other.den)
+        return _raw(self.lo_num * s + other.lo_num * t, self.hi_num * s + other.hi_num * t, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Enclosure:
         return _raw(-self.hi_num, -self.lo_num, self.den)
 
-    def __sub__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Scalar) -> Enclosure:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
-        if type(other) is int:
+    def __mul__(self, other: Union[Enclosure, int]) -> Enclosure:
+        if isinstance(other, int):
             if other >= 0:
                 return _raw(self.lo_num * other, self.hi_num * other, self.den)
             return _raw(self.hi_num * other, self.lo_num * other, self.den)
-        o = other if type(other) is Enclosure else _coerce(other)
-        if o is None:
+        if not isinstance(other, Enclosure):
             return NotImplemented
-        a, b, c, d = self.lo_num, self.hi_num, o.lo_num, o.hi_num
-        den = self.den * o.den
+        a, b, c, d = self.lo_num, self.hi_num, other.lo_num, other.hi_num
+        den = self.den * other.den
         if c < 0 <= a:
             a, b, c, d = c, d, a, b  # put the non-negative factor second
         if c >= 0:
@@ -275,40 +243,16 @@ class Enclosure:
         # [d/b, d/a] over the common denominator a*b > 0
         return _raw(d * a, d * b, a * b)
 
-    def __truediv__(self, other: Union[Enclosure, Scalar]) -> Enclosure:
-        if type(other) is int and other != 0:
+    def __truediv__(self, other: Union[Enclosure, int]) -> Enclosure:
+        if isinstance(other, int):
             if other > 0:
                 return _raw(self.lo_num, self.hi_num, self.den * other)
-            return _raw(-self.hi_num, -self.lo_num, -self.den * other)
-        o = _coerce(other)
-        if o is None:
+            if other < 0:
+                return _raw(-self.hi_num, -self.lo_num, -self.den * other)
+            raise ZeroDivisionError("division of an enclosure by zero")
+        if not isinstance(other, Enclosure):
             return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other: Scalar) -> Enclosure:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __pow__(self, k: int) -> Enclosure:
-        """Tight image of x -> x**k over the interval, k a non-negative int.
-
-        Even powers of a zero-straddling interval use the image rule
-        [-2, 1]**2 = [0, 4], not the looser repeated product [-2, 4].
-        """
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("negative powers not supported; use reciprocal()")
-        if k == 0:
-            return _raw(1, 1, 1)
-        plo, phi, den = self.lo_num**k, self.hi_num**k, self.den**k
-        if k % 2 == 1 or self.lo_num >= 0:
-            return _raw(plo, phi, den)
-        if self.hi_num <= 0:
-            return _raw(phi, plo, den)
-        return _raw(0, max(plo, phi), den)
+        return self * other.reciprocal()
 
     def __abs__(self) -> Enclosure:
         if self.lo_num >= 0:
@@ -334,7 +278,7 @@ class Enclosure:
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
     def __repr__(self) -> str:
-        return f"Enclosure(lo={self.lo!r}, hi={self.hi!r})"
+        return f"Enclosure({self.lo_num}, {self.hi_num}, {self.den})"
 
 
 # Slot setters that bypass the immutability guard, for construction only.
@@ -365,27 +309,6 @@ def _raw(lo_num: int, hi_num: int, den: int) -> Enclosure:
     return e
 
 
-def _scalar(x: object) -> Scalar:
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"enclosure endpoints must be int or Fraction, not {type(x).__name__}")
-
-
-def _check_order(lo_num: int, hi_num: int, den: int) -> None:
-    if lo_num > hi_num:
-        raise ValueError(
-            f"inverted enclosure: lo={Fraction(lo_num, den)} > hi={Fraction(hi_num, den)}"
-        )
-
-
-def _coerce(x: object) -> Optional[Enclosure]:
-    if isinstance(x, Enclosure):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _raw(x.numerator, x.numerator, x.denominator)
-    return None
-
-
 def trichotomy(a: Enclosure) -> Trichotomy:
     """Certified sign of every value in the enclosure.
 
@@ -412,4 +335,4 @@ def sqrt2_enclosure(digits: int) -> Enclosure:
         raise ValueError("digits must be >= 1")
     scale = 10**digits
     root = isqrt(2 * scale * scale)
-    return Enclosure.from_parts(root, root + 1, scale)
+    return Enclosure(root, root + 1, scale)

@@ -139,7 +139,7 @@ def zeta3_direct(digits: int) -> Enclosure:
     tails = 2 * terms**2 * (terms + 1) ** 2
     lo = acc * tails + unit * terms**2
     hi = (acc + terms) * tails + unit * (terms + 1) ** 2
-    return Enclosure.from_parts(lo, hi, unit * tails).round_out(budget_bits(digits))
+    return Enclosure(lo, hi, unit * tails).round_out(budget_bits(digits))
 
 
 def _context(prec: int, rounding: str, traps: list) -> Context:
@@ -276,7 +276,7 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     del p, ends
     bits = budget_bits(digits)
     lo_num, hi_num = _round_out(lo, hi, den, bits)
-    return Enclosure.from_parts(lo_num, hi_num, 1 << bits)
+    return Enclosure(lo_num, hi_num, 1 << bits)
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)

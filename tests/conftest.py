@@ -23,8 +23,23 @@ def ratio_touches_zero(monkeypatch):
     def widen(below: float = float("inf")) -> None:
         def widened(n: int, digits: int) -> Enclosure:
             enc = exact(n, digits)
-            return enc if digits >= below else Enclosure.from_parts(0, enc.hi_num, enc.den)
+            return enc if digits >= below else Enclosure(0, enc.hi_num, enc.den)
 
         monkeypatch.setattr(chain, "ratio_enclosure", widened)
 
     return widen
+
+
+@pytest.fixture
+def zeta3_methods_disagree(monkeypatch):
+    """zeta(3)'s direct series replaced by [0, 1/1000], which misses the
+    accelerated enclosure, so every zeta3() call raises DisjointEnclosures:
+    an internal fault no input can cause. zeta3's cache is cleared before and
+    after, so no intersection cached elsewhere hides it or outlives it."""
+    from zeta3forms import zeta3 as zmod
+    from zeta3forms.exactnum import Enclosure
+
+    monkeypatch.setattr(zmod, "zeta3_direct", lambda digits: Enclosure(0, 1, 1000))
+    zmod.zeta3.cache_clear()
+    yield
+    zmod.zeta3.cache_clear()

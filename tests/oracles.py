@@ -30,6 +30,14 @@ from typing import Callable
 from zeta3forms.beukers import IntegralityViolation, LinearForm, dn_cubed
 from zeta3forms.exactnum import Enclosure, Rat
 
+
+def enclosure_of(lo: Rat, hi: Rat) -> Enclosure:
+    """[lo, hi] for int or Fraction endpoints, both scaled to the product of
+    their denominators: the test-side way to enclose given rationals."""
+    return Enclosure(
+        lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator
+    )
+
 # -- combinatorics -------------------------------------------------------------
 
 
@@ -143,7 +151,7 @@ class KernelMoment:
     zeta3_coef: int  # 2 on the diagonal, 0 off it
 
     def value_enclosure(self, zeta3_enc: Enclosure) -> Enclosure:
-        return zeta3_enc * self.zeta3_coef + self.rat
+        return zeta3_enc * self.zeta3_coef + enclosure_of(self.rat, self.rat)
 
 
 @lru_cache(maxsize=None)
@@ -182,14 +190,14 @@ def moment_series_oracle(r: int, s: int, terms: int) -> Enclosure:
     if a == b:
         lo = _diagonal_partial_floor(a, terms)
         slack = Fraction(terms, 1 << _ORACLE_BITS)
-        return Enclosure(lo, lo + slack + tail_hi)
+        return enclosure_of(lo, lo + slack + tail_hi)
     if a > b:
         a, b = b, a
     # Per term, 1/((k+a)^2 (k+b)) + 1/((k+a)(k+b)^2) equals
     # (1/(k+a)^2 - 1/(k+b)^2) / (b - a), so the block sums telescope into
     # two short windows of 1/m^2 and the partial sum is exact and cheap.
     partial = (_inv_square_window(a, b) - _inv_square_window(a + terms, b + terms)) / (b - a)
-    return Enclosure(partial, partial + tail_hi)
+    return enclosure_of(partial, partial + tail_hi)
 
 
 def _inv_square_window(lo: int, hi: int) -> Fraction:

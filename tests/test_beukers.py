@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import KernelMoment, binom, moment, moment_series_oracle
+from oracles import KernelMoment, binom, enclosure_of, moment, moment_series_oracle
 from zeta3forms import beukers
 from zeta3forms.beukers import IntegralityViolation, apery_bracket, dn_cubed, linear_form
 from zeta3forms.exactnum import Trichotomy, trichotomy
@@ -138,7 +138,7 @@ def test_form_enclosure_excludes_zero_up_to_30():
     z = zeta3(120)
     for n in range(31):
         form = linear_form(n)
-        enc = z * form.beta + form.alpha
+        enc = z * form.beta + enclosure_of(form.alpha, form.alpha)
         assert trichotomy(enc) is not Trichotomy.CONTAINS_ZERO
 
 

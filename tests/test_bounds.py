@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enclosure_of
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
@@ -80,7 +81,7 @@ def test_shrink_enclosure_contains_true_value():
     s2 = sqrt2_enclosure(60)
     for n in (1, 2, 7):
         a, b = unit_pair(n)
-        tight = Enclosure(a + b * s2.hi, a + b * s2.lo)
+        tight = enclosure_of(a + b * s2.hi, a + b * s2.lo)
         enc = shrink_enclosure(n, 20)
         assert tight.width() < enc.width()
         assert enc.intersect(tight) is not None
@@ -179,9 +180,10 @@ def test_sandwich_status_classification():
 # The audit reports sandwich_status(R_n, zeta(3)) for every power step
 # 0 < R_n^k < zeta(3)^k. That rests on this lemma: for a >= 0 and b > 0,
 # x -> x^k keeps every comparison, so the status of (a**k, b**k) is that of
-# (a, b). Each example is (a, b, status) as from_parts fields; they include
-# a = [0, 0], a = [0, h], and a touching b from below (UNKNOWN) and from
-# above (FAILS).
+# (a, b). On such enclosures x**k is [lo_num**k, hi_num**k] / den**k, as
+# chain._audit_once states. Each example is (a, b, status) as Enclosure
+# fields; they include a = [0, 0], a = [0, h], and a touching b from below
+# (UNKNOWN) and from above (FAILS).
 POWER_LEMMA_EXAMPLES = [
     ((0, 0, 1), (1, 2, 1), CheckStatus.FAILS),
     ((0, 3, 4), (1, 2, 1), CheckStatus.UNKNOWN),
@@ -197,19 +199,21 @@ POWER_LEMMA_EXAMPLES = [
 def _status_of_every_power(a: Enclosure, b: Enclosure) -> CheckStatus:
     status = sandwich_status(a, b)
     for k in range(1, 7):
-        assert sandwich_status(a**k, b**k) is status, (a, b, k)
+        a_k = Enclosure(a.lo_num**k, a.hi_num**k, a.den**k)
+        b_k = Enclosure(b.lo_num**k, b.hi_num**k, b.den**k)
+        assert sandwich_status(a_k, b_k) is status, (a, b, k)
     return status
 
 
 @pytest.mark.parametrize(("a", "b", "status"), POWER_LEMMA_EXAMPLES)
 def test_powers_keep_the_sandwich_status_on_examples(a, b, status):
-    assert _status_of_every_power(Enclosure.from_parts(*a), Enclosure.from_parts(*b)) is status
+    assert _status_of_every_power(Enclosure(*a), Enclosure(*b)) is status
 
 
 @st.composite
 def _enclosures_from(draw, lo_min: int) -> Enclosure:
     lo = draw(st.integers(lo_min, 60))
-    return Enclosure.from_parts(lo, draw(st.integers(lo, 120)), draw(st.integers(1, 30)))
+    return Enclosure(lo, draw(st.integers(lo, 120)), draw(st.integers(1, 30)))
 
 
 @given(_enclosures_from(0), _enclosures_from(1))

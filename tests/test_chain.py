@@ -17,6 +17,7 @@ from zeta3forms.chain import (
     residual_enclosure,
     weighted_sum_enclosure,
 )
+from zeta3forms.exactnum import Enclosure
 from zeta3forms.zeta3 import zeta3
 
 F = Fraction
@@ -76,7 +77,7 @@ def test_residual_minus6_5_equals_half_form_abs():
     form = linear_form(1)
     for digits in (10, 30, 60):
         lhs = residual_enclosure(CoeffVector((-6, 5)), digits)
-        rhs = abs((zeta3(digits) * form.B + form.A) / form.dn3) * F(1, 2)
+        rhs = abs((zeta3(digits) * form.B + form.A) / form.dn3) / 2
         assert lhs == rhs
 
 
@@ -245,11 +246,15 @@ HOLDS_AND_UNKNOWN = {CheckStatus.HOLDS, CheckStatus.UNKNOWN}
 )
 def test_power_steps_match_the_multiplied_out_powers(ratio_touches_zero, digits, statuses):
     """Every power_k step reports what the powers themselves decide:
-    sandwich_status(R**k, zeta(3)**k) at the precision the audit ended on.
+    sandwich_status(R**k, zeta(3)**k) at the precision the audit ended on,
+    with x**k built as [lo_num**k, hi_num**k] / den**k as _audit_once states.
     R_n's grid follows its size, so at n = 1..40 and n = 60 * digits the power
     steps hold at the requested digits. The low precisions then audit
     n = 60 * digits again with R at [0, h] at every rung of the ladder, where
     every power step ends unknown."""
+
+    def power(x: Enclosure, k: int) -> Enclosure:
+        return Enclosure(x.lo_num**k, x.hi_num**k, x.den**k)
 
     def powers_seen(n: int) -> set[CheckStatus]:
         seen = set()
@@ -257,7 +262,7 @@ def test_power_steps_match_the_multiplied_out_powers(ratio_touches_zero, digits,
             report = audit(n, c, digits)
             z = zeta3(report.digits_used)
             for k in range(1, c.m + 2):
-                status = sandwich_status(report.R**k, z**k)
+                status = sandwich_status(power(report.R, k), power(z, k))
                 assert report.step(f"power_{k}").numeric is status, (n, c, k)
                 seen.add(status)
         return seen

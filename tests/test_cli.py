@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import binom
+from oracles import binom, enclosure_of
 from zeta3forms import bounds
 from zeta3forms import zeta3 as zmod
-from zeta3forms.beukers import dn_cubed
+from zeta3forms import cli
+from zeta3forms.beukers import IntegralityViolation, dn_cubed
 from zeta3forms.cli import (
     EXIT_FAILS,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
@@ -43,7 +45,7 @@ def widen_form_abs(monkeypatch):
     def widen(n0: int) -> None:
         def widened(n: int, digits: int) -> Enclosure:
             enc = exact(n, digits)
-            return enc if n < n0 else Enclosure.from_parts(0, 2 * enc.hi_num, enc.den)
+            return enc if n < n0 else Enclosure(0, 2 * enc.hi_num, enc.den)
 
         monkeypatch.setattr(bounds, "form_abs_enclosure", widened)
         bounds.ratio_enclosure.cache_clear()
@@ -170,7 +172,7 @@ def unreduced_enclosures(draw, shapes=SHAPES):
         lo = draw(st.sampled_from((a, -a)))
         hi = lo + w
     k = draw(st.integers(min_value=1, max_value=2**100))
-    return Enclosure.from_parts(lo * k, hi * k, den * k)
+    return Enclosure(lo * k, hi * k, den * k)
 
 
 @given(unreduced_enclosures())
@@ -199,15 +201,15 @@ def test_fraction_sci_reads_unreduced_integers(num, den, k, sig, mode):
 def test_enclosure_decimal_certifies_precision():
     # width 0.1 around 1.25: exactly at the 2-digit ulp, so only 1 digit is
     # strictly below one unit in the last place
-    assert enclosure_decimal(Enclosure(F("1.2"), F("1.3")), 7) == "1e+00"
+    assert enclosure_decimal(enclosure_of(F("1.2"), F("1.3")), 7) == "1e+00"
     # width 0.09 < 0.1 certifies two digits
-    assert enclosure_decimal(Enclosure(F("1.20"), F("1.29")), 7) == "1.2e+00"
-    exact = Enclosure.point(F(1, 4))
+    assert enclosure_decimal(enclosure_of(F("1.20"), F("1.29")), 7) == "1.2e+00"
+    exact = Enclosure(1, 1, 4)
     assert enclosure_decimal(exact, 4) == "2.500e-01"
 
 
 def test_enclosure_decimal_error_field_when_uncertifiable():
-    foggy = Enclosure(F(-5), F(9))  # width 14 around midpoint 2
+    foggy = Enclosure(-5, 9)  # width 14 around midpoint 2
     assert "±" in enclosure_decimal(foggy, 7)
 
 
@@ -311,6 +313,33 @@ def test_verify_csv_round_trip(capsys):
         n = int(row["n"])
         assert bounds.verify_form_bound(n, 25).status.value == row["bound_status"]
         assert bounds.verify_ratio_bound(n, 25).status.value == row["ratio_status"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n-max", "3"),
+        ("decay", "--n-max", "3"),
+        ("audit", "--coeffs", "-6,5", "--n", "1"),
+        ("zeta3", "--digits", "20"),
+    ],
+)
+def test_an_internal_fault_exits_4_with_one_stderr_line(capsys, zeta3_methods_disagree, argv):
+    # exit 1 would read as "some check fails"; an ArithmeticError is a fault
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("zeta3forms: internal error: DisjointEnclosures: ")
+    assert err.count("\n") == 1
+
+
+def test_an_integrality_violation_exits_4(capsys, monkeypatch):
+    def broken(n):
+        raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={n}")
+
+    monkeypatch.setattr(cli, "linear_form", broken)
+    code, out, err = run_cli(capsys, "form", "--n", "2", "--quiet")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "zeta3forms: internal error: IntegralityViolation: d_n^3 * alpha is not an integer at n=2\n"
 
 
 # -- zeta3 -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import enclosure_of
 from zeta3forms.exactnum import (
     Enclosure,
     Trichotomy,
@@ -20,7 +22,7 @@ F = Fraction
 
 
 def enc(lo, hi) -> Enclosure:
-    return Enclosure(F(lo), F(hi))
+    return enclosure_of(F(lo), F(hi))
 
 
 # -- pinned example cases -------------------------------------------------------
@@ -49,19 +51,6 @@ def test_mul_mixed_signs():
 
 def test_mul_identity():
     assert enc(1, 1) * enc(F(-5, 7), F(22, 3)) == enc(F(-5, 7), F(22, 3))
-
-
-def test_pow_zero_is_one():
-    assert enc(2, 3) ** 0 == enc(1, 1)
-
-
-def test_pow_even_image_rule():
-    # image of x**2 over [-2, 1] is [0, 4], not the naive product [-2, 4]
-    assert enc(-2, 1) ** 2 == enc(0, 4)
-
-
-def test_pow_monotone_positive():
-    assert enc(F(1, 2), F(2, 3)) ** 3 == enc(F(1, 8), F(8, 27))
 
 
 def test_abs_cases():
@@ -132,19 +121,17 @@ def _random_rat(rng: random.Random) -> Fraction:
 def _enclosing(rng: random.Random, x: Fraction) -> Enclosure:
     pad_lo = F(rng.randint(0, 40), rng.randint(1, 25))
     pad_hi = F(rng.randint(0, 40), rng.randint(1, 25))
-    return Enclosure(x - pad_lo, x + pad_hi)
+    return enclosure_of(x - pad_lo, x + pad_hi)
 
 
 def test_containment_random_sweep():
-    # 10^4 random rational pairs with random enclosing intervals, all four ops
+    # 10^4 random rational pairs with random enclosing intervals: +, * and abs
     rng = random.Random(987123)
     for _ in range(10_000):
         x, y = _random_rat(rng), _random_rat(rng)
         a, b = _enclosing(rng, x), _enclosing(rng, y)
         assert (a + b).contains(x + y)
         assert (a * b).contains(x * y)
-        k = rng.randint(0, 5)
-        assert (a**k).contains(x**k)
         assert abs(a).contains(abs(x))
 
 
@@ -154,8 +141,8 @@ pads = st.fractions(min_value=0, max_value=5, max_denominator=50)
 
 @given(rationals, rationals, pads, pads, pads, pads)
 def test_containment_division(x, y, p1, p2, p3, p4):
-    a = Enclosure(x - p1, x + p2)
-    b = Enclosure(y - p3, y + p4)
+    a = enclosure_of(x - p1, x + p2)
+    b = enclosure_of(y - p3, y + p4)
     if b.lo <= 0 <= b.hi:
         with pytest.raises(ZeroDivisionError):
             a / b
@@ -165,19 +152,17 @@ def test_containment_division(x, y, p1, p2, p3, p4):
 
 @given(rationals, rationals, pads, pads, pads, pads)
 def test_width_monotonicity(x, y, p1, p2, widen_lo, widen_hi):
-    a = Enclosure(x - p1, x + p2)
-    wide = Enclosure(a.lo - widen_lo, a.hi + widen_hi)
-    b = Enclosure(y, y + 1)
-    for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u - v):
+    a = enclosure_of(x - p1, x + p2)
+    wide = enclosure_of(a.lo - widen_lo, a.hi + widen_hi)
+    b = enclosure_of(y, y + 1)
+    for op in (lambda u, v: u + v, lambda u, v: u * v):
         assert op(wide, b).encloses(op(a, b))
     assert abs(wide).encloses(abs(a))
-    assert (wide**2).encloses(a**2)
-    assert (wide**3).encloses(a**3)
 
 
 @given(rationals, pads, pads)
 def test_trichotomy_positive_certifies_endpoints(x, p1, p2):
-    a = Enclosure(x - p1, x + p2)
+    a = enclosure_of(x - p1, x + p2)
     if trichotomy(a) is Trichotomy.POSITIVE:
         assert a.lo > 0 and a.hi > 0
     if trichotomy(a) is Trichotomy.NEGATIVE:
@@ -186,7 +171,7 @@ def test_trichotomy_positive_certifies_endpoints(x, p1, p2):
 
 @given(rationals, pads, pads, st.integers(min_value=4, max_value=64))
 def test_round_out_preserves_containment(x, p1, p2, bits):
-    a = Enclosure(x - p1, x + p2)
+    a = enclosure_of(x - p1, x + p2)
     rounded = a.round_out(bits)
     assert rounded.encloses(a)
     assert rounded.width() <= a.width() + F(2, 2**bits)
@@ -212,15 +197,21 @@ def test_scalar_mixing():
     a = enc(1, 2)
     assert a + 1 == enc(2, 3)
     assert 1 + a == enc(2, 3)
-    assert a - 1 == enc(0, 1)
-    assert 3 - a == enc(1, 2)
-    assert a * F(-1, 2) == enc(-1, F(-1, 2))
-    assert 2 / enc(1, 2) == enc(1, 2)
 
 
-def test_negative_power_rejected():
-    with pytest.raises(ValueError):
-        enc(1, 2) ** -1
+@pytest.mark.parametrize("scalar", [F(1, 2), F(3), 0.5, 2.0])
+def test_non_int_scalars_are_refused(scalar):
+    a = enc(1, 2)
+    with pytest.raises(TypeError):
+        a + scalar
+    with pytest.raises(TypeError):
+        scalar + a
+    with pytest.raises(TypeError):
+        a * scalar
+    with pytest.raises(TypeError):
+        scalar * a
+    with pytest.raises(TypeError):
+        a / scalar
 
 
 def test_intersect():
@@ -230,8 +221,8 @@ def test_intersect():
 
 
 def test_point_queries():
-    p = Enclosure.point(F(3, 7))
-    assert p.is_point()
+    p = Enclosure(3, 3, 7)
+    assert p.is_point() and Enclosure(3, 3).den == 1
     assert p.width() == 0
     assert p.midpoint() == F(3, 7)
 
@@ -247,10 +238,6 @@ def _ref_add(a, b):
     return a[0] + b[0], a[1] + b[1]
 
 
-def _ref_sub(a, b):
-    return a[0] - b[1], a[1] - b[0]
-
-
 def _ref_mul(a, b):
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return min(products), max(products)
@@ -260,17 +247,6 @@ def _ref_reciprocal(a):
     if a[0] <= 0 <= a[1]:
         return None
     return 1 / a[1], 1 / a[0]
-
-
-def _ref_pow(a, k):
-    if k == 0:
-        return F(1), F(1)
-    plo, phi = a[0] ** k, a[1] ** k
-    if k % 2 == 1 or a[0] >= 0:
-        return plo, phi
-    if a[1] <= 0:
-        return phi, plo
-    return F(0), max(plo, phi)
 
 
 def _ref_abs(a):
@@ -303,7 +279,7 @@ def small_enclosures(draw):
     x = draw(rationals)
     lo, hi = x - draw(pads), x + draw(pads)
     den = lo.denominator * hi.denominator * draw(st.integers(min_value=1, max_value=1000))
-    return Enclosure.from_parts(
+    return Enclosure(
         lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
     )
 
@@ -315,7 +291,7 @@ def dyadic_enclosures(draw):
     bound = 4 << bits
     lo = draw(st.integers(min_value=-bound, max_value=bound))
     width = draw(st.integers(min_value=0, max_value=bound)) >> draw(st.integers(0, bits))
-    return Enclosure.from_parts(lo, lo + width, 1 << bits)
+    return Enclosure(lo, lo + width, 1 << bits)
 
 
 enclosures = small_enclosures() | dyadic_enclosures()
@@ -326,7 +302,6 @@ int_scalars = st.integers(min_value=-(10**30), max_value=10**30)
 def test_binary_ops_match_fraction_reference(a, b):
     ra, rb = _ends(a), _ends(b)
     assert _ends(a + b) == _ref_add(ra, rb)
-    assert _ends(a - b) == _ref_sub(ra, rb)
     assert _ends(a * b) == _ref_mul(ra, rb)
     both = a.intersect(b)
     assert (None if both is None else _ends(both)) == _ref_intersect(ra, rb)
@@ -339,29 +314,25 @@ def test_binary_ops_match_fraction_reference(a, b):
         assert _ends(b.reciprocal()) == inv
 
 
-@given(enclosures, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=5000))
-def test_unary_ops_match_fraction_reference(a, k, bits):
+@given(enclosures, st.integers(min_value=1, max_value=5000))
+def test_unary_ops_match_fraction_reference(a, bits):
     ra = _ends(a)
-    assert _ends(a**k) == _ref_pow(ra, k)
     assert _ends(abs(a)) == _ref_abs(ra)
     assert _ends(-a) == (-ra[1], -ra[0])
     assert _ends(a.round_out(bits)) == _ref_round_out(ra, bits)
 
 
-@given(enclosures, int_scalars, rationals)
-def test_scalar_ops_match_fraction_reference(a, k, q):
+@given(enclosures, int_scalars)
+def test_scalar_ops_match_fraction_reference(a, s):
     ra = _ends(a)
-    for s in (k, q):
-        p = (F(s), F(s))
-        assert _ends(a + s) == _ends(s + a) == _ref_add(ra, p)
-        assert _ends(a - s) == _ref_sub(ra, p)
-        assert _ends(s - a) == _ref_sub(p, ra)
-        assert _ends(a * s) == _ends(s * a) == _ref_mul(ra, p)
-        if s == 0:
-            with pytest.raises(ZeroDivisionError):
-                a / s
-        else:
-            assert _ends(a / s) == _ref_mul(ra, _ref_reciprocal(p))
+    p = (F(s), F(s))
+    assert _ends(a + s) == _ends(s + a) == _ref_add(ra, p)
+    assert _ends(a * s) == _ends(s * a) == _ref_mul(ra, p)
+    if s == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / s
+    else:
+        assert _ends(a / s) == _ref_mul(ra, _ref_reciprocal(p))
 
 
 @given(enclosures, enclosures)
@@ -377,63 +348,73 @@ def test_strict_comparisons_match_fraction_reference(a, b):
 
 @given(enclosures, st.integers(min_value=2, max_value=10**12))
 def test_equality_and_hash_ignore_unreduced_denominators(a, k):
-    scaled = Enclosure.from_parts(a.lo_num * k, a.hi_num * k, a.den * k)
-    reduced = Enclosure(a.lo, a.hi)
+    scaled = Enclosure(a.lo_num * k, a.hi_num * k, a.den * k)
+    reduced = enclosure_of(a.lo, a.hi)
     for same in (scaled, reduced):
         assert same == a and a == same
         assert hash(same) == hash(a)
     assert {a, scaled, reduced} == {a}
-    assert Enclosure.from_parts(a.lo_num * k, a.hi_num * k + 1, a.den * k) != a
+    assert Enclosure(a.lo_num * k, a.hi_num * k + 1, a.den * k) != a
 
 
 def test_arithmetic_computes_no_gcd(monkeypatch):
     import math
 
-    a = Enclosure.from_parts(-3, 5, 12)
-    b = Enclosure.from_parts(7, 9, 8)
-    third = F(1, 3)
+    a = Enclosure(-3, 5, 12)
+    b = Enclosure(7, 9, 8)
 
     def forbidden(*args):
         raise AssertionError("an enclosure operation computed a gcd")
 
     monkeypatch.setattr(math, "gcd", forbidden)
-    results = [a + b, a - b, a * b, b * a, a / b, 2 / b, a**3, b**2, abs(a), -a]
-    results += [a + 1, a * -2, a / -3, a * third, a + third, a.round_out(8), a.intersect(b - 1)]
+    results = [a + b, a * b, b * a, a / b, abs(a), -a]
+    results += [a + 1, a * -2, a / -3, a.round_out(8), a.intersect(b + -1)]
     assert all(isinstance(r, Enclosure) for r in results)
     assert a.lies_below(b) and not a.lies_at_or_above(b) and b.encloses(b)
     assert trichotomy(a) is Trichotomy.CONTAINS_ZERO
-    assert a.is_point() is False and a == Enclosure.from_parts(-6, 10, 24)
+    assert a.is_point() is False and a == Enclosure(-6, 10, 24)
 
 
 def test_unreduced_fields_and_fraction_views():
-    a = Enclosure.from_parts(6, 10, 4)
+    a = Enclosure(6, 10, 4)
     assert (a.lo_num, a.hi_num, a.den) == (6, 10, 4)  # kept as given
     assert (a.lo, a.hi) == (F(3, 2), F(5, 2))
     assert a.width() == 1 and a.midpoint() == 2
     assert str(a) == "[3/2, 5/2]"
-    # endpoints are aligned without a gcd: to the larger denominator when it is
-    # a multiple of the other, else to the product
-    assert Enclosure(F(1, 4), F(1, 2)).den == 4
-    assert Enclosure(F(1, 6), F(1, 4)).den == 24
+    # sums align denominators without a gcd: to the larger when it is a
+    # multiple of the other, else to the product
+    assert (a + Enclosure(1, 1, 2)).den == 4
+    assert (Enclosure(1, 1, 6) + Enclosure(1, 1, 4)).den == 24
 
 
 def test_enclosure_is_immutable_and_validated():
-    a = Enclosure.from_parts(1, 2, 3)
+    a = Enclosure(1, 2, 3)
     with pytest.raises(AttributeError):
         a.lo_num = 0
     with pytest.raises(ValueError):
-        Enclosure.from_parts(2, 1, 3)
+        Enclosure(2, 1, 3)
     with pytest.raises(ValueError):
-        Enclosure.from_parts(1, 2, 0)
+        Enclosure(1, 2, 0)
+    with pytest.raises(ValueError):
+        Enclosure(1, 2, -1)
     with pytest.raises(TypeError):
         Enclosure(0.5, 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, F(1, 2), F(1), decimal.Decimal(1), "1"])
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_constructor_refuses_non_int_fields(bad, field):
+    fields = [0, 1, 1]
+    fields[field] = bad
+    with pytest.raises(TypeError):
+        Enclosure(*fields)
 
 
 def test_copy_and_pickle_keep_the_fields():
     import copy
     import pickle
 
-    a = Enclosure.from_parts(6, 10, 4)
+    a = Enclosure(6, 10, 4)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert (b.lo_num, b.hi_num, b.den) == (6, 10, 4)
 
@@ -454,14 +435,14 @@ def _large_cases() -> dict[str, tuple[Enclosure, int]]:
     # numerators near odd**2 / 2**1001: the quotients have _BIG - 1 bits
     near = rng.getrandbits(2 * _BIG - 1001) | (1 << (2 * _BIG - 1002))
     return {
-        "mixed-signs": (Enclosure.from_parts(-a, b, odd), _BIG),
-        "negative": (Enclosure.from_parts(-b, -a, odd), _BIG),
-        "power-of-two-den": (Enclosure.from_parts(-a, b, 1 << (_BIG + 3)), _BIG),
-        "den-barely-above-quotient": (Enclosure.from_parts(-near, near, odd), 1000),
+        "mixed-signs": (Enclosure(-a, b, odd), _BIG),
+        "negative": (Enclosure(-b, -a, odd), _BIG),
+        "power-of-two-den": (Enclosure(-a, b, 1 << (_BIG + 3)), _BIG),
+        "den-barely-above-quotient": (Enclosure(-near, near, odd), 1000),
         # shifted numerators are exact multiples of den: remainder 0
-        "exact-multiple": (Enclosure.from_parts(-5 * odd, 7 * odd, odd), _BIG),
+        "exact-multiple": (Enclosure(-5 * odd, 7 * odd, odd), _BIG),
         # shifted numerators are k*den - 1: remainder den - 1
-        "k-den-minus-one": (Enclosure.from_parts(3 * odd - inv, 5 * odd + inv, odd), _BIG),
+        "k-den-minus-one": (Enclosure(3 * odd - inv, 5 * odd + inv, odd), _BIG),
     }
 
 
@@ -479,7 +460,7 @@ def test_round_out_matches_reference_on_large_operands(name):
 # Remainders 0 and den - 1 are where an inexact division would err first.
 def test_newton_edge_cases_have_the_named_remainders():
     a, bits = LARGE_CASES["exact-multiple"]
-    assert a.round_out(bits) == Enclosure.from_parts(-5 << bits, 7 << bits, 1 << bits)
+    assert a.round_out(bits) == Enclosure(-5 << bits, 7 << bits, 1 << bits)
     a, bits = LARGE_CASES["k-den-minus-one"]
     for n in (a.lo_num << bits, (-a.hi_num) << bits):
         assert n % a.den == a.den - 1
@@ -518,7 +499,7 @@ def test_round_out_cancels_the_power_of_two_in_den(bits, k, signs, remainder):
         lo, hi = a - j2 * m, c + j1 * m
     else:
         lo, hi = a - (j2 + 2) * m, c - j1 * m
-    e = Enclosure.from_parts(lo, hi, den)
+    e = Enclosure(lo, hi, den)
     assert lo < 0 and (hi > 0) == (signs == "mixed")
     assert (den & -den) == 1 << shift
     rounded = e.round_out(bits)

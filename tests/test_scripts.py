@@ -1,11 +1,15 @@
-"""The experiment scripts, run as a user runs them: one subprocess each."""
+"""The experiment scripts, run as a user runs them: one subprocess each,
+except where a patched package must reach them (run in-process)."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from zeta3forms.cli import EXIT_INTERNAL
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -31,7 +35,7 @@ exact = bounds.form_abs_enclosure
 
 def widened(n, digits):
     enc = exact(n, digits)
-    return enc if n < 72 else Enclosure.from_parts(0, 2 * enc.hi_num, enc.den)
+    return enc if n < 72 else Enclosure(0, 2 * enc.hi_num, enc.den)
 
 bounds.form_abs_enclosure = widened
 sys.argv = sys.argv[1:]
@@ -103,3 +107,22 @@ def test_corpus_script_accepts_zero_random_vectors(tmp_path):
     proc = _run([str(SCRIPTS / "run_corpus_audit.py"), "--random", "0"], tmp_path)
     assert proc.returncode == 0
     assert "auditor soundness: OK" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    ("script", "flags"),
+    [("run_decay_table.py", ["--n-max", "3"]), ("run_corpus_audit.py", ["--random", "0"])],
+)
+def test_scripts_exit_4_on_an_internal_fault(
+    tmp_path, monkeypatch, capsys, zeta3_methods_disagree, script, flags
+):
+    # 1 is "not certified" or "soundness VIOLATED" here; a fault must not read as either
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / script), *flags])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (EXIT_INTERNAL, "")
+    assert captured.err.startswith(f"{script[:-3]}: internal error: DisjointEnclosures: ")
+    assert captured.err.count("\n") == 1
