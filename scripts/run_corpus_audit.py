@@ -5,9 +5,9 @@ Tallies per-step numeric statuses and justification kinds, and reports
 whether any audit ever certified the final contradiction (none should).
 Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
 usage error, such as a size below 1, a negative --random or a --json-out
-path that cannot be written (checked before any computation), 4 on an
-internal fault (an `ArithmeticError`), reported on one stderr line with
-nothing on stdout.
+path that cannot be written (checked before any computation, without
+truncating an existing file), 4 on an internal fault (an `ArithmeticError`),
+reported on one stderr line with nothing on stdout.
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60
@@ -37,12 +37,21 @@ def main() -> int:
     parser.add_argument("--n-max", type=_positive_int, default=20)
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
+    created = args.json_out is not None and not args.json_out.exists()
     if args.json_out is not None:
-        try:
-            args.json_out.open("w", encoding="utf-8").close()
+        try:  # append mode: probing must not truncate a file the run may never rewrite
+            args.json_out.open("a", encoding="utf-8").close()
         except OSError as exc:
             parser.error(f"cannot write --json-out: {exc}")
+    try:
+        return _audit_corpus(args)
+    except BaseException:  # a fault or Ctrl-C: leave no file the probe made
+        if created:
+            args.json_out.unlink(missing_ok=True)
+        raise
 
+
+def _audit_corpus(args: argparse.Namespace) -> int:
     corpus = list(fixed_corpus()) + list(random_corpus(args.random, seed=args.seed))
     numeric: Counter[str] = Counter()
     justifications: Counter[str] = Counter()

@@ -5,9 +5,9 @@ The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
 written cell carries a +/- field (not one significant digit certified), as
 the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
 2 on a usage error, such as a size below 1, a negative EXP or an --out
-path that cannot be written (checked before any computation); 4 on an
-internal fault (an `ArithmeticError`), reported on one stderr line with
-nothing on stdout.
+path that cannot be written (checked before any computation, without
+truncating an existing file); 4 on an internal fault (an `ArithmeticError`),
+reported on one stderr line with nothing on stdout.
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -42,17 +42,22 @@ def main() -> int:
     parser.add_argument("--t-cap-exp", type=_nonnegative_int, default=10,
                         help="certify T_{n_max} < 10**-EXP, EXP >= 0")
     args = parser.parse_args()
-    try:
-        args.out.open("w", encoding="utf-8").close()
+    created = not args.out.exists()
+    try:  # append mode: probing must not truncate a file the run may never rewrite
+        args.out.open("a", encoding="utf-8").close()
     except OSError as exc:
         parser.error(f"cannot write --out: {exc}")
 
-    started = time.perf_counter()
-    rows = decay_table(args.n_max, args.digits)
-    elapsed = time.perf_counter() - started
-
-    with args.out.open("w", newline="", encoding="utf-8") as handle:
-        table_code = write_decay_table(rows, handle, as_csv=True)
+    try:
+        started = time.perf_counter()
+        rows = decay_table(args.n_max, args.digits)
+        elapsed = time.perf_counter() - started
+        with args.out.open("w", newline="", encoding="utf-8") as handle:
+            table_code = write_decay_table(rows, handle, as_csv=True)
+    except BaseException:  # a fault or Ctrl-C: leave no file the probe made
+        if created:
+            args.out.unlink(missing_ok=True)
+        raise
 
     last = rows[-1]
     cap = Fraction(1, 10**args.t_cap_exp)

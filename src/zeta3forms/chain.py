@@ -19,6 +19,10 @@ Each step gets two independent verdicts:
 The two verdicts are kept separate on purpose: an inequality can be
 numerically true for a given n while the inference that produced it is
 unjustified, and vice versa.
+
+S and the residual are one integer Horner pass each over a non-negative
+enclosure (R_n, zeta(3)), S over the coefficients (0, c_0, ..., c_m). Their
+fields equal those of Enclosure's ``*`` and ``+``; the kernel test checks it.
 """
 
 from __future__ import annotations
@@ -89,18 +93,6 @@ class Justification:
     condition: str = ""
     met: Optional[bool] = None  # None when undetermined or not a condition
 
-    @staticmethod
-    def justified() -> Justification:
-        return Justification(JustificationKind.JUSTIFIED)
-
-    @staticmethod
-    def not_applicable() -> Justification:
-        return Justification(JustificationKind.NOT_APPLICABLE)
-
-    @staticmethod
-    def requires(condition: str, met: Optional[bool]) -> Justification:
-        return Justification(JustificationKind.REQUIRES_CONDITION, condition, met)
-
     def as_text(self) -> str:
         if self.kind is JustificationKind.JUSTIFIED:
             return "justified"
@@ -138,32 +130,49 @@ class ChainReport:
         raise KeyError(step_id)
 
 
-_POSITIVITY_CONDITION = "all weight coefficients c_i strictly positive"
-_RELATION_CONDITION = "assumed integer relation evaluates to zero (residual = 0)"
+# The step verdicts; Justification is frozen, so every report shares these.
+_POSITIVITY = "all weight coefficients c_i strictly positive"
+_RELATION = "assumed integer relation evaluates to zero (residual = 0)"
+_JUSTIFIED = Justification(JustificationKind.JUSTIFIED)
+_NOT_APPLICABLE = Justification(JustificationKind.NOT_APPLICABLE)
+_POSITIVITY_UNMET = Justification(JustificationKind.REQUIRES_CONDITION, _POSITIVITY, False)
+_RELATION_UNMET = Justification(JustificationKind.REQUIRES_CONDITION, _RELATION, False)
+_RELATION_UNDETERMINED = Justification(JustificationKind.REQUIRES_CONDITION, _RELATION, None)
 
 
 def residual_enclosure(c: CoeffVector, digits: int) -> Enclosure:
-    """Enclosure of sum_i c_i * zeta(3)^i, by Horner over enclosures."""
+    """Enclosure of sum_i c_i * zeta(3)^i: one integer Horner pass over
+    zeta(3)'s enclosure (> 0), with the fields the generic operators give."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     return _poly_enclosure(c.c, zeta3(digits))
 
 
 def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
-    acc = Enclosure(coeffs[-1], coeffs[-1])
-    for ck in reversed(coeffs[:-1]):
-        acc = acc * x + ck
-    return acc
+    """Enclosure of sum_i coeffs[i] * x^i for x = [a, b]/d with a >= 0. Each
+    Horner step is acc * x + c_k on integers, with the fields Enclosure's
+    operators give: an end >= 0 pairs with its own end of x, else the other."""
+    a, b, d = x.lo_num, x.hi_num, x.den
+    if a < 0:
+        raise ValueError("the Horner kernel needs an enclosure with lo >= 0")
+    lo, hi, den = coeffs[-1], coeffs[-1], 1
+    for ck in coeffs[-2::-1]:
+        den *= d
+        shift = ck * den
+        lo = (lo * a if lo >= 0 else lo * b) + shift
+        hi = (hi * b if hi >= 0 else hi * a) + shift
+    return Enclosure(lo, hi, den)
 
 
 def weighted_sum_enclosure(n: int, c: CoeffVector, digits: int) -> Enclosure:
-    """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k = R_n * sum_i c_i R_n^i."""
+    """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k = R_n * sum_i c_i R_n^i:
+    one integer Horner pass over R_n's enclosure (>= 0) with the coefficients
+    (0, c_0, ..., c_m), with the fields ``R_n * P(R_n)`` gives."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    ratio = ratio_enclosure(n, digits)
-    return ratio * _poly_enclosure(c.c, ratio)
+    return _poly_enclosure((0,) + c.c, ratio_enclosure(n, digits))
 
 
 # The audit doubles its working digits up to this many times while a step is Unknown.
@@ -202,7 +211,7 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # is > 0, and on such enclosures [lo^k, hi^k] (numerators and denominator
     # raised to the k) compares with 0 and with the other side as [lo, hi] does.
     base = sandwich_status(ratio, z)
-    steps = [StepReport(f"power_{k}", base, Justification.justified()) for k in range(1, c.m + 2)]
+    steps = [StepReport(f"power_{k}", base, _JUSTIFIED) for k in range(1, c.m + 2)]
 
     # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
     # bounds is only an inference when every multiplier is positive. The
@@ -210,38 +219,29 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # Horner pass serves this step and the substitution. S and the residual
     # are built from the R_n and zeta(3) above, as the public
     # weighted_sum_enclosure and residual_enclosure build them.
-    weighted = ratio * _poly_enclosure(c.c, ratio)
+    weighted = _poly_enclosure((0,) + c.c, ratio)
     residual = _poly_enclosure(c.c, z)
     upper = z * residual
-    if c.all_positive:
-        ws_just = Justification.justified()
-    else:
-        ws_just = Justification.requires(_POSITIVITY_CONDITION, met=False)
+    ws_just = _JUSTIFIED if c.all_positive else _POSITIVITY_UNMET
     steps.append(StepReport("weighted_sum", sandwich_status(weighted, upper), ws_just))
 
     # Substitution: the upper bound is replaced using the assumed relation.
     # Numeric verdict reflects whether the residual enclosure still allows
     # zero: certified-nonzero residual refutes the substitution.
-    tri = trichotomy(residual)
-    if tri is Trichotomy.CONTAINS_ZERO:
-        sub_status = CheckStatus.UNKNOWN
-        sub_met: Optional[bool] = None
+    if trichotomy(residual) is Trichotomy.CONTAINS_ZERO:
+        sub_status, sub_just = CheckStatus.UNKNOWN, _RELATION_UNDETERMINED
     else:
-        sub_status = CheckStatus.FAILS
-        sub_met = False
-    steps.append(
-        StepReport("substitution", sub_status, Justification.requires(_RELATION_CONDITION, sub_met))
-    )
+        sub_status, sub_just = CheckStatus.FAILS, _RELATION_UNMET
+    steps.append(StepReport("substitution", sub_status, sub_just))
 
     # Final statement 0 < S < 0: unsatisfiable; Fails once S has a
     # determinate sign (or is exactly zero), Unknown only while S straddles
     # zero with positive width.
-    s_tri = trichotomy(weighted)
-    if s_tri is not Trichotomy.CONTAINS_ZERO or weighted.is_point():
+    if trichotomy(weighted) is not Trichotomy.CONTAINS_ZERO or weighted.is_point():
         final_status = CheckStatus.FAILS
     else:
         final_status = CheckStatus.UNKNOWN
-    steps.append(StepReport("final_contradiction", final_status, Justification.not_applicable()))
+    steps.append(StepReport("final_contradiction", final_status, _NOT_APPLICABLE))
 
     return ChainReport(
         n=n,

@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from zeta3forms.chain import (
     CoeffVector,
     InvalidCoeffVector,
     JustificationKind,
+    _poly_enclosure,
     audit,
     fixed_corpus,
     random_corpus,
@@ -79,6 +85,64 @@ def test_residual_minus6_5_equals_half_form_abs():
         lhs = residual_enclosure(CoeffVector((-6, 5)), digits)
         rhs = abs((zeta3(digits) * form.B + form.A) / form.dn3) / 2
         assert lhs == rhs
+
+
+# -- the Horner kernel ---------------------------------------------------------------
+
+
+def _generic_horner(coeffs: tuple[int, ...], x: Enclosure) -> Enclosure:
+    """sum_i coeffs[i] * x**i by Enclosure's own * and +: the kernel's oracle."""
+    acc = Enclosure(coeffs[-1], coeffs[-1])
+    for ck in reversed(coeffs[:-1]):
+        acc = acc * x + ck
+    return acc
+
+
+def _fields(e: Enclosure) -> tuple[int, int, int]:
+    return e.lo_num, e.hi_num, e.den
+
+
+def _kernel_points() -> list[Enclosure]:
+    points = []
+    for n in (1, 20, 50, 200):
+        for digits in (1, 2, 60, 230):
+            r = ratio_enclosure(n, digits)
+            points += [r, Enclosure(0, r.hi_num, r.den)]  # R_n, and R_n widened to [0, h]
+    points += [zeta3(digits) for digits in (1, 2, 60, 230)]
+    return points + [Enclosure(5, 5, 7), Enclosure(0, 3, 8)]
+
+
+def test_horner_kernel_gives_the_fields_of_the_generic_operators():
+    # large and small coefficients, so the ends of the running sum change sign
+    rng = random.Random(20261019)
+    for x in _kernel_points():
+        for _ in range(12):
+            bound = rng.choice((2, 10**6))
+            c = tuple(rng.randint(-bound, bound) for _ in range(rng.randint(2, 7)))
+            assert _fields(_poly_enclosure(c, x)) == _fields(_generic_horner(c, x)), (x, c)
+            # S's form: the coefficients (0,) + c give x * P(x), field for field
+            product = x * _generic_horner(c, x)
+            assert _fields(_poly_enclosure((0,) + c, x)) == _fields(product), (x, c)
+
+
+def test_horner_kernel_refuses_a_negative_lower_end_under_python_O():
+    with pytest.raises(ValueError):
+        _poly_enclosure((1, 2), Enclosure(-1, 1))
+    code = (
+        "import sys\n"
+        "from zeta3forms.chain import _poly_enclosure\n"
+        "from zeta3forms.exactnum import Enclosure\n"
+        "try:\n"
+        "    _poly_enclosure((1, 2), Enclosure(-1, 1))\n"
+        "except ValueError:\n"
+        "    sys.exit(10 + sys.flags.optimize)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, env=env)
+    # 10 for the ValueError, plus 1 for the asserts that -O strips
+    assert (proc.returncode, proc.stderr) == (11, b"")
 
 
 # -- power bounds ------------------------------------------------------------------

@@ -134,6 +134,21 @@ PINNED_STDOUT = {
 }
 
 
+# sha256 of report_to_json(audit(n, c, digits)) + "\n" over n in (1, 7, 20), digits
+# in (1, 60) and every c of chain.fixed_corpus(), in that loop order.
+CORPUS_AUDIT_SHA256 = "db25471df053ff2e36552e5f533b6062325c7ed642ad750a53fe48cc8c644474"
+
+
+def test_corpus_audit_json_matches_pinned_sha256():
+    digest = hashlib.sha256()
+    for n in (1, 7, 20):
+        for digits in (1, 60):
+            for c in chain.fixed_corpus():
+                report = chain.report_to_json(chain.audit(n, c, digits))
+                digest.update((report + "\n").encode("utf-8"))
+    assert digest.hexdigest() == CORPUS_AUDIT_SHA256
+
+
 @pytest.mark.parametrize("name", list(PINNED_STDOUT))
 def test_stdout_matches_pinned_sha256(capsys, monkeypatch, name):
     argv, code, digest = PINNED_STDOUT[name]

@@ -109,9 +109,13 @@ def test_corpus_script_accepts_zero_random_vectors(tmp_path):
     assert "auditor soundness: OK" in proc.stdout
 
 
+# The last flag names the output file.
 @pytest.mark.parametrize(
     ("script", "flags"),
-    [("run_decay_table.py", ["--n-max", "3"]), ("run_corpus_audit.py", ["--random", "0"])],
+    [
+        ("run_decay_table.py", ["--n-max", "3", "--out", "decay.csv"]),
+        ("run_corpus_audit.py", ["--random", "0", "--json-out", "audit.json"]),
+    ],
 )
 def test_scripts_exit_4_on_an_internal_fault(
     tmp_path, monkeypatch, capsys, zeta3_methods_disagree, script, flags
@@ -119,10 +123,20 @@ def test_scripts_exit_4_on_an_internal_fault(
     # 1 is "not certified" or "soundness VIOLATED" here; a fault must not read as either
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    out = tmp_path / flags[-1]
     monkeypatch.setattr(sys, "argv", [str(SCRIPTS / script), *flags])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
-    captured = capsys.readouterr()
-    assert (exit_info.value.code, captured.out) == (EXIT_INTERNAL, "")
-    assert captured.err.startswith(f"{script[:-3]}: internal error: DisjointEnclosures: ")
-    assert captured.err.count("\n") == 1
+    # an existing output file keeps its bytes; a fresh path is left without a file
+    for sentinel in (b"kept,by,a,fault\n", None):
+        if sentinel is not None:
+            out.write_bytes(sentinel)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == (EXIT_INTERNAL, "")
+        assert captured.err.startswith(f"{script[:-3]}: internal error: DisjointEnclosures: ")
+        assert captured.err.count("\n") == 1
+        if sentinel is not None:
+            assert out.read_bytes() == sentinel
+            out.unlink()
+        else:
+            assert not out.exists()
