@@ -6,8 +6,8 @@ whether any audit ever certified the final contradiction (none should).
 Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
 usage error, such as a size below 1, a negative --random or a --json-out
 path that cannot be written (checked before any computation, without
-truncating an existing file), 4 on an internal fault (an `ArithmeticError`),
-reported on one stderr line with nothing on stdout.
+truncating an existing file), 4 on an internal fault (an `ArithmeticError`
+or a `ValueError`), reported on one stderr line with nothing on stdout.
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60
@@ -94,6 +94,6 @@ def _audit_corpus(args: argparse.Namespace) -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"run_corpus_audit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL)

@@ -6,8 +6,8 @@ written cell carries a +/- field (not one significant digit certified), as
 the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
 2 on a usage error, such as a size below 1, a negative EXP or an --out
 path that cannot be written (checked before any computation, without
-truncating an existing file); 4 on an internal fault (an `ArithmeticError`),
-reported on one stderr line with nothing on stdout.
+truncating an existing file); 4 on an internal fault (an `ArithmeticError`
+or a `ValueError`), reported on one stderr line with nothing on stdout.
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -74,6 +74,6 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"run_decay_table: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL)

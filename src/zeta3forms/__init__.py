@@ -30,7 +30,7 @@ from .chain import (
 )
 from .combinatorics import d
 from .exactnum import Enclosure, Rat, Trichotomy, rat_str, sqrt2_enclosure, trichotomy
-from .zeta3 import DisjointEnclosures, zeta3_accelerated, zeta3_direct
+from .zeta3 import DisjointEnclosures, zeta3_accelerated
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,5 @@ __all__ = [
     "verify_ratio_bound",
     "weighted_sum_enclosure",
     "zeta3_accelerated",
-    "zeta3_direct",
     "__version__",
 ]

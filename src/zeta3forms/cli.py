@@ -10,8 +10,10 @@ Exit codes: 0 all requested checks hold / completed, 1 some check fails,
 2 usage error, 3 some check is unknown (its enclosures overlap at the
 requested digits; `audit` first climbs its refinement ladder), or some
 printed decay cell carries a +/- field (not one digit certified), 4 internal
-fault (an `ArithmeticError`, such as the two zeta(3) methods disagreeing),
-reported on one stderr line with nothing on stdout.
+fault (an `ArithmeticError`, such as the two zeta(3) routes disagreeing, or a
+`ValueError` from inside the package), reported on one stderr line with
+nothing on stdout. Of the input errors, argparse reports its own; only an
+invalid coefficient vector reaches `main` as an exception.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import bounds, chain
 from .beukers import linear_form
 from .bounds import CheckStatus, DecayRow
 from .exactnum import Enclosure, floor_div_scaled, rat_str
-from .zeta3 import direct_max_digits, zeta3, zeta3_accelerated, zeta3_direct
+from .zeta3 import zeta3
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -185,22 +187,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _exit_for(statuses)
 
 
-def zeta3_methods() -> dict[str, Callable[[int], Enclosure]]:
-    """The zeta(3) enclosure for each ``--method`` name, in help order.
-
-    Built on each call from this module's names, so a wrapper installed on
-    those names (the benchmark's traced run) is the function called.
-    """
-    return {"direct": zeta3_direct, "accelerated": zeta3_accelerated, "cross": zeta3}
-
-
 def cmd_zeta3(args: argparse.Namespace) -> int:
-    _banner(args, f"zeta3 digits={args.digits} method={args.method}")
+    _banner(args, f"zeta3 digits={args.digits}")
     # One guard digit so the printed error is strictly below 1 ulp.
-    if args.method == "direct" and args.digits >= direct_max_digits():
-        limit = f"--method direct goes up to --digits {direct_max_digits() - 1}"
-        raise ValueError(f"{limit}; use --method accelerated or cross")
-    enc = zeta3_methods()[args.method](args.digits + 1)
+    enc = zeta3(args.digits + 1)
     # The midpoint (lo_num + hi_num) / (2 den), printed without reducing it.
     print(fraction_places(enc.lo_num + enc.hi_num, 2 * enc.den, args.digits))
     return EXIT_OK
@@ -294,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta3", parents=[common], help="print zeta(3) to a certified precision")
     p.add_argument("--digits", type=_positive_int, required=True)
-    p.add_argument("--method", choices=list(zeta3_methods()), default="cross")
     p.set_defaults(func=cmd_zeta3)
 
     p = sub.add_parser("audit", parents=[common], help="audit the inequality chain for one vector")
@@ -325,10 +314,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (chain.InvalidCoeffVector, ValueError) as exc:
+    except chain.InvalidCoeffVector as exc:
         print(f"zeta3forms: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"zeta3forms: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -27,12 +27,12 @@ at most 10**-digits / 8 to a width. R_n (about 10**(-1.3 n)) goes onto a
 grid that many bits below its own size (``bounds.ratio_enclosure``). Each
 endpoint is one exact floor division, `floor_div_scaled`: floor(n * 2**bits
 / den) with the power of two that ``den`` carries cancelled first, which
-leaves the same rational and so the same quotient. ``zeta3_direct`` sums in
-units of a power of two, and ``bounds.form_abs_enclosure`` divides by its
-full denominator once per (n, digits). Reduced `Fraction`s are built only
-when an endpoint is read (``lo``, ``hi``, ``width``, ``midpoint``) and by
-``__hash__`` and ``__str__``; the CLI's decimal printer reads the integers
-instead. See Moore, *Interval Analysis* (1966), for the interval rules.
+leaves the same rational and so the same quotient.
+``bounds.form_abs_enclosure`` divides by its full denominator once per (n,
+digits). Reduced `Fraction`s are built only when an endpoint is read
+(``lo``, ``hi``, ``width``, ``midpoint``) and by ``__hash__`` and
+``__str__``; the CLI's decimal printer reads the integers instead. See
+Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.
@@ -45,7 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Optional, Union
+from typing import Union
 
 # Exact serialization of arbitrarily large integers is part of this package's
 # contract; CPython's default 4300-digit str() guard would break it.
@@ -173,21 +173,6 @@ class Enclosure:
     def lies_at_or_above(self, other: Enclosure) -> bool:
         """Every point of ``self`` is at or above every point of ``other``."""
         return self.lo_num * other.den >= other.hi_num * self.den
-
-    def intersect(self, other: Enclosure) -> Optional[Enclosure]:
-        """Common part of two enclosures, or None when they are disjoint."""
-        s, t, den = _scales(self.den, other.den)
-        lo_self = self.lo_num * s >= other.lo_num * t
-        hi_self = self.hi_num * s <= other.hi_num * t
-        if lo_self and hi_self:
-            return self
-        if not lo_self and not hi_self:
-            return other
-        lo = self.lo_num * s if lo_self else other.lo_num * t
-        hi = self.hi_num * s if hi_self else other.hi_num * t
-        if lo > hi:
-            return None
-        return _raw(lo, hi, den)
 
     # -- value semantics ----------------------------------------------------
 

@@ -32,14 +32,24 @@ def ratio_touches_zero(monkeypatch):
 
 @pytest.fixture
 def zeta3_methods_disagree(monkeypatch):
-    """zeta(3)'s direct series replaced by [0, 1/1000], which misses the
-    accelerated enclosure, so every zeta3() call raises DisjointEnclosures:
+    """zeta(3)'s check, Apery's bracket, replaced by [0, 1/1000], which misses
+    the AZ series' enclosure, so every zeta3() call raises DisjointEnclosures:
     an internal fault no input can cause. zeta3's cache is cleared before and
-    after, so no intersection cached elsewhere hides it or outlives it."""
+    after, so no enclosure cached elsewhere hides it or outlives it."""
     from zeta3forms import zeta3 as zmod
     from zeta3forms.exactnum import Enclosure
 
-    monkeypatch.setattr(zmod, "zeta3_direct", lambda digits: Enclosure(0, 1, 1000))
+    monkeypatch.setattr(zmod, "apery_bracket", lambda N: Enclosure(0, 1, 1000))
     zmod.zeta3.cache_clear()
     yield
     zmod.zeta3.cache_clear()
+
+
+@pytest.fixture
+def ratio_straddles_zero(monkeypatch):
+    """The audit's R_n replaced by [-1, 1], which no R_n > 0 can be, so the
+    Horner kernel raises ValueError: an internal fault no input can cause."""
+    from zeta3forms import chain
+    from zeta3forms.exactnum import Enclosure
+
+    monkeypatch.setattr(chain, "ratio_enclosure", lambda n, digits: Enclosure(-1, 1, 1))

@@ -17,7 +17,7 @@ from zeta3forms import beukers, bounds, chain
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import CheckStatus, decay_table, verify_form_bound, verify_ratio_bound
 from zeta3forms.chain import JustificationKind
-from zeta3forms.zeta3 import zeta3_accelerated, zeta3_direct
+from zeta3forms.zeta3 import zeta3
 
 F = Fraction
 
@@ -110,25 +110,21 @@ def test_criterion_3_beta_two_oracles():
 
 def test_criterion_4_zeta3_thousand_digits():
     started = time.perf_counter()
-    fast = zeta3_accelerated(1000)
-    accel_elapsed = time.perf_counter() - started
-    slow = zeta3_direct(12)
-    both = fast.intersect(slow)
+    enc = zeta3(1000)
+    elapsed = time.perf_counter() - started
+    bracket = beukers.apery_bracket(11 * 1000 // 20 + 2)  # the bracket zeta3 checks against
     ok = (
-        both is not None
-        and both.width() <= F(1, 10**1000)
-        and accel_elapsed <= 10.0
+        oracles.overlaps(enc, bracket)
+        and enc.width() <= F(1, 10**1000)
+        and bracket.width() <= F(1, 10**1000)
+        and elapsed <= 10.0
     )
-    if both is None:
-        width_note = "disjoint"
-    else:
-        scaled = float(both.width() * 10**1000)  # in units of 1e-1000
-        width_note = f"width = {scaled:.2e} x 1e-1000"
+    scaled = float(enc.width() * 10**1000)  # in units of 1e-1000
     _criterion(
         4,
-        "zeta(3) methods intersect; width <= 1e-1000; accelerated <= 10s",
+        "zeta(3) series meets Apery's bracket; both widths <= 1e-1000; <= 10s",
         ok,
-        f"accelerated {accel_elapsed:.2f}s, {width_note}",
+        f"{elapsed:.2f}s, width = {scaled:.2e} x 1e-1000",
     )
 
 

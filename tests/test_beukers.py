@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import KernelMoment, binom, enclosure_of, moment, moment_series_oracle
+from oracles import KernelMoment, binom, enclosure_of, moment, moment_series_oracle, overlaps
 from zeta3forms import beukers
 from zeta3forms.beukers import IntegralityViolation, apery_bracket, dn_cubed, linear_form
 from zeta3forms.exactnum import Trichotomy, trichotomy
-from zeta3forms.zeta3 import zeta3
+from zeta3forms.zeta3 import zeta3, zeta3_accelerated
 
 F = Fraction
 
@@ -158,11 +158,11 @@ def test_casoratian_and_ninefold_growth_over_the_table():
 
 
 def test_apery_bracket_meets_zeta3():
-    z = zeta3(3000)
+    z = zeta3_accelerated(3000)  # the series zeta3 checks against this bracket
     for N in (1, 2, 5, 30, 200, 1500):
         enc = apery_bracket(N)
         assert enc.lo_num < enc.hi_num
-        assert enc.intersect(z) is not None, N
+        assert overlaps(enc, z), N
     # the bracket shrinks by more than 81 per step
     assert apery_bracket(40).width() * 81 < apery_bracket(39).width()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enclosure_of
+from oracles import enclosure_of, overlaps
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
@@ -22,7 +22,7 @@ from zeta3forms.bounds import (
 from zeta3forms.chain import CoeffVector, _audit_once, audit
 from zeta3forms.cli import EXIT_OK, main
 from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
-from zeta3forms.zeta3 import zeta3, zeta3_direct
+from zeta3forms.zeta3 import zeta3
 
 F = Fraction
 
@@ -84,7 +84,7 @@ def test_shrink_enclosure_contains_true_value():
         tight = enclosure_of(a + b * s2.hi, a + b * s2.lo)
         enc = shrink_enclosure(n, 20)
         assert tight.width() < enc.width()
-        assert enc.intersect(tight) is not None
+        assert overlaps(enc, tight)
 
 
 def test_rhs_bound_value():
@@ -269,7 +269,6 @@ def test_digit_keyed_caches_stay_bounded():
         form_abs_enclosure,
         unit_pair,
         zeta3,
-        zeta3_direct,
         sqrt2_enclosure,
     )
     assert all(fn.cache_info().maxsize == DIGITS_CACHE_SIZE for fn in caches)
@@ -306,7 +305,7 @@ def test_form_abs_meets_the_zeta3_route(n, digits):
     # at 3.1n + 60 digits the zeta(3) route is tight despite its cancellation
     oracle = _zeta3_route_form_abs(n, 31 * n // 10 + 60)
     assert oracle.lo_num > 0
-    assert form_abs_enclosure(n, digits).intersect(oracle) is not None
+    assert overlaps(form_abs_enclosure(n, digits), oracle)
 
 
 def test_every_check_holds_at_one_digit_up_to_300():

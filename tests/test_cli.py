@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import binom, enclosure_of
+from oracles import binom, enclosure_of, zeta3_direct
 from zeta3forms import bounds
-from zeta3forms import zeta3 as zmod
 from zeta3forms import cli
 from zeta3forms.beukers import IntegralityViolation, dn_cubed
 from zeta3forms.cli import (
@@ -24,6 +23,7 @@ from zeta3forms.cli import (
     main,
 )
 from zeta3forms.exactnum import Enclosure
+from zeta3forms.zeta3 import zeta3_accelerated
 
 F = Fraction
 
@@ -315,20 +315,25 @@ def test_verify_csv_round_trip(capsys):
         assert bounds.verify_ratio_bound(n, 25).status.value == row["ratio_status"]
 
 
+# Each argv with the fixture that plants a fault on its path and the error it raises.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, fault, error",
     [
-        ("verify", "--n-max", "3"),
-        ("decay", "--n-max", "3"),
-        ("audit", "--coeffs", "-6,5", "--n", "1"),
-        ("zeta3", "--digits", "20"),
+        (("verify", "--n-max", "3"), "zeta3_methods_disagree", "DisjointEnclosures"),
+        (("decay", "--n-max", "3"), "zeta3_methods_disagree", "DisjointEnclosures"),
+        (("audit", "--coeffs", "-6,5", "--n", "1"), "zeta3_methods_disagree", "DisjointEnclosures"),
+        (("zeta3", "--digits", "20"), "zeta3_methods_disagree", "DisjointEnclosures"),
+        (("audit", "--coeffs", "-6,5", "--n", "1"), "ratio_straddles_zero", "ValueError"),
     ],
+    ids=[f"argv{i}" for i in range(5)],
 )
-def test_an_internal_fault_exits_4_with_one_stderr_line(capsys, zeta3_methods_disagree, argv):
-    # exit 1 would read as "some check fails"; an ArithmeticError is a fault
+def test_an_internal_fault_exits_4_with_one_stderr_line(capsys, request, argv, fault, error):
+    # exit 1 would read as "some check fails" and 2 as "bad input"; an
+    # ArithmeticError or a ValueError from inside the package is a fault
+    request.getfixturevalue(fault)
     code, out, err = run_cli(capsys, *argv, "--quiet")
     assert (code, out) == (EXIT_INTERNAL, "")
-    assert err.startswith("zeta3forms: internal error: DisjointEnclosures: ")
+    assert err.startswith(f"zeta3forms: internal error: {error}: ")
     assert err.count("\n") == 1
 
 
@@ -362,33 +367,12 @@ def test_zeta3_large_digit_output(capsys):
 
 
 def test_zeta3_methods_agree(capsys):
-    outs = set()
-    for method in ("direct", "accelerated", "cross"):
-        code, out, _ = run_cli(capsys, "zeta3", "--digits", "11", "--method", method, "--quiet")
-        assert code == EXIT_OK
-        outs.add(out)
-    assert len(outs) == 1
-
-
-def test_zeta3_direct_infeasible_digits_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "zeta3", "--digits", "400", "--method", "direct", "--quiet")
-    assert code == EXIT_USAGE
-    assert "error" in err
-    # The CLI asks for one guard digit, so its limit is one below the library's.
-    code, out, _ = run_cli(capsys, "zeta3", "--digits", "17", "--method", "direct", "--quiet")
-    assert (code, out) == (EXIT_OK, "1.20205690315959429\n")
-    code, _, err = run_cli(capsys, "zeta3", "--digits", "18", "--method", "direct", "--quiet")
-    assert code == EXIT_USAGE
-    assert "--method direct goes up to --digits 17; use --method accelerated or cross" in err
-
-
-def test_zeta3_direct_limit_follows_the_term_limit(capsys, monkeypatch):
-    # 10^(d+1) <= 1000^3 for d <= 8: the library goes to 8 digits, the CLI to 7.
-    monkeypatch.setattr(zmod, "_DIRECT_TERM_LIMIT", 1000)
-    assert zmod.direct_max_digits() == 8
-    code, _, err = run_cli(capsys, "zeta3", "--digits", "8", "--method", "direct", "--quiet")
-    assert code == EXIT_USAGE
-    assert "--method direct goes up to --digits 7;" in err
+    # the printed digits are the midpoint of the AZ series' enclosure and of
+    # the direct series' one, each with the CLI's guard digit
+    code, out, _ = run_cli(capsys, "zeta3", "--digits", "11", "--quiet")
+    assert code == EXIT_OK
+    for enc in (zeta3_accelerated(12), zeta3_direct(12)):
+        assert out == fraction_places(enc.lo_num + enc.hi_num, 2 * enc.den, 11) + "\n"
 
 
 # -- audit -----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import enclosure_of
+from oracles import enclosure_of, overlaps
 from zeta3forms.exactnum import (
     Enclosure,
     Trichotomy,
@@ -103,7 +103,7 @@ def test_sqrt2_defining_property(digits):
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
 def test_sqrt2_enclosures_consistent(d1, d2):
     # successive precisions need not nest, but they share the true point
-    assert sqrt2_enclosure(d1).intersect(sqrt2_enclosure(d2)) is not None
+    assert overlaps(sqrt2_enclosure(d1), sqrt2_enclosure(d2))
 
 
 def test_sqrt2_rejects_bad_digits():
@@ -214,12 +214,6 @@ def test_non_int_scalars_are_refused(scalar):
         a / scalar
 
 
-def test_intersect():
-    assert enc(0, 2).intersect(enc(1, 3)) == enc(1, 2)
-    assert enc(0, 1).intersect(enc(2, 3)) is None
-    assert enc(0, 1).intersect(enc(1, 2)) == enc(1, 1)
-
-
 def test_point_queries():
     p = Enclosure(3, 3, 7)
     assert p.is_point() and Enclosure(3, 3).den == 1
@@ -255,11 +249,6 @@ def _ref_abs(a):
     if a[1] <= 0:
         return -a[1], -a[0]
     return F(0), max(-a[0], a[1])
-
-
-def _ref_intersect(a, b):
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return None if lo > hi else (lo, hi)
 
 
 def _ref_round_out(a, bits):
@@ -303,8 +292,6 @@ def test_binary_ops_match_fraction_reference(a, b):
     ra, rb = _ends(a), _ends(b)
     assert _ends(a + b) == _ref_add(ra, rb)
     assert _ends(a * b) == _ref_mul(ra, rb)
-    both = a.intersect(b)
-    assert (None if both is None else _ends(both)) == _ref_intersect(ra, rb)
     inv = _ref_reciprocal(rb)
     if inv is None:
         with pytest.raises(ZeroDivisionError):
@@ -368,7 +355,7 @@ def test_arithmetic_computes_no_gcd(monkeypatch):
 
     monkeypatch.setattr(math, "gcd", forbidden)
     results = [a + b, a * b, b * a, a / b, abs(a), -a]
-    results += [a + 1, a * -2, a / -3, a.round_out(8), a.intersect(b + -1)]
+    results += [a + 1, a * -2, a / -3, a.round_out(8)]
     assert all(isinstance(r, Enclosure) for r in results)
     assert a.lies_below(b) and not a.lies_at_or_above(b) and b.encloses(b)
     assert trichotomy(a) is Trichotomy.CONTAINS_ZERO

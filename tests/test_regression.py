@@ -7,8 +7,10 @@ Each pin is an argv with its exit code and the sha256 of its stdout:
 - ``verify``, ``verify-unknown``, ``verify-digits-*``: the verify table for
   n up to 200, at 1 to 2500 digits.
 - ``decay``, ``decay-unknown``: the decay table at 220 digits.
-- ``zeta3*``: zeta(3)'s printed digits by each method, up to 20000 digits,
-  and the subcommand's help text.
+- ``zeta3*``: zeta(3)'s printed digits, up to 20000 digits, and the
+  subcommand's help text. ``zeta3-direct`` and ``zeta3-accelerated*`` are
+  named for the series that first printed their digits; one series prints
+  them all now.
 - ``form-json``, ``form-json-2000``: the exact linear forms at n = 50 and 2000.
 
 The names ending in ``unknown`` keep the argv of sweeps that once ended
@@ -57,24 +59,24 @@ PINNED_STDOUT = {
         "3425ae2c0582a90162c3e347ef233adaf98d9f0c391a63c533a02592ad2ed722",
     ),
     "zeta3-direct": (
-        ("zeta3", "--digits", "12", "--method", "direct"),
+        ("zeta3", "--digits", "12"),
         EXIT_OK,
         "7d5cb124e0c2cd7ef6b9bf3cb48c3e8c2a0a1e2f3bd300037feb7b72bf2bb675",
     ),
     "zeta3-accelerated": (
-        ("zeta3", "--digits", "200", "--method", "accelerated"),
+        ("zeta3", "--digits", "200"),
         EXIT_OK,
         "5b27def154784fa9753177800329d89fc9f9df1e4d2d499206e044865530b001",
     ),
     "zeta3-accelerated-6000": (
-        ("zeta3", "--digits", "6000", "--method", "accelerated"),
+        ("zeta3", "--digits", "6000"),
         EXIT_OK,
         "a024c81cf303cdee6ce9372fb2c21a5bcbb47180c43e7f82cabd582b8f819d70",
     ),
     "zeta3-help": (
         ("zeta3", "--help"),
         EXIT_OK,
-        "f32fcece5082cd38789315c4ccf4dcb7e113c60f760cc09016a100a951c3e3b2",
+        "54bb97912fa59083de18f1d8728ddac736c096388494975b207ec822f08ab9c8",
     ),
     "form-json": (
         ("form", "--n", "50", "--json"),
@@ -233,7 +235,6 @@ def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
         bounds.ratio_enclosure,
         sqrt2_enclosure,
         zeta3.zeta3,
-        zeta3.zeta3_direct,
     )
     for cached in caches:
         cached.cache_clear()

@@ -109,18 +109,27 @@ def test_corpus_script_accepts_zero_random_vectors(tmp_path):
     assert "auditor soundness: OK" in proc.stdout
 
 
-# The last flag names the output file.
+_DECAY_FLAGS = ["--n-max", "3", "--out", "decay.csv"]
+_CORPUS_FLAGS = ["--random", "0", "--json-out", "audit.json"]
+
+
+# The last flag names the output file; the fixture plants a fault on the
+# script's path that raises the error named.
 @pytest.mark.parametrize(
-    ("script", "flags"),
+    ("script", "flags", "fault", "error"),
     [
-        ("run_decay_table.py", ["--n-max", "3", "--out", "decay.csv"]),
-        ("run_corpus_audit.py", ["--random", "0", "--json-out", "audit.json"]),
+        ("run_decay_table.py", _DECAY_FLAGS, "zeta3_methods_disagree", "DisjointEnclosures"),
+        ("run_corpus_audit.py", _CORPUS_FLAGS, "zeta3_methods_disagree", "DisjointEnclosures"),
+        ("run_corpus_audit.py", _CORPUS_FLAGS, "ratio_straddles_zero", "ValueError"),
     ],
+    ids=["run_decay_table.py-flags0", "run_corpus_audit.py-flags1", "run_corpus_audit.py-flags2"],
 )
 def test_scripts_exit_4_on_an_internal_fault(
-    tmp_path, monkeypatch, capsys, zeta3_methods_disagree, script, flags
+    tmp_path, monkeypatch, capsys, request, script, flags, fault, error
 ):
-    # 1 is "not certified" or "soundness VIOLATED" here; a fault must not read as either
+    # 1 is "not certified" or "soundness VIOLATED" here, and a traceback exits
+    # 1 too; a fault must not read as either
+    request.getfixturevalue(fault)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     out = tmp_path / flags[-1]
@@ -133,7 +142,7 @@ def test_scripts_exit_4_on_an_internal_fault(
             runpy.run_path(str(SCRIPTS / script), run_name="__main__")
         captured = capsys.readouterr()
         assert (exit_info.value.code, captured.out) == (EXIT_INTERNAL, "")
-        assert captured.err.startswith(f"{script[:-3]}: internal error: DisjointEnclosures: ")
+        assert captured.err.startswith(f"{script[:-3]}: internal error: {error}: ")
         assert captured.err.count("\n") == 1
         if sentinel is not None:
             assert out.read_bytes() == sentinel

@@ -6,20 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import overlaps, zeta3_direct
 from zeta3forms import zeta3 as zmod
-from zeta3forms.cli import zeta3_methods
 from zeta3forms.exactnum import Enclosure, budget_bits
-from zeta3forms.zeta3 import (
-    DisjointEnclosures,
-    zeta3,
-    zeta3_accelerated,
-    zeta3_direct,
-)
+from zeta3forms.zeta3 import DisjointEnclosures, zeta3, zeta3_accelerated
 
 F = Fraction
 
-# Verified bracket for Apery's constant: both series methods agree on it and
-# the digits are pinned by the two-method intersection tests below.
+# Verified bracket for Apery's constant: the AZ series, Apery's convergents
+# and the direct and central-binomial oracles all agree on it.
 Z3_LO = F("1.2020569031595942853")
 Z3_HI = F("1.2020569031595942854")
 
@@ -49,7 +44,8 @@ def test_direct_width_contract(digits):
 
 
 def test_direct_width_contract_over_its_whole_range():
-    for digits in range(1, zmod.direct_max_digits() + 1):
+    # 18 digits sum 2.2 million terms, as far as a test can afford to go
+    for digits in range(1, 19):
         assert zeta3_direct(digits).width() <= F(1, 10**digits), digits
 
 
@@ -58,18 +54,6 @@ def test_accelerated_width_contract_on_the_coarse_grid():
     # 10**-digits / 8 to the series' own width
     for digits in [*range(1, 401), 1000, 3000]:
         assert zeta3_accelerated(digits).width() <= F(1, 10**digits), digits
-
-
-def test_direct_term_guard():
-    with pytest.raises(ValueError):
-        zeta3_direct(25)
-
-
-@pytest.mark.parametrize("limit", [999, 1000, 1001, 3_000_000])
-def test_direct_max_digits_is_the_last_count_under_the_term_limit(monkeypatch, limit):
-    monkeypatch.setattr(zmod, "_DIRECT_TERM_LIMIT", limit)
-    top = zmod.direct_max_digits()
-    assert zmod._direct_terms(top) <= limit < zmod._direct_terms(top + 1)
 
 
 # -- int references for the accelerated route ----------------------------------
@@ -169,9 +153,9 @@ def test_accelerated_lies_inside_the_central_binomial_bracket(digits):
     reference = _central_binomial_reference(digits)
     assert reference.width() <= F(1, 10**digits)
     enc = zeta3_accelerated(digits)
-    assert enc.intersect(reference.round_out(budget_bits(digits))) == enc
+    assert reference.round_out(budget_bits(digits)).encloses(enc)
     if digits > 20:
-        assert enc.intersect(reference) == enc  # enc lies inside reference
+        assert reference.encloses(enc)
 
 
 @pytest.mark.parametrize("guard, sizes", [(40, (3, 60, 2001)), (0, (6, 6000))])
@@ -270,7 +254,7 @@ def test_round_out_rejects_a_non_positive_endpoint():
 
 
 def test_accelerated_matches_direct():
-    assert zeta3_accelerated(15).intersect(zeta3_direct(15)) is not None
+    assert overlaps(zeta3_accelerated(15), zeta3_direct(15))
 
 
 def _scaled_term(k: int) -> Fraction:
@@ -320,15 +304,15 @@ def test_cross_one_digit_example():
 
 
 def test_rejects_bad_digits():
-    for fn in (zeta3, zeta3_direct, zeta3_accelerated):
+    for fn in (zeta3, zeta3_accelerated):
         with pytest.raises(ValueError):
             fn(0)
 
 
 def test_disjoint_methods_raise(monkeypatch):
     shifted = Enclosure(2 * 10**12, 2 * 10**12 + 1, 10**12)
-    monkeypatch.setattr(zmod, "zeta3_direct", lambda digits: shifted)
-    zeta3.cache_clear()  # an intersection cached earlier would hide the disagreement
+    monkeypatch.setattr(zmod, "apery_bracket", lambda N: shifted)
+    zeta3.cache_clear()  # an enclosure cached earlier would hide the disagreement
     try:
         with pytest.raises(DisjointEnclosures):
             zmod.zeta3(9)
@@ -336,12 +320,47 @@ def test_disjoint_methods_raise(monkeypatch):
         zeta3.cache_clear()
 
 
-def test_request_dispatch():
-    methods = zeta3_methods()
-    assert list(methods) == ["direct", "accelerated", "cross"]
-    assert methods["direct"](8) == zeta3_direct(8)
-    assert methods["accelerated"](8) == zeta3_accelerated(8)
-    assert methods["cross"](8) == zeta3(8)
+@pytest.mark.parametrize("digits", [13, 600, 999, 1000])
+def test_a_series_off_by_a_few_widths_is_caught(monkeypatch, digits):
+    # AZ moved by 4 of its own widths is off by far less than 10**-12, and
+    # Apery's bracket at min(digits, 1000) digits still misses it.
+    exact = zmod.zeta3_accelerated
+
+    def shifted(d: int) -> Enclosure:
+        enc = exact(d)
+        step = 4 * (enc.hi_num - enc.lo_num)
+        return Enclosure(enc.lo_num + step, enc.hi_num + step, enc.den)
+
+    monkeypatch.setattr(zmod, "zeta3_accelerated", shifted)
+    zeta3.cache_clear()
+    try:
+        with pytest.raises(DisjointEnclosures):
+            zmod.zeta3(digits)
+    finally:
+        zeta3.cache_clear()
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 12, 13, 60, 230, 999, 1000, 1001, 2000, 20000])
+def test_the_cross_check_bracket_is_narrow_and_true(monkeypatch, digits):
+    # the bracket zeta3 checks against: narrower than 10**-min(digits, 1000),
+    # meeting AZ, and holding the central-binomial oracle's value
+    exact, brackets = zmod.apery_bracket, []
+
+    def spy(N: int) -> Enclosure:
+        brackets.append(exact(N))
+        return brackets[-1]
+
+    monkeypatch.setattr(zmod, "apery_bracket", spy)
+    zeta3.cache_clear()
+    try:
+        fast = zmod.zeta3(digits)
+    finally:
+        zeta3.cache_clear()
+    (check,) = brackets
+    cap = min(digits, 1000)
+    assert check.width() < F(1, 10**cap)
+    assert overlaps(check, fast)
+    assert check.encloses(_central_binomial_reference(2 * cap + 10))
 
 
 def _directed_tail_sum(k_first: int, count: int, bits: int = 100) -> tuple[Fraction, Fraction]:
