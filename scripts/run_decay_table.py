@@ -3,8 +3,10 @@
 
 The CSV is the one ``zeta3forms decay --csv`` prints. Exit codes: 3 when a
 written cell carries a +/- field (not one significant digit certified), as
-the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, else 1;
-2 on a usage error, such as a size below 1, a negative EXP or an --out
+the CLI does; otherwise 0 when T_{n_max} < 10**-EXP is certified, 1 when
+T_{n_max} >= 10**-EXP is certified, and 3 when the enclosure of T_{n_max}
+straddles 10**-EXP, so neither is (the CLI's code for unknown); 2 on a
+usage error, such as a size below 1, a negative EXP or an --out
 path that cannot be written (checked before any computation, without
 truncating an existing file); 4 on an internal fault (an `ArithmeticError`
 or a `ValueError`), reported on one stderr line with nothing on stdout.
@@ -25,8 +27,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import decay_table  # noqa: E402
 from zeta3forms.cli import (  # noqa: E402
+    EXIT_FAILS,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_UNKNOWN,
     _nonnegative_int,
     _positive_int,
     enclosure_decimal,
@@ -61,14 +65,20 @@ def main() -> int:
 
     last = rows[-1]
     cap = Fraction(1, 10**args.t_cap_exp)
-    certified = last.t_n.hi < cap
+    bound = f"1e-{args.t_cap_exp}"
+    if last.t_n.hi < cap:
+        verdict, code = "CERTIFIED", EXIT_OK
+    elif last.t_n.lo >= cap:
+        verdict, code = f"REFUTED (T_{last.n} >= {bound} is certified)", EXIT_FAILS
+    else:
+        verdict, code = f"UNDECIDED (its enclosure straddles {bound})", EXIT_UNKNOWN
     print(f"wrote {args.out} ({len(rows)} rows) in {elapsed:.2f}s")
     print(f"T_{last.n} = {enclosure_decimal(last.t_n, 6)}")
-    print(f"T_{last.n} < 1e-{args.t_cap_exp}: {'CERTIFIED' if certified else 'NOT CERTIFIED'}")
+    print(f"T_{last.n} < {bound}: {verdict}")
     if table_code != EXIT_OK:
         print("some cells carry a +/- field: not one significant digit certified")
         return table_code
-    return 0 if certified else 1
+    return code
 
 
 if __name__ == "__main__":

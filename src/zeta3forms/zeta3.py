@@ -39,6 +39,32 @@ only at the leaves, where they are small. See Brent & Zimmermann, *Modern
 Computer Arithmetic* (2010), section 1.3 on fast multiplication and section
 4.9 on binary splitting.
 
+From _FORK_DIGITS (2500) digits on, the splitting of [0, K+2) runs in two
+processes, when os.fork exists and no other thread runs (Python 3.12 and
+later deprecate fork in a threaded process). The two halves of a binary
+splitting are independent products (Haible & Papanikolaou, ANTS 1998). A
+forked child sums [m, K+2), m = 0.52 (K+2), and writes its exact (P, Q, T)
+to a pipe as digit strings; this process sums [0, m), reads the pipe, reaps
+the child and combines the halves with the step `_binsplit` uses. The upper
+terms carry longer factors, so m = 0.52 (K+2) balances the halves better
+than the midpoint (44.8 and 47.5 ms against 44.4 and 50.5 ms at 20000
+digits). A second thread would not do: `_decimal` keeps the GIL while it
+multiplies, and two splittings at 20000 digits took 227 ms in two threads
+against 212 ms one after the other. The fork, the pipe and the parse cost
+about 2 ms, which the halved splitting repays from about 2200 digits on.
+Measured in-process on a 2-vCPU Xeon with CPython 3.11, two processes
+against one take 2.7 against 1.6 ms at 1000 digits, 6.3 against 6.3 ms at
+2200, 7.6 against 8.1 ms at 2500 and 18.4 against 25.0 ms at 6000.
+
+The child leaves only through os._exit, on success or on any exception: an
+ordinary exit would flush this process's buffered stdout a second time and
+run the atexit handlers it inherited (a benchmark harness may register one
+that writes a file). A child that fails (a nonzero exit) raises
+ArithmeticError here, as a fault in this process would; an OSError from
+os.pipe or os.fork instead falls back to the splitting in one process. On
+any exception here, Ctrl-C included, the child is killed, and it is reaped
+before `zeta3_accelerated` returns or raises.
+
 The check is the bracket of Apery's convergents, `beukers.apery_bracket`,
 the route that builds |I_n| (van der Poorten, 1979). It shares no code with
 the AZ series, so a systematic bug in either surfaces as a DisjointEnclosures
@@ -47,6 +73,8 @@ error instead of a wrong but confident answer.
 
 from __future__ import annotations
 
+import os
+import threading
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -61,6 +89,7 @@ from decimal import (
     Rounded,
 )
 from functools import lru_cache
+from typing import IO
 
 from .beukers import apery_bracket
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
@@ -72,6 +101,10 @@ class DisjointEnclosures(ArithmeticError):
 
 # Digits at which Apery's convergents check the AZ series, at most.
 _CROSS_DIGITS = 1000
+
+# Digits from which a forked child sums the upper part of the splitting,
+# when it can (module docstring).
+_FORK_DIGITS = 2500
 
 
 def _context(prec: int, rounding: str, traps: list) -> Context:
@@ -96,20 +129,22 @@ _GUARD_DIGITS = 40
 # halved first, because CPython's int(str) is quadratic in the length.
 _INT_CHUNK_DIGITS = 2000
 
+# (P, Q, T) of a range of the series, as exact Decimal integers.
+_Split = tuple[Decimal, Decimal, Decimal]
+
 
 def _weight(k: int) -> int:
     """a(k) = 205k^2 + 250k + 77, the polynomial factor of the k-th term."""
     return 205 * k * k + 250 * k + 77
 
 
-def _binsplit(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
+def _binsplit(a: int, b: int) -> _Split:
     """(P, Q, T) over [a, b) of the Amdeberhan-Zeilberger series, as exact
     Decimal integers.
 
     t_k = a(k) prod_{j=1..k} p_j/q_j with p_j = -j^5 and q_j = 32 (2j+1)^5
     (p_0 = q_0 = 1). P and Q are the range products and T/Q =
-    sum_{k=a..b-1} t_k / prod_{j<a} (p_j/q_j). Each operand is dropped as
-    soon as its last product is formed.
+    sum_{k=a..b-1} t_k / prod_{j<a} (p_j/q_j).
     """
     if b - a == 1:
         if a == 0:
@@ -117,13 +152,80 @@ def _binsplit(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
         p = -(a**5)
         return Decimal(p), Decimal(32 * (2 * a + 1) ** 5), Decimal(_weight(a) * p)
     m = (a + b) // 2
-    pl, ql, tl = _binsplit(a, m)
-    pr, qr, tr = _binsplit(m, b)
+    return _combine(_binsplit(a, m), _binsplit(m, b))
+
+
+def _combine(left: _Split, right: _Split) -> _Split:
+    """(P, Q, T) over [a, b) from those over [a, m) and [m, b). Each operand
+    is dropped as soon as its last product is formed."""
+    pl, ql, tl = left
+    pr, qr, tr = right
+    del left, right
     t = _add(_mul(tl, qr), _mul(pl, tr))
     del tl, tr
     q = _mul(ql, qr)
     del ql, qr
     return _mul(pl, pr), q, t
+
+
+def _fork_binsplit(a: int, b: int) -> tuple[int, IO[str]]:
+    """Fork a child that writes `_binsplit(a, b)` to a pipe; (its pid, the
+    pipe's read end as a text file).
+
+    The child writes the three fields as digit strings and leaves only
+    through os._exit: with status 0 once all of them are written, else 1.
+    An OSError from os.pipe or os.fork propagates, with no descriptor left
+    open.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "w", encoding="ascii") as out:
+                out.write(" ".join(map(_EXACT.to_sci_string, _binsplit(a, b))))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, encoding="ascii")
+
+
+def _binsplit_in_two(n: int) -> _Split:
+    """`_binsplit(0, n)`, with [m, n) summed meanwhile in a forked child.
+
+    m = 0.52 n (module docstring). The child is reaped before this returns
+    or raises; on an exception here, Ctrl-C included, it is killed first. A
+    child that fails raises ArithmeticError. When os.pipe or os.fork raises
+    OSError, [0, n) is summed in this process.
+    """
+    m = 13 * n // 25
+    try:
+        pid, pipe = _fork_binsplit(m, n)
+    except OSError:
+        return _binsplit(0, n)
+    try:
+        with pipe:
+            left = _binsplit(0, m)
+            fields = pipe.read().split()
+    except BaseException:
+        # imported here: `signal` adds about 0.7 ms to every start-up
+        from signal import SIGKILL
+
+        os.kill(pid, SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise ArithmeticError(f"the child summing terms [{m}, {n}) of the zeta(3) series exited with {code}")
+    pr, qr, tr = map(_EXACT.create_decimal, fields)
+    return _combine(left, (pr, qr, tr))
 
 
 def _digits_to_int(s: str) -> int:
@@ -198,7 +300,10 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     terms = digits // 3 + 2
     # Over [0, K+2) the sum gives S_{K+1} = T/Q and the products give
     # t_{K+1} = a(K+1) P/Q, so S_K = (T - a(K+1) P)/Q; no factorial is formed.
-    p, q, t = _binsplit(0, terms + 2)
+    if digits >= _FORK_DIGITS and hasattr(os, "fork") and threading.active_count() == 1:
+        p, q, t = _binsplit_in_two(terms + 2)
+    else:
+        p, q, t = _binsplit(0, terms + 2)
     ends = (_EXACT.subtract(t, _mul(_weight(terms + 1), p)), t)
     del t
     den = _mul(64, q)

@@ -47,13 +47,14 @@ else:
 
 
 # T_30 = 3.5e-9 and T_72 = 2.5e-18; the n = 72 table has +/- cells, the n = 30 one none.
+# At one digit T_59 lies in [9.79e-16, 1.017e-15], which straddles 1e-15.
 @pytest.mark.parametrize(
-    ("n_max", "cap_exp", "script_code", "cli_code"),
-    [(30, 8, 0, 0), (30, 10, 1, 0), (72, 8, 3, 3)],
+    ("n_max", "digits", "cap_exp", "script_code", "cli_code"),
+    [(30, 220, 8, 0, 0), (30, 220, 10, 1, 0), (72, 220, 8, 3, 3), (59, 1, 15, 3, 0)],
 )
-def test_decay_script_writes_the_cli_table(tmp_path, n_max, cap_exp, script_code, cli_code):
+def test_decay_script_writes_the_cli_table(tmp_path, n_max, digits, cap_exp, script_code, cli_code):
     out = tmp_path / "decay.csv"
-    size = ["--n-max", str(n_max), "--digits", "220"]
+    size = ["--n-max", str(n_max), "--digits", str(digits)]
     script = _run(
         ["-c", _WIDENED_FROM_72, str(SCRIPTS / "run_decay_table.py"), *size,
          "--t-cap-exp", str(cap_exp), "--out", str(out)],

@@ -1,5 +1,7 @@
 import decimal
 import math
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import overlaps, zeta3_direct
+from zeta3forms import cli
 from zeta3forms import zeta3 as zmod
 from zeta3forms.exactnum import Enclosure, budget_bits
 from zeta3forms.zeta3 import DisjointEnclosures, zeta3, zeta3_accelerated
@@ -129,10 +132,14 @@ def test_accelerated_first_partial_brackets_from_above():
 
 
 # 2001 and 6000 digits check the Decimal bracket against the reference's
-# exact floor division at a 32k-bit and a 96k-bit quotient.
+# exact floor division at a 32k-bit and a 96k-bit quotient; the splitting
+# runs in one process below _FORK_DIGITS and in two from there on.
 @given(st.integers(min_value=1, max_value=300))
 @example(2001)
+@example(zmod._FORK_DIGITS - 1)
+@example(zmod._FORK_DIGITS)
 @example(6000)
+@example(20000)
 @settings(max_examples=40, deadline=None)
 def test_accelerated_matches_int_reference(digits):
     assert _fields(zeta3_accelerated(digits)) == _fields(_reference_accelerated(digits))
@@ -166,6 +173,89 @@ def test_accelerated_ignores_the_callers_decimal_context(monkeypatch, guard, siz
     with decimal.localcontext(prec=5, traps=[]):
         got = [_fields(zeta3_accelerated(d)) for d in sizes]
     assert got == [_fields(_reference_accelerated(d)) for d in sizes]
+
+
+# -- the upper part of the splitting in a forked child -------------------------
+
+
+def _assert_no_unreaped_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_child_is_forked_from_the_threshold_on_and_reaped(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    zeta3_accelerated(zmod._FORK_DIGITS - 1)
+    assert forks == []
+    zeta3_accelerated(zmod._FORK_DIGITS)
+    assert forks == [1]
+    _assert_no_unreaped_child()
+
+
+def test_a_fault_in_the_child_alone_is_an_internal_error(monkeypatch, capsys):
+    parent, exact = os.getpid(), zmod._binsplit
+
+    def faulty(a: int, b: int):
+        if os.getpid() != parent:
+            raise ArithmeticError("planted in the child")
+        return exact(a, b)
+
+    monkeypatch.setattr(zmod, "_binsplit", faulty)
+    zeta3.cache_clear()
+    try:
+        code = cli.main(["zeta3", "--digits", "20000", "--quiet"])
+    finally:
+        zeta3.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "internal error" in err
+    _assert_no_unreaped_child()
+
+
+@pytest.mark.parametrize("failing", ["pipe", "fork"])
+def test_no_pipe_or_no_process_sums_in_one_process(monkeypatch, failing):
+    pipes, pipe = [], os.pipe
+
+    def spy_pipe():
+        pipes.extend(pipe())
+        return pipes[-2:]
+
+    def refuse():
+        raise OSError("planted")
+
+    monkeypatch.setattr(os, "pipe", spy_pipe)
+    monkeypatch.setattr(os, failing, refuse)
+    digits = zmod._FORK_DIGITS
+    assert _fields(zeta3_accelerated(digits)) == _fields(_reference_accelerated(digits))
+    for fd in pipes:  # a pipe made before fork failed is closed again
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _assert_no_unreaped_child()
+
+
+@pytest.mark.parametrize("why", ["no fork", "another thread"])
+def test_one_process_without_fork_or_beside_a_thread(monkeypatch, why):
+    # every attempt at a child starts with its pipe
+    attempts, pipe = [], os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: attempts.append(1) or pipe())
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait, args=(30,))
+    if why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        worker.start()
+    try:
+        digits = zmod._FORK_DIGITS
+        got = _fields(zeta3_accelerated(digits))
+    finally:
+        release.set()
+        if worker.ident is not None:
+            worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert attempts == []
+    assert got == _fields(_reference_accelerated(digits))
 
 
 def test_exact_context_raises_instead_of_rounding():
