@@ -7,7 +7,7 @@ rational interval enclosures, tabulates the decay of the bound, and audits
 power-and-sum inequality chains for arbitrary integer coefficient vectors.
 """
 
-from .beukers import IntegralityViolation, LinearForm, linear_form
+from .beukers import IntegralityViolation, LinearForm, d, linear_form
 from .bounds import (
     CheckResult,
     CheckStatus,
@@ -28,8 +28,7 @@ from .chain import (
     residual_enclosure,
     weighted_sum_enclosure,
 )
-from .combinatorics import d
-from .exactnum import Enclosure, Rat, Trichotomy, rat_str, sqrt2_enclosure, trichotomy
+from .exactnum import Enclosure, Rat, Trichotomy, rat_str, trichotomy
 from .zeta3 import DisjointEnclosures, zeta3_accelerated
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "rat_str",
     "residual_enclosure",
     "rhs_bound",
-    "sqrt2_enclosure",
     "trichotomy",
     "verify_form_bound",
     "verify_ratio_bound",

@@ -23,10 +23,10 @@ moments and shifted Legendre coefficients in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import d
 from .exactnum import Enclosure, Rat
 
 
@@ -45,6 +45,19 @@ class LinearForm:
     @property
     def alpha(self) -> Rat:
         return Fraction(self.A, self.dn3)
+
+
+# _LCM[i] = lcm(1..i+1); append-only, idempotent fill.
+_LCM: list[int] = [1]
+
+
+def d(n: int) -> int:
+    """d_n = lcm(1, 2, ..., n), computed incrementally."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    while len(_LCM) < n:
+        _LCM.append(math.lcm(_LCM[-1], len(_LCM) + 1))
+    return _LCM[n - 1]
 
 
 def dn_cubed(n: int) -> int:
@@ -106,8 +119,8 @@ def apery_bracket(N: int) -> Enclosure:
     k^3 b_k >= (P(k) - (k-1)^3) b_{k-1} = (33k^3 - 48k^2 + 24k - 4) b_{k-1},
     and 24k(k-1)^2 - 4 > 0. So t_{k+1}/t_k < b_{k-1}/b_{k+1} <= 1/81 for
     k >= 2, and the tail is below eps_N = (81/80) t_{N+1}. Built on this
-    bracket, I_n = 2 b_n sum_{k>n} t_k has an exact positive lower end and
-    relative width below eps_N / t_{n+1} <= (81/80) 81^-(N-n).
+    bracket, I_n = 2 b_n sum_{k>n} t_k has an exact positive lower end; its
+    width is the subject of `apery_index`.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -118,3 +131,16 @@ def apery_bracket(N: int) -> Enclosure:
     lo = _APERY_Y[N] * scale
     return Enclosure(lo, lo + 81 * 6 * 2 * cube, den)
 
+
+def apery_index(n: int, digits: int) -> int:
+    """N = n + K, K = 11*digits//20 + 2: the index at which `apery_bracket(N)`
+    gives I_n = 2 b_n sum_{k>n} t_k to relative width below 10**-digits / 80.
+
+    That width is eps_N / sum_{k>n} t_k < (81/80) t_{N+1} / t_{n+1}. Each
+    ratio t_{k+1}/t_k is below 1/81: for k >= 2 by the lemma in
+    `apery_bracket`, and t_2/t_1 = b_0 / (8 b_2) = 1/584. So the width is
+    below (81/80) 81^-K, and K > 11*digits/20 + 1 with 81^11 > 10^20 makes
+    that below 10**-digits / 80. At n = 0, I_0 = 2 zeta(3): the bracket of
+    zeta(3) itself is narrower than zeta(3) * 10**-digits / 80 < 10**-digits.
+    """
+    return n + 11 * digits // 20 + 2

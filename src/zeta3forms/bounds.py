@@ -13,8 +13,9 @@ Neither side loses digits to cancellation, so relative widths do not grow
 with n. |I_n| takes zeta(3) from Apery's convergents (`form_abs_enclosure`;
 the tail lemma is in `beukers.apery_bracket`), whose exact lower end
 certifies the "0 <" side. (sqrt(2)-1)^(4n) is the reciprocal of
-(17 + 12*sqrt(2))^n = a + |b|*sqrt(2), a sum of positive terms. The
-certified zeta(3) enclosure enters the right-hand sides only.
+(17 + 12*sqrt(2))^n = a + c*sqrt(2), a sum of positive terms
+(`_growth_enclosure`). The certified zeta(3) enclosure enters the
+right-hand sides only.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 
-from .beukers import apery_bracket, dn_cubed, linear_form
-from .combinatorics import d
-from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits, sqrt2_enclosure
+from .beukers import apery_bracket, apery_index, d, dn_cubed, linear_form
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
 from .zeta3 import zeta3
 
 
@@ -45,43 +46,32 @@ class CheckResult:
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
-def unit_pair(n: int) -> tuple[int, int]:
-    """(a, b) with (17 - 12*sqrt(2))^n = a + b*sqrt(2), by powering in Z[sqrt(2)]."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    result = (1, 0)
-    base = (17, -12)
-    e = n
-    while e:
-        if e & 1:
-            result = _mul_z_sqrt2(result, base)
-        base = _mul_z_sqrt2(base, base)
-        e >>= 1
-    return result
-
-
-def _mul_z_sqrt2(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 def _growth_enclosure(n: int, digits: int) -> Enclosure:
-    """Enclosure of (17+12*sqrt(2))^n = a + |b|*sqrt(2), (a, b) = unit_pair(n)."""
-    a, b = unit_pair(n)
-    return sqrt2_enclosure(digits) * -b + a
+    """Enclosure of (17+12*sqrt(2))^n = a + c*sqrt(2) on a 10**-digits grid.
 
-
-def shrink_enclosure(n: int, digits: int) -> Enclosure:
-    """Enclosure of (sqrt(2)-1)^(4n) = 1/(17+12*sqrt(2))^n, certified positive."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _growth_enclosure(n, digits).reciprocal()
+    (a, c) is powered in Z[sqrt(2)] by squaring, and a, c >= 0, so no digit
+    is lost to cancellation. sqrt(2) lies in [r, r+1] / 10**digits with
+    r = isqrt(2 * 10**(2*digits)), so r**2 <= 2 * 10**(2*digits) < (r+1)**2
+    holds exactly by construction.
+    """
+    if n < 0 or digits < 1:
+        raise ValueError("n must be >= 0 and digits >= 1")
+    a, c, x, y = 1, 0, 17, 12
+    while n:
+        if n & 1:
+            a, c = a * x + 2 * c * y, a * y + c * x
+        x, y = x * x + 2 * y * y, 2 * x * y
+        n >>= 1
+    scale = 10**digits
+    r = isqrt(2 * scale * scale)
+    return Enclosure(r * c + a * scale, (r + 1) * c + a * scale, scale)
 
 
 def rhs_bound(n: int, digits: int) -> Enclosure:
-    """Enclosure of 2 (sqrt(2)-1)^(4n) zeta(3)."""
+    """Enclosure of 2 (sqrt(2)-1)^(4n) zeta(3) = 2 zeta(3) / (17+12*sqrt(2))^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return shrink_enclosure(n, digits) * zeta3(digits) * 2
+    return _growth_enclosure(n, digits).reciprocal() * zeta3(digits) * 2
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
@@ -89,15 +79,15 @@ def form_abs_enclosure(n: int, digits: int) -> Enclosure:
     """Enclosure of |alpha_n + beta_n*zeta(3)| = |A_n + B_n*zeta(3)| / d_n^3,
     positive, of relative width below 10**-digits.
 
-    zeta(3) is `beukers.apery_bracket(N)` with N = n + K, K = 11*digits//20 + 2,
-    so the relative width is below (81/80) 81^-K < 10**-(digits+1). Rounding
-    onto a grid under half that width at most doubles it and makes operand
-    sizes follow the digits, not n.
+    zeta(3) is `beukers.apery_bracket(apery_index(n, digits))`, so the
+    relative width is below 10**-digits / 80. Rounding onto a grid under
+    half that width at most doubles it and makes operand sizes follow the
+    digits, not n.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     form = linear_form(n)
-    enc = abs((apery_bracket(n + 11 * digits // 20 + 2) * form.B + form.A) / form.dn3)
+    enc = abs((apery_bracket(apery_index(n, digits)) * form.B + form.A) / form.dn3)
     return enc.round_out(enc.den.bit_length() - (enc.hi_num - enc.lo_num).bit_length() + 2)
 
 

@@ -43,8 +43,6 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
 from typing import Union
 
 # Exact serialization of arbitrarily large integers is part of this package's
@@ -307,17 +305,3 @@ def trichotomy(a: Enclosure) -> Trichotomy:
     if a.hi_num < 0:
         return Trichotomy.NEGATIVE
     return Trichotomy.CONTAINS_ZERO
-
-
-@lru_cache(maxsize=DIGITS_CACHE_SIZE)
-def sqrt2_enclosure(digits: int) -> Enclosure:
-    """Enclosure of sqrt(2) of width <= 10**-digits.
-
-    Built from the integer square root of 2*10**(2*digits), so the defining
-    property lo**2 <= 2 <= hi**2 holds exactly by construction.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    scale = 10**digits
-    root = isqrt(2 * scale * scale)
-    return Enclosure(root, root + 1, scale)

@@ -65,6 +65,13 @@ os.pipe or os.fork instead falls back to the splitting in one process. On
 any exception here, Ctrl-C included, the child is killed, and it is reaped
 before `zeta3_accelerated` returns or raises.
 
+The child also ends when this process dies without unwinding (SIGTERM,
+SIGKILL), with no signal handler: only this process holds the write end of a
+second pipe, the lifeline, and closes it after reaping the child. A daemon
+thread in the child blocks reading the lifeline and calls os._exit(1) at
+EOF. `_decimal` keeps the GIL while it multiplies, so the child exits within
+one multiplication of this process's death.
+
 The check is the bracket of Apery's convergents, `beukers.apery_bracket`,
 the route that builds |I_n| (van der Poorten, 1979). It shares no code with
 the AZ series, so a systematic bug in either surfaces as a DisjointEnclosures
@@ -91,7 +98,7 @@ from decimal import (
 from functools import lru_cache
 from typing import IO
 
-from .beukers import apery_bracket
+from .beukers import apery_bracket, apery_index
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
 
 
@@ -168,46 +175,55 @@ def _combine(left: _Split, right: _Split) -> _Split:
     return _mul(pl, pr), q, t
 
 
-def _fork_binsplit(a: int, b: int) -> tuple[int, IO[str]]:
+def _fork_binsplit(a: int, b: int) -> tuple[int, IO[str], int]:
     """Fork a child that writes `_binsplit(a, b)` to a pipe; (its pid, the
-    pipe's read end as a text file).
+    pipe's read end as a text file, the write end of its lifeline).
 
     The child writes the three fields as digit strings and leaves only
     through os._exit: with status 0 once all of them are written, else 1.
-    An OSError from os.pipe or os.fork propagates, with no descriptor left
-    open.
+    The lifeline is a second pipe whose write end only this process holds;
+    the caller closes it once the child is reaped. An OSError from os.pipe
+    or os.fork propagates, with no descriptor left open.
     """
-    r, w = os.pipe()
+    fds: list[int] = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        for fd in fds:
+            os.close(fd)
         raise
+    r, w, alive_r, alive_w = fds
     if pid == 0:
         code = 1
         try:
             os.close(r)
+            os.close(alive_w)
+            # os.read returns b"" at EOF: once the parent has closed alive_w or died
+            threading.Thread(target=lambda: os.read(alive_r, 1) or os._exit(1), daemon=True).start()
             with open(w, "w", encoding="ascii") as out:
                 out.write(" ".join(map(_EXACT.to_sci_string, _binsplit(a, b))))
             code = 0
         finally:
             os._exit(code)
     os.close(w)
-    return pid, open(r, encoding="ascii")
+    os.close(alive_r)
+    return pid, open(r, encoding="ascii"), alive_w
 
 
 def _binsplit_in_two(n: int) -> _Split:
     """`_binsplit(0, n)`, with [m, n) summed meanwhile in a forked child.
 
-    m = 0.52 n (module docstring). The child is reaped before this returns
-    or raises; on an exception here, Ctrl-C included, it is killed first. A
-    child that fails raises ArithmeticError. When os.pipe or os.fork raises
-    OSError, [0, n) is summed in this process.
+    m = 0.52 n (module docstring). The child is reaped, and then its
+    lifeline closed, before this returns or raises; on an exception here,
+    Ctrl-C included, it is killed first. A child that fails raises
+    ArithmeticError. When os.pipe or os.fork raises OSError, [0, n) is
+    summed in this process.
     """
     m = 13 * n // 25
     try:
-        pid, pipe = _fork_binsplit(m, n)
+        pid, pipe, lifeline = _fork_binsplit(m, n)
     except OSError:
         return _binsplit(0, n)
     try:
@@ -221,7 +237,10 @@ def _binsplit_in_two(n: int) -> _Split:
         os.kill(pid, SIGKILL)
         raise
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        try:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        finally:
+            os.close(lifeline)
     if code != 0:
         raise ArithmeticError(f"the child summing terms [{m}, {n}) of the zeta(3) series exited with {code}")
     pr, qr, tr = map(_EXACT.create_decimal, fields)
@@ -320,22 +339,19 @@ def zeta3_accelerated(digits: int) -> Enclosure:
 def zeta3(digits: int) -> Enclosure:
     """`zeta3_accelerated(digits)`, checked against Apery's convergents.
 
-    The check is `apery_bracket(N)` with N = 11*c//20 + 2 and c = min(digits,
-    _CROSS_DIGITS). By the tail lemma in `beukers.apery_bracket`, the one
-    `bounds.form_abs_enclosure` cites, Apery's tail terms e_k = 6 / (k^3
-    b_{k-1} b_k) shrink by more than 81 per step from e_2 = 6/2920 on, so
-    the bracket's width (81/80) e_{N+1} is below (81/80) 81 e_2 81^-N <
-    81^-N. Since N > 11c/20 and 81^11 > 10^20, that is below 10**-c. Both
-    enclosures are then at most 10**-c wide, so a fault that moves either
-    by more than 2 * 10**-c makes the two disjoint. The cap
-    bounds the check's cost: 5-6 ms at 1000 digits, 50-60 ms at 4000, in a
-    fresh process on a 2-vCPU Xeon with CPython 3.11.
+    The check is `apery_bracket(apery_index(0, c))` with c = min(digits,
+    _CROSS_DIGITS), the bracket `bounds.form_abs_enclosure` builds I_n on;
+    by `beukers.apery_index` it is narrower than 10**-c. Both enclosures are
+    then at most 10**-c wide, so a fault that moves either by more than
+    2 * 10**-c makes the two disjoint. The cap bounds the check's cost: 5-6
+    ms at 1000 digits, 50-60 ms at 4000, in a fresh process on a 2-vCPU
+    Xeon with CPython 3.11.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     # AZ first: the convergent tables then grow into the memory its splitting freed.
     fast = zeta3_accelerated(digits)
-    check = apery_bracket(11 * min(digits, _CROSS_DIGITS) // 20 + 2)
+    check = apery_bracket(apery_index(0, min(digits, _CROSS_DIGITS)))
     if fast.lies_below(check) or check.lies_below(fast):
         raise DisjointEnclosures(
             f"zeta(3) routes disagree at {digits} digits: {fast} vs {check}"

@@ -16,8 +16,9 @@ Shifted Legendre polynomials on [0, 1]: P_n(x) = (1/n!) d^n/dx^n
 c_k = (-1)^k C(n,k) C(n+k,k). A single fixed sign convention keeps
 downstream integer outputs reproducible bit for bit.
 
-d_n = lcm(1..n) has the prime-power oracle ``prime_power_lcm``, and zeta(3)
-the defining series ``zeta3_direct``.
+d_n = lcm(1..n) has the prime-power oracle ``prime_power_lcm``, zeta(3)
+the defining series ``zeta3_direct``, and the enclosures of
+(17+12*sqrt(2))^n a product taken one factor at a time, ``growth_fields``.
 """
 
 from __future__ import annotations
@@ -99,6 +100,24 @@ def prime_power_lcm(n: int) -> int:
             pk *= p
         out *= pk
     return out
+
+
+# -- (17 + 12*sqrt(2))^n ----------------------------------------------------------
+
+
+def growth_fields(n_max: int, digits: int) -> list[tuple[int, int, int]]:
+    """(lo_num, hi_num, den) enclosing (17+12*sqrt(2))^n for n = 0..n_max on
+    the 10**-digits grid: a + c*sqrt(2) multiplied by 17 + 12*sqrt(2) one
+    step at a time, and sqrt(2) in [r, r+1] / 10**digits, r = isqrt(2 *
+    10**(2*digits))."""
+    scale = 10**digits
+    r = math.isqrt(2 * scale * scale)
+    a, c = 1, 0
+    fields = []
+    for _ in range(n_max + 1):
+        fields.append((a * scale + c * r, a * scale + c * (r + 1), scale))
+        a, c = 17 * a + 24 * c, 12 * a + 17 * c
+    return fields
 
 
 # -- shifted Legendre polynomials ----------------------------------------------

@@ -112,7 +112,7 @@ def test_criterion_4_zeta3_thousand_digits():
     started = time.perf_counter()
     enc = zeta3(1000)
     elapsed = time.perf_counter() - started
-    bracket = beukers.apery_bracket(11 * 1000 // 20 + 2)  # the bracket zeta3 checks against
+    bracket = beukers.apery_bracket(beukers.apery_index(0, 1000))  # the bracket zeta3 checks against
     ok = (
         oracles.overlaps(enc, bracket)
         and enc.width() <= F(1, 10**1000)

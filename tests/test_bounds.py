@@ -1,27 +1,27 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enclosure_of, overlaps
+from oracles import enclosure_of, growth_fields, overlaps
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
     CheckStatus,
+    _growth_enclosure,
     decay_table,
     form_abs_enclosure,
     ratio_enclosure,
     rhs_bound,
     sandwich_status,
-    shrink_enclosure,
-    unit_pair,
     verify_form_bound,
     verify_ratio_bound,
 )
 from zeta3forms.chain import CoeffVector, _audit_once, audit
 from zeta3forms.cli import EXIT_OK, main
-from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure, sqrt2_enclosure
+from zeta3forms.exactnum import DIGITS_CACHE_SIZE, Enclosure
 from zeta3forms.zeta3 import zeta3
 
 F = Fraction
@@ -48,12 +48,22 @@ def _zeta3_route_form_abs(n: int, digits: int) -> Enclosure:
     return abs((zeta3(digits) * form.B + form.A) / form.dn3)
 
 
-# -- the single sqrt(2) dependency --------------------------------------------
+# -- (17+12*sqrt(2))^n, the single sqrt(2) dependency ---------------------
+
+
+def unit_pair(n: int, digits: int = 1) -> tuple[int, int]:
+    """(a, c) with (17+12*sqrt(2))^n = a + c*sqrt(2), read back from the fields
+    of _growth_enclosure(n, digits) = [r*c + a*s, (r+1)*c + a*s] / s."""
+    g = _growth_enclosure(n, digits)
+    c = g.hi_num - g.lo_num
+    a, rem = divmod(g.lo_num - isqrt(2 * g.den**2) * c, g.den)
+    assert rem == 0 and g.den == 10**digits
+    return a, c
 
 
 def test_unit_pair_base_identity():
-    # (sqrt(2)-1)^4 = 17 - 12*sqrt(2), expanded exactly
-    assert unit_pair(1) == (17, -12)
+    # (sqrt(2)-1)^-4 = 17 + 12*sqrt(2), expanded exactly
+    assert unit_pair(1) == (17, 12)
     assert unit_pair(0) == (1, 0)
 
 
@@ -62,27 +72,44 @@ def test_unit_pair_multiplicative():
         return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
     for n in range(1, 60):
-        assert unit_pair(n + 1) == mul(unit_pair(n), unit_pair(1))
+        pair = unit_pair(n + 1)
+        assert pair == mul(unit_pair(n), unit_pair(1)) == unit_pair(n + 1, 30)
+        assert pair[0] ** 2 - 2 * pair[1] ** 2 == 1  # a unit of Z[sqrt(2)]: Pell's equation
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 30, 60, 230, 960, 2500])
+def test_growth_enclosure_matches_the_stepwise_reference(digits):
+    ref = growth_fields(300, digits)
+    for n in range(301):
+        g = _growth_enclosure(n, digits)
+        assert (g.lo_num, g.hi_num, g.den) == ref[n], (n, digits)
+
+
+def test_growth_enclosure_rejects_a_negative_power():
+    # digits < 1 is test_exactnum.test_sqrt2_rejects_bad_digits
+    with pytest.raises(ValueError):
+        _growth_enclosure(-1, 10)
 
 
 def test_shrink_enclosure_always_positive():
-    # 1/(a + |b| sqrt(2)) has no cancellation, so it is positive even at 1 digit
+    # 1/(a + c sqrt(2)) has no cancellation, so it is positive even at 1 digit
     for digits in (1, 2, 5):
         for n in (1, 5, 20, 50):
-            enc = shrink_enclosure(n, digits)
+            enc = _growth_enclosure(n, digits).reciprocal()
             assert enc.lo > 0
             assert enc.width() < enc.lo / 10**digits
 
 
 def test_shrink_enclosure_contains_true_value():
-    # a + b*sqrt(2) with b < 0 loses about 1.53n digits to cancellation, so at
-    # 60 digits it is a much tighter bracket of the same value for these n,
-    # and it must meet the coarser enclosure
-    s2 = sqrt2_enclosure(60)
+    # (sqrt(2)-1)^(4n) = a - c*sqrt(2) loses about 1.53n digits to
+    # cancellation, so at 60 digits it is a much tighter bracket of the same
+    # value for these n, and it must meet the coarser enclosure
+    scale = 10**60
+    root = isqrt(2 * scale * scale)
     for n in (1, 2, 7):
-        a, b = unit_pair(n)
-        tight = enclosure_of(a + b * s2.hi, a + b * s2.lo)
-        enc = shrink_enclosure(n, 20)
+        a, c = unit_pair(n)
+        tight = enclosure_of(F(a * scale - c * (root + 1), scale), F(a * scale - c * root, scale))
+        enc = _growth_enclosure(n, 20).reciprocal()
         assert tight.width() < enc.width()
         assert overlaps(enc, tight)
 
@@ -267,22 +294,21 @@ def test_digit_keyed_caches_stay_bounded():
     caches = (
         ratio_enclosure,
         form_abs_enclosure,
-        unit_pair,
+        _growth_enclosure,
         zeta3,
-        sqrt2_enclosure,
     )
     assert all(fn.cache_info().maxsize == DIGITS_CACHE_SIZE for fn in caches)
     # more distinct (n, digits) keys than the cache holds, and as many digit counts
     for i in range(DIGITS_CACHE_SIZE + 20):
         ratio_enclosure(1 + i % 5, 10 + i)
     assert ratio_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
-    assert sqrt2_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
+    assert _growth_enclosure.cache_info().currsize <= DIGITS_CACHE_SIZE
 
 
 def test_n_keyed_caches_stay_bounded_in_a_long_verify(capsys):
     assert main(["verify", "--n-max", "300", "--csv", "--quiet"]) == EXIT_OK
     capsys.readouterr()
-    caches = (unit_pair, form_abs_enclosure, ratio_enclosure)
+    caches = (_growth_enclosure, form_abs_enclosure, ratio_enclosure)
     sizes = {fn.__name__: fn.cache_info().currsize for fn in caches}
     assert max(sizes.values()) <= DIGITS_CACHE_SIZE, sizes
     assert sizes["form_abs_enclosure"] == DIGITS_CACHE_SIZE  # 300 forms were built
@@ -317,9 +343,9 @@ def test_every_check_holds_at_one_digit_up_to_300():
 def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
     # Every check of verify --n-max 200 builds its lhs and rhs once, at the
     # requested digits, and every row holds.
-    for cached in (ratio_enclosure, form_abs_enclosure, zeta3):
+    for cached in (ratio_enclosure, form_abs_enclosure, _growth_enclosure, zeta3):
         cached.cache_clear()
-    calls = {name: [] for name in ("rhs_bound", "ratio_enclosure", "shrink_enclosure", "linear_form")}
+    calls = {name: [] for name in ("rhs_bound", "ratio_enclosure", "linear_form")}
 
     def spy(name):
         fn = getattr(bounds, name)
@@ -331,7 +357,8 @@ def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
 
     # form_abs_enclosure calls linear_form once per build, and verify calls
-    # ratio_enclosure once per row, so these spies count builds
+    # ratio_enclosure once per row, so these spies count builds; rhs_bound
+    # and ratio_enclosure share each (17+12*sqrt(2))^n through its cache
     for name in calls:
         spy(name)
     assert main(["verify", "--n-max", "200", "--csv", "--quiet"]) == EXIT_OK
@@ -339,5 +366,5 @@ def test_verify_builds_each_check_once_from_cold_caches(capsys, monkeypatch):
     assert all(row[1:3] == ["holds", "holds"] and row[5:] == ["30", "30"] for row in rows)
     assert "±" not in "".join(cell for row in rows for cell in row)
     assert calls["rhs_bound"] == [(n, 30) for n in range(1, 201)]
-    builds = [len(calls[name]) for name in ("ratio_enclosure", "shrink_enclosure", "linear_form")]
-    assert builds == [200, 200, 200]
+    builds = [len(calls[name]) for name in ("ratio_enclosure", "linear_form")]
+    assert builds + [_growth_enclosure.cache_info().misses] == [200, 200, 200]

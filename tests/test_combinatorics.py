@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import binom, harmonic, prime_power_lcm, primes_up_to
-from zeta3forms.beukers import dn_cubed
-from zeta3forms.combinatorics import d
+from zeta3forms.beukers import d, dn_cubed
 
 F = Fraction
 

@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import enclosure_of, overlaps
+from zeta3forms.bounds import _growth_enclosure
 from zeta3forms.exactnum import (
     Enclosure,
     Trichotomy,
     budget_bits,
     floor_div_scaled,
     rat_str,
-    sqrt2_enclosure,
     trichotomy,
 )
 
@@ -78,24 +78,33 @@ def test_serialization():
     assert str(enc(F(-1, 2), 3)) == "[-1/2, 3]"
 
 
-# -- sqrt(2) ------------------------------------------------------------------
+# -- sqrt(2), as bounds._growth_enclosure brackets it --------------------------
+
+
+def _sqrt2(digits: int) -> Enclosure:
+    """The bracket [r, r+1] / 10**digits of sqrt(2) that bounds._growth_enclosure
+    builds 17 + 12*sqrt(2) on, read back from its fields."""
+    g = _growth_enclosure(1, digits)
+    r, rem = divmod(g.lo_num - 17 * g.den, 12)
+    assert rem == 0 and g.hi_num - g.lo_num == 12
+    return Enclosure(r, r + 1, g.den)
 
 
 def test_sqrt2_one_digit():
-    s = sqrt2_enclosure(1)
+    s = _sqrt2(1)
     assert s.width() <= F(1, 10)
     assert s.lo**2 <= 2 <= s.hi**2
 
 
 def test_sqrt2_five_digits():
-    s = sqrt2_enclosure(5)
+    s = _sqrt2(5)
     assert s.width() <= F(1, 10**5)
     assert s.contains(F("1.41421"))
 
 
 @given(st.integers(min_value=1, max_value=80))
 def test_sqrt2_defining_property(digits):
-    s = sqrt2_enclosure(digits)
+    s = _sqrt2(digits)
     assert s.lo**2 <= 2 <= s.hi**2
     assert s.width() <= F(1, 10**digits)
 
@@ -103,12 +112,12 @@ def test_sqrt2_defining_property(digits):
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
 def test_sqrt2_enclosures_consistent(d1, d2):
     # successive precisions need not nest, but they share the true point
-    assert overlaps(sqrt2_enclosure(d1), sqrt2_enclosure(d2))
+    assert overlaps(_sqrt2(d1), _sqrt2(d2))
 
 
 def test_sqrt2_rejects_bad_digits():
     with pytest.raises(ValueError):
-        sqrt2_enclosure(0)
+        _growth_enclosure(1, 0)
 
 
 # -- containment, the load-bearing property -----------------------------------

@@ -17,7 +17,9 @@ The names ending in ``unknown`` keep the argv of sweeps that once ended
 uncertified; every check in them now decides.
 
 The source rules: no assert, no floating point, no thread-local decimal
-context, and no unbounded cache outside the test oracles.
+context, and no unbounded cache outside the test oracles; no unused import
+in the package or the scripts; and the commands import nothing outside the
+standard library.
 """
 
 import ast
@@ -33,7 +35,6 @@ import pytest
 
 from zeta3forms import beukers, bounds, chain, zeta3
 from zeta3forms.cli import EXIT_FAILS, EXIT_OK, main
-from zeta3forms.exactnum import sqrt2_enclosure
 
 # Test id -> (argv, exit code, sha256 of stdout). Help text wraps at the
 # terminal width, so the test fixes COLUMNS at 80.
@@ -233,7 +234,7 @@ def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
     caches = (
         bounds.form_abs_enclosure,
         bounds.ratio_enclosure,
-        sqrt2_enclosure,
+        bounds._growth_enclosure,
         zeta3.zeta3,
     )
     for cached in caches:
@@ -362,6 +363,87 @@ def test_package_has_no_assert_and_no_floating_point():
     assert len(modules) >= 8
     found = [v for path in modules for v in _violations(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+# -- no unused import -----------------------------------------------------------
+
+SCRIPTS = PACKAGE.parent.parent / "scripts"
+
+
+def _unused_imports(source: str, name: str) -> list[str]:
+    """Names an import binds that the module never reads. Names listed in
+    the module's ``__all__`` count as read; ``from __future__`` is exempt."""
+    tree = ast.parse(source, filename=name)
+    bound: dict[str, int] = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(_name_of(t) == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return [f"{name}:{line}: unused import {key}" for key, line in bound.items() if key not in read]
+
+
+def test_unused_import_rule_flags_each_construct():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nimport json as j\n"
+        "from fractions import Fraction, Decimal\nfrom .beukers import d\n"
+        "from .exactnum import Enclosure\n"
+        "__all__ = ['d']\n"
+        "def f(x: Fraction) -> int:\n    from signal import SIGKILL\n    return math.floor(x)\n"
+    )
+    assert _unused_imports(source, "sample.py") == [
+        "sample.py:3: unused import os",
+        "sample.py:4: unused import j",
+        "sample.py:5: unused import Decimal",
+        "sample.py:7: unused import Enclosure",
+        "sample.py:10: unused import SIGKILL",
+    ]
+
+
+def test_package_and_scripts_have_no_unused_import():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    assert len(paths) >= 10
+    found = [v for path in paths for v in _unused_imports(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+# -- the runtime imports the standard library only -----------------------------------
+
+_STDLIB_ONLY = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from zeta3forms.cli import main
+for argv in (
+    ["form", "--n", "30", "--json"],
+    ["verify", "--n-max", "40"],
+    ["decay", "--n-max", "20"],
+    ["audit", "--coeffs", "3,-1,4,1,-5", "--n", "17"],
+    ["zeta3", "--digits", "3000"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*argv, "--quiet"])
+allowed = set(sys.stdlib_module_names) | {"zeta3forms", "__main__"}
+print(" ".join(sorted({m.split(".")[0] for m in sys.modules} - allowed)))
+"""
+
+
+def test_the_commands_import_only_the_standard_library():
+    # -I ignores PYTHON* variables and the user site, -S skips site and the
+    # .pth files that installed packages add, which may import third-party
+    # modules at start-up; zeta3 at 3000 digits takes the forked path.
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, str(PACKAGE.parent)],
+        capture_output=True,
+        encoding="utf-8",
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
 
 
 # -- a cache is kept only where its keys come back ---------------------------------

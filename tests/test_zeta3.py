@@ -1,8 +1,12 @@
 import decimal
 import math
 import os
+import subprocess
+import sys
 import threading
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -257,6 +261,43 @@ def test_one_process_without_fork_or_beside_a_thread(monkeypatch, why):
     assert attempts == []
     assert got == _fields(_reference_accelerated(digits))
 
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie, from /proc/<pid>/stat."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_the_child_exits_when_its_parent_dies(tmp_path):
+    # The parent forks a child onto a range it would take hours to sum, then
+    # dies without unwinding; the closed lifeline must end the child. Output
+    # goes to a file: the child inherits it, and a pipe would stay open.
+    source = (
+        "import os\n"
+        "from zeta3forms.zeta3 import _fork_binsplit\n"
+        "pid, pipe, lifeline = _fork_binsplit(0, 10**8)\n"
+        "print(pid, flush=True)\n"
+        "os._exit(0)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(zmod.__file__).parent.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "out.txt"
+    with out.open("w", encoding="ascii") as f:
+        rc = subprocess.run([sys.executable, "-c", source], stdout=f, stderr=f, env=env, timeout=60).returncode
+    text = out.read_text(encoding="ascii")
+    assert rc == 0, text
+    child = int(text)
+    deadline = time.monotonic() + 5
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if _running(child):
+        os.kill(child, 9)
+        pytest.fail(f"child {child} still ran 5 s after its parent died")
 
 def test_exact_context_raises_instead_of_rounding():
     exact = zmod._EXACT
