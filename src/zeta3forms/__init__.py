@@ -25,10 +25,8 @@ from .chain import (
     audit,
     fixed_corpus,
     random_corpus,
-    residual_enclosure,
-    weighted_sum_enclosure,
 )
-from .exactnum import Enclosure, Rat, Trichotomy, rat_str, trichotomy
+from .exactnum import Enclosure
 from .zeta3 import DisjointEnclosures, zeta3_accelerated
 
 __version__ = "0.1.0"
@@ -44,22 +42,16 @@ __all__ = [
     "IntegralityViolation",
     "InvalidCoeffVector",
     "LinearForm",
-    "Rat",
     "StepReport",
-    "Trichotomy",
     "audit",
     "d",
     "decay_table",
     "fixed_corpus",
     "linear_form",
     "random_corpus",
-    "rat_str",
-    "residual_enclosure",
     "rhs_bound",
-    "trichotomy",
     "verify_form_bound",
     "verify_ratio_bound",
-    "weighted_sum_enclosure",
     "zeta3_accelerated",
     "__version__",
 ]

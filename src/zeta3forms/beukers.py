@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Enclosure, Rat
+from .exactnum import Enclosure
 
 
 class IntegralityViolation(ArithmeticError):
@@ -43,7 +43,7 @@ class LinearForm:
     dn3: int
 
     @property
-    def alpha(self) -> Rat:
+    def alpha(self) -> Fraction:
         return Fraction(self.A, self.dn3)
 
 

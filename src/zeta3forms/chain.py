@@ -36,7 +36,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .bounds import CheckStatus, ratio_enclosure, sandwich_status
-from .exactnum import Enclosure, Trichotomy, trichotomy
+from .exactnum import Enclosure
 from .zeta3 import zeta3
 
 
@@ -119,10 +119,6 @@ class ChainReport:
     steps: tuple[StepReport, ...]
     digits_used: int
 
-    @property
-    def c0_positive(self) -> bool:
-        return self.coeffs.c0_positive
-
     def step(self, step_id: str) -> StepReport:
         for s in self.steps:
             if s.step_id == step_id:
@@ -138,14 +134,6 @@ _NOT_APPLICABLE = Justification(JustificationKind.NOT_APPLICABLE)
 _POSITIVITY_UNMET = Justification(JustificationKind.REQUIRES_CONDITION, _POSITIVITY, False)
 _RELATION_UNMET = Justification(JustificationKind.REQUIRES_CONDITION, _RELATION, False)
 _RELATION_UNDETERMINED = Justification(JustificationKind.REQUIRES_CONDITION, _RELATION, None)
-
-
-def residual_enclosure(c: CoeffVector, digits: int) -> Enclosure:
-    """Enclosure of sum_i c_i * zeta(3)^i: one integer Horner pass over
-    zeta(3)'s enclosure (> 0), with the fields the generic operators give."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return _poly_enclosure(c.c, zeta3(digits))
 
 
 def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
@@ -164,39 +152,19 @@ def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
     return Enclosure(lo, hi, den)
 
 
-def weighted_sum_enclosure(n: int, c: CoeffVector, digits: int) -> Enclosure:
-    """Enclosure of S = sum_{k=1..m+1} c_{k-1} * R_n^k = R_n * sum_i c_i R_n^i:
-    one integer Horner pass over R_n's enclosure (>= 0) with the coefficients
-    (0, c_0, ..., c_m), with the fields ``R_n * P(R_n)`` gives."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return _poly_enclosure((0,) + c.c, ratio_enclosure(n, digits))
-
-
 # The audit doubles its working digits up to this many times while a step is Unknown.
 MAX_REFINEMENTS = 4
 
 
-def refinement_digits(digits: int):
-    """The refinement ladder: digits * 2**k for k = 0..MAX_REFINEMENTS."""
-    dd = digits
-    for _ in range(MAX_REFINEMENTS + 1):
-        yield dd
-        dd *= 2
-
-
 def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
     """Replay the whole chain for (n, c), refining precision while any step
-    is undetermined."""
+    is undetermined: digits * 2**k for k = 0..MAX_REFINEMENTS."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    report = None
-    for dd in refinement_digits(digits):
-        report = _audit_once(n, c, dd)
+    for k in range(MAX_REFINEMENTS + 1):
+        report = _audit_once(n, c, digits << k)
         if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
             break
     return report
@@ -216,9 +184,8 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
     # bounds is only an inference when every multiplier is positive. The
     # upper bound is z * residual with residual = sum_i c_i zeta(3)^i, so one
-    # Horner pass serves this step and the substitution. S and the residual
-    # are built from the R_n and zeta(3) above, as the public
-    # weighted_sum_enclosure and residual_enclosure build them.
+    # Horner pass serves this step and the substitution. S = R_n * P(R_n) is
+    # one pass over R_n with the coefficients (0, c_0, ..., c_m).
     weighted = _poly_enclosure((0,) + c.c, ratio)
     residual = _poly_enclosure(c.c, z)
     upper = z * residual
@@ -228,7 +195,7 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # Substitution: the upper bound is replaced using the assumed relation.
     # Numeric verdict reflects whether the residual enclosure still allows
     # zero: certified-nonzero residual refutes the substitution.
-    if trichotomy(residual) is Trichotomy.CONTAINS_ZERO:
+    if residual.contains(0):
         sub_status, sub_just = CheckStatus.UNKNOWN, _RELATION_UNDETERMINED
     else:
         sub_status, sub_just = CheckStatus.FAILS, _RELATION_UNMET
@@ -237,10 +204,10 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # Final statement 0 < S < 0: unsatisfiable; Fails once S has a
     # determinate sign (or is exactly zero), Unknown only while S straddles
     # zero with positive width.
-    if trichotomy(weighted) is not Trichotomy.CONTAINS_ZERO or weighted.is_point():
-        final_status = CheckStatus.FAILS
-    else:
+    if weighted.contains(0) and not weighted.is_point():
         final_status = CheckStatus.UNKNOWN
+    else:
+        final_status = CheckStatus.FAILS
     steps.append(StepReport("final_contradiction", final_status, _NOT_APPLICABLE))
 
     return ChainReport(
@@ -264,7 +231,7 @@ def report_to_dict(report: ChainReport) -> dict:
         "R": str(report.R),
         "S": str(report.S),
         "residual": str(report.residual),
-        "c0_positive": report.c0_positive,
+        "c0_positive": report.coeffs.c0_positive,
         "digits_used": report.digits_used,
         "steps": [
             {

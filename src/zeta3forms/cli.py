@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from typing import Optional, Sequence, TextIO
 
 from . import bounds, chain
 from .beukers import linear_form
 from .bounds import CheckStatus, DecayRow
-from .exactnum import Enclosure, floor_div_scaled, rat_str
+from .exactnum import Enclosure, floor_div_scaled
 from .zeta3 import zeta3
 
 EXIT_OK = 0
@@ -161,10 +162,8 @@ def _write_table(
 def cmd_form(args: argparse.Namespace) -> int:
     form = linear_form(args.n)
     _banner(args, f"form n={args.n}")
-    fields = dict(alpha=rat_str(form.alpha), beta=form.beta, A=form.A, B=form.B, dn3=form.dn3)
+    fields = dict(alpha=str(form.alpha), beta=form.beta, A=form.A, B=form.B, dn3=form.dn3)
     if args.json:
-        import json
-
         print(json.dumps({"n": form.n, **fields}))
     else:
         print(" ".join(f"{k}={v}" for k, v in fields.items()))
@@ -206,7 +205,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(
             f"n={report.n} coeffs={report.coeffs} m={report.coeffs.m} "
             f"digits_used={report.digits_used} "
-            f"c0_positive={'true' if report.c0_positive else 'false'}"
+            f"c0_positive={'true' if report.coeffs.c0_positive else 'false'}"
         )
         print(
             f"R={enclosure_decimal(report.R)} S={enclosure_decimal(report.S)} "

@@ -1,10 +1,10 @@
 """Exact rational and interval (enclosure) arithmetic.
 
 Every real quantity in this package is carried either as an exact rational
-(`Rat`, an alias of `fractions.Fraction`) or as an `Enclosure`, a closed
-interval guaranteed to contain the true value. Endpoints are never floats,
-so a strict inequality certified through enclosures is an exact fact, not a
-rounding artifact.
+(a `fractions.Fraction`) or as an `Enclosure`, a closed interval guaranteed
+to contain the true value. Endpoints are never floats, so a strict
+inequality certified through enclosures is an exact fact, not a rounding
+artifact.
 
 Representation: an enclosure is three integers, numerators
 ``lo_num <= hi_num`` over one shared positive denominator ``den``; its
@@ -41,7 +41,6 @@ safe.
 from __future__ import annotations
 
 import sys
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
@@ -49,10 +48,6 @@ from typing import Union
 # contract; CPython's default 4300-digit str() guard would break it.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
-
-Rat = Fraction
-
-Scalar = Union[int, Fraction]
 
 # Outward-rounding budget: bits of denominator granularity granted per
 # requested decimal digit. 4 bits/digit is a grid of 16**-digits <=
@@ -68,20 +63,6 @@ def budget_bits(digits: int) -> int:
 # Size of every production cache, keyed by requested digits or by n, so long
 # runs stay bounded.
 DIGITS_CACHE_SIZE = 256
-
-
-def rat_str(x: Scalar) -> str:
-    """Serialize a rational as ``p/q``, or just ``p`` when q = 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-class Trichotomy(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    CONTAINS_ZERO = "contains_zero"
 
 
 def _scales(d: int, e: int) -> tuple[int, int, int]:
@@ -135,25 +116,25 @@ class Enclosure:
     # -- exact endpoints, built on access ---------------------------------
 
     @property
-    def lo(self) -> Rat:
+    def lo(self) -> Fraction:
         return Fraction(self.lo_num, self.den)
 
     @property
-    def hi(self) -> Rat:
+    def hi(self) -> Fraction:
         return Fraction(self.hi_num, self.den)
 
     # -- queries ----------------------------------------------------------
 
-    def width(self) -> Rat:
+    def width(self) -> Fraction:
         return Fraction(self.hi_num - self.lo_num, self.den)
 
-    def midpoint(self) -> Rat:
+    def midpoint(self) -> Fraction:
         return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
     def is_point(self) -> bool:
         return self.lo_num == self.hi_num
 
-    def contains(self, x: Scalar) -> bool:
+    def contains(self, x: int | Fraction) -> bool:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"contains expects an int or Fraction, not {type(x).__name__}")
         p, q = x.numerator * self.den, x.denominator
@@ -258,7 +239,7 @@ class Enclosure:
         return _raw(lo, hi, 1 << bits)
 
     def __str__(self) -> str:
-        return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
+        return f"[{self.lo}, {self.hi}]"
 
     def __repr__(self) -> str:
         return f"Enclosure({self.lo_num}, {self.hi_num}, {self.den})"
@@ -291,17 +272,3 @@ def _raw(lo_num: int, hi_num: int, den: int) -> Enclosure:
     _set_den(e, den)
     return e
 
-
-def trichotomy(a: Enclosure) -> Trichotomy:
-    """Certified sign of every value in the enclosure.
-
-    POSITIVE iff lo > 0, NEGATIVE iff hi < 0, CONTAINS_ZERO otherwise
-    (exactly when lo <= 0 <= hi). It and `bounds.sandwich_status` are the
-    package's decision procedures for strict inequalities. The denominator
-    is positive, so an endpoint has the sign of its numerator.
-    """
-    if a.lo_num > 0:
-        return Trichotomy.POSITIVE
-    if a.hi_num < 0:
-        return Trichotomy.NEGATIVE
-    return Trichotomy.CONTAINS_ZERO

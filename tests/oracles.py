@@ -30,10 +30,10 @@ from functools import lru_cache
 from typing import Callable
 
 from zeta3forms.beukers import IntegralityViolation, LinearForm, dn_cubed
-from zeta3forms.exactnum import Enclosure, Rat, budget_bits
+from zeta3forms.exactnum import Enclosure, budget_bits
 
 
-def enclosure_of(lo: Rat, hi: Rat) -> Enclosure:
+def enclosure_of(lo: Fraction, hi: Fraction) -> Enclosure:
     """[lo, hi] for int or Fraction endpoints, both scaled to the product of
     their denominators: the test-side way to enclose given rationals."""
     return Enclosure(
@@ -60,7 +60,7 @@ def binom(n: int, k: int) -> int:
 _HARMONIC: dict[int, list[Fraction]] = {}
 
 
-def harmonic(r: int, order: int) -> Rat:
+def harmonic(r: int, order: int) -> Fraction:
     """Generalized harmonic number H_r of the given order; H_0 = 0."""
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -128,7 +128,7 @@ class LegendrePoly:
     n: int
     coeffs: tuple[int, ...]  # coeffs[k] multiplies x**k
 
-    def evaluate(self, x: Rat) -> Rat:
+    def evaluate(self, x: Fraction) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -172,7 +172,7 @@ def rodrigues_coeffs(n: int) -> tuple[int, ...]:
 class KernelMoment:
     r: int
     s: int
-    rat: Rat  # rational part
+    rat: Fraction  # rational part
     zeta3_coef: int  # 2 on the diagonal, 0 off it
 
     def value_enclosure(self, zeta3_enc: Enclosure) -> Enclosure:
@@ -239,7 +239,7 @@ def _diagonal_partial_floor(a: int, terms: int) -> Fraction:
     return Fraction(acc, 1 << _ORACLE_BITS)
 
 
-def _checked_form(n: int, alpha: Rat, beta: int) -> LinearForm:
+def _checked_form(n: int, alpha: Fraction, beta: int) -> LinearForm:
     cube = dn_cubed(n)
     scaled = alpha * cube
     if scaled.denominator != 1:

@@ -8,7 +8,6 @@ import oracles
 from oracles import KernelMoment, binom, enclosure_of, moment, moment_series_oracle, overlaps
 from zeta3forms import beukers
 from zeta3forms.beukers import IntegralityViolation, apery_bracket, dn_cubed, linear_form
-from zeta3forms.exactnum import Trichotomy, trichotomy
 from zeta3forms.zeta3 import zeta3, zeta3_accelerated
 
 F = Fraction
@@ -139,7 +138,7 @@ def test_form_enclosure_excludes_zero_up_to_30():
     for n in range(31):
         form = linear_form(n)
         enc = z * form.beta + enclosure_of(form.alpha, form.alpha)
-        assert trichotomy(enc) is not Trichotomy.CONTAINS_ZERO
+        assert not enc.contains(0)
 
 
 # -- Apery's convergent bracket of zeta(3) ------------------------------------------

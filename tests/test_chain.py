@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from zeta3forms import chain
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import CheckStatus, ratio_enclosure, sandwich_status
 from zeta3forms.chain import (
+    MAX_REFINEMENTS,
     ChainReport,
     CoeffVector,
     InvalidCoeffVector,
@@ -20,8 +22,6 @@ from zeta3forms.chain import (
     random_corpus,
     report_to_dict,
     report_to_json,
-    residual_enclosure,
-    weighted_sum_enclosure,
 )
 from zeta3forms.exactnum import Enclosure
 from zeta3forms.zeta3 import zeta3
@@ -60,18 +60,17 @@ def test_vector_rejects_non_integer_coefficients(bad):
 # -- residuals ---------------------------------------------------------------------
 
 
+def _decided(n: int, c: tuple[int, ...], digits: int) -> ChainReport:
+    """audit(n, c, digits), which must decide every step at ``digits``."""
+    report = audit(n, CoeffVector(c), digits)
+    assert report.digits_used == digits
+    return report
+
+
 def test_residual_examples():
-    assert _within(
-        residual_enclosure(CoeffVector((0, 1)), 30),
-        "1.2020569031595942853",
-        "1.2020569031595942855",
-    )
-    assert _within(
-        residual_enclosure(CoeffVector((1, 1)), 30),
-        "2.2020569031595942853",
-        "2.2020569031595942855",
-    )
-    small = residual_enclosure(CoeffVector((-6, 5)), 30)
+    assert _within(_decided(1, (0, 1), 30).residual, "1.2020569031595942853", "1.2020569031595942855")
+    assert _within(_decided(1, (1, 1), 30).residual, "2.2020569031595942853", "2.2020569031595942855")
+    small = _decided(1, (-6, 5), 30).residual
     assert _within(small, "0.0102845157979714269", "0.0102845157979714270")
     assert small.lo > 0  # small but certifiedly nonzero
 
@@ -82,9 +81,8 @@ def test_residual_minus6_5_equals_half_form_abs():
     # affine images of it, so the enclosures agree bit for bit
     form = linear_form(1)
     for digits in (10, 30, 60):
-        lhs = residual_enclosure(CoeffVector((-6, 5)), digits)
         rhs = abs((zeta3(digits) * form.B + form.A) / form.dn3) / 2
-        assert lhs == rhs
+        assert _decided(1, (-6, 5), digits).residual == rhs
 
 
 # -- the Horner kernel ---------------------------------------------------------------
@@ -165,16 +163,15 @@ def test_power_bound_square():
 
 
 def test_weighted_sum_examples():
-    s = weighted_sum_enclosure(1, CoeffVector((1, 1)), 30)
+    s = _decided(1, (1, 1), 30).S
     assert _within(s, "0.4714307376357423070", "0.4714307376357423071")
-    s = weighted_sum_enclosure(1, CoeffVector((-6, 5)), 30)
+    s = _decided(1, (-6, 5), 30).S
     assert _within(s, "-1.4859249936009093954", "-1.4859249936009093953")
 
 
 def test_weighted_sum_single_positive_leading_term():
     for m, cm in [(1, 3), (2, 1), (3, 7)]:
-        c = CoeffVector((0,) * m + (cm,))
-        s = weighted_sum_enclosure(2, c, 40)
+        s = _decided(2, (0,) * m + (cm,), 40).S
         assert s.lo > 0  # c_m * R^(m+1) with c_m > 0
 
 
@@ -203,7 +200,7 @@ def test_audit_all_positive_vector():
     final = by_id["final_contradiction"]
     assert final.numeric is CheckStatus.FAILS
     assert final.justification.kind is JustificationKind.NOT_APPLICABLE
-    assert report.c0_positive
+    assert report.coeffs.c0_positive
 
 
 def test_audit_negative_coefficient_vector():
@@ -212,7 +209,7 @@ def test_audit_negative_coefficient_vector():
     assert ws.numeric is CheckStatus.FAILS  # S ~ -1.486, so 0 < S is refuted
     assert ws.justification.kind is JustificationKind.REQUIRES_CONDITION
     assert ws.justification.met is False
-    assert not report.c0_positive
+    assert not report.coeffs.c0_positive
 
 
 def test_audit_rejects_bad_inputs():
@@ -361,9 +358,81 @@ def test_power_steps_hold_at_one_digit_over_the_fixed_corpus(n):
 @pytest.mark.parametrize("n", [1, 7, 20])
 @pytest.mark.parametrize("digits", [60, 1])
 def test_audit_builds_S_and_residual_as_the_public_helpers(n, digits):
-    # _audit_once builds S and the residual inline, from the R_n and zeta(3)
-    # it already holds; they must equal the public helpers' enclosures
+    # _audit_once builds S and the residual with its Horner kernel from the
+    # R_n and zeta(3) it already holds; they must equal R_n * P(R_n) and
+    # P(zeta(3)) built by Enclosure's * and + from the public ratio_enclosure
+    # and zeta3 at the digits the audit ended on
     for c in fixed_corpus():
         report = audit(n, c, digits)
-        assert report.S == weighted_sum_enclosure(n, c, report.digits_used), c
-        assert report.residual == residual_enclosure(c, report.digits_used), c
+        ratio = ratio_enclosure(n, report.digits_used)
+        assert report.S == ratio * _generic_horner(c.c, ratio), c
+        assert report.residual == _generic_horner(c.c, zeta3(report.digits_used)), c
+
+
+# -- the verdicts at zero, on hand-built enclosures -------------------------------
+
+LADDER_TOP = 3 << MAX_REFINEMENTS  # digits_used when audit(n, c, 3) never decides
+
+
+def _audit_on(monkeypatch, c: tuple[int, ...], ratio: Enclosure, z: Enclosure) -> ChainReport:
+    """audit(1, c, 3) with R_n and zeta(3) replaced by ``ratio`` and ``z`` on every rung."""
+    monkeypatch.setattr(chain, "ratio_enclosure", lambda n, digits: ratio)
+    monkeypatch.setattr(chain, "zeta3", lambda digits: z)
+    report = audit(1, CoeffVector(c), 3)
+    unknown = any(s.numeric is CheckStatus.UNKNOWN for s in report.steps)
+    assert report.digits_used == (LADDER_TOP if unknown else 3)
+    return report
+
+
+TENTH = Enclosure(1, 1, 10)
+
+
+@pytest.mark.parametrize(
+    ("z", "residual"),
+    [
+        (Enclosure(1, 1), (0, 0, 1)),
+        (Enclosure(100, 101, 100), (0, 1, 100)),
+        (Enclosure(99, 100, 100), (-1, 0, 100)),
+        (Enclosure(99, 101, 100), (-1, 1, 100)),
+    ],
+    ids=["zero", "0-to-h", "minus-h-to-0", "minus-h-to-h"],
+)
+def test_a_residual_touching_zero_leaves_the_substitution_undetermined(monkeypatch, z, residual):
+    # c = (-1, 1): the residual is zeta(3) - 1, so these z put it at [0, 0],
+    # [0, h], [-h, 0] and [-h, h]
+    report = _audit_on(monkeypatch, (-1, 1), TENTH, z)
+    assert report.residual == Enclosure(*residual)
+    step = report.step("substitution")
+    assert step.numeric is CheckStatus.UNKNOWN
+    assert step.justification.met is None
+    assert step.justification.as_text().endswith("(undetermined)")
+    assert report.digits_used == LADDER_TOP
+
+
+@pytest.mark.parametrize("z", [Enclosure(2, 2), Enclosure(1, 1, 2)], ids=["positive", "negative"])
+def test_a_residual_clear_of_zero_fails_the_substitution(monkeypatch, z):
+    report = _audit_on(monkeypatch, (-1, 1), TENTH, z)
+    assert not report.residual.contains(0)
+    step = report.step("substitution")
+    assert step.numeric is CheckStatus.FAILS
+    assert step.justification.met is False
+    assert step.justification.as_text().endswith("(unmet)")
+
+
+@pytest.mark.parametrize(
+    ("c", "ratio", "S", "status"),
+    [
+        ((-1, 1), Enclosure(1, 1), (0, 0, 1), CheckStatus.FAILS),
+        ((-1, 1), Enclosure(100, 101, 100), (0, 101, 10000), CheckStatus.UNKNOWN),
+        ((-1, 1), Enclosure(99, 101, 100), (-101, 101, 10000), CheckStatus.UNKNOWN),
+        ((-1, 1), TENTH, (-9, -9, 100), CheckStatus.FAILS),
+        ((1, 1), TENTH, (11, 11, 100), CheckStatus.FAILS),
+    ],
+    ids=["zero", "0-to-h", "minus-h-to-h", "negative", "positive"],
+)
+def test_the_final_step_fails_unless_S_straddles_zero_with_width(monkeypatch, c, ratio, S, status):
+    # zeta(3) at 2 keeps the residual clear of zero, so only S can leave a step open
+    report = _audit_on(monkeypatch, c, ratio, Enclosure(2, 2))
+    assert report.S == Enclosure(*S)
+    assert report.step("substitution").numeric is CheckStatus.FAILS
+    assert report.step("final_contradiction").numeric is status

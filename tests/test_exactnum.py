@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import enclosure_of, overlaps
 from zeta3forms.bounds import _growth_enclosure
-from zeta3forms.exactnum import (
-    Enclosure,
-    Trichotomy,
-    budget_bits,
-    floor_div_scaled,
-    rat_str,
-    trichotomy,
-)
+from zeta3forms.exactnum import Enclosure, budget_bits, floor_div_scaled
 
 F = Fraction
 
@@ -59,12 +52,12 @@ def test_abs_cases():
     assert abs(enc(-2, 1)) == enc(0, 2)
 
 
-def test_trichotomy_cases():
-    assert trichotomy(enc(F(1, 7), F(1, 3))) is Trichotomy.POSITIVE
-    assert trichotomy(enc(-1, 1)) is Trichotomy.CONTAINS_ZERO
-    assert trichotomy(enc(-3, -2)) is Trichotomy.NEGATIVE
-    assert trichotomy(enc(0, 1)) is Trichotomy.CONTAINS_ZERO
-    assert trichotomy(enc(-1, 0)) is Trichotomy.CONTAINS_ZERO
+def test_contains_zero_cases():
+    assert not enc(F(1, 7), F(1, 3)).contains(0)
+    assert enc(-1, 1).contains(0)
+    assert not enc(-3, -2).contains(0)
+    assert enc(0, 1).contains(0)
+    assert enc(-1, 0).contains(0)
 
 
 def test_inverted_endpoints_rejected():
@@ -73,8 +66,7 @@ def test_inverted_endpoints_rejected():
 
 
 def test_serialization():
-    assert rat_str(F(-3, 2)) == "-3/2"
-    assert rat_str(F(4)) == "4"
+    assert str(enc(F(-3, 2), 4)) == "[-3/2, 4]"
     assert str(enc(F(-1, 2), 3)) == "[-1/2, 3]"
 
 
@@ -167,15 +159,6 @@ def test_width_monotonicity(x, y, p1, p2, widen_lo, widen_hi):
     for op in (lambda u, v: u + v, lambda u, v: u * v):
         assert op(wide, b).encloses(op(a, b))
     assert abs(wide).encloses(abs(a))
-
-
-@given(rationals, pads, pads)
-def test_trichotomy_positive_certifies_endpoints(x, p1, p2):
-    a = enclosure_of(x - p1, x + p2)
-    if trichotomy(a) is Trichotomy.POSITIVE:
-        assert a.lo > 0 and a.hi > 0
-    if trichotomy(a) is Trichotomy.NEGATIVE:
-        assert a.lo < 0 and a.hi < 0
 
 
 @given(rationals, pads, pads, st.integers(min_value=4, max_value=64))
@@ -336,10 +319,7 @@ def test_strict_comparisons_match_fraction_reference(a, b):
     assert a.lies_below(b) == (a.hi < b.lo)
     assert a.lies_at_or_above(b) == (a.lo >= b.hi)
     assert a.encloses(b) == (a.lo <= b.lo and b.hi <= a.hi)
-    expected = (
-        Trichotomy.POSITIVE if a.lo > 0 else Trichotomy.NEGATIVE if a.hi < 0 else Trichotomy.CONTAINS_ZERO
-    )
-    assert trichotomy(a) is expected
+    assert a.contains(0) == (a.lo <= 0 <= a.hi)
 
 
 @given(enclosures, st.integers(min_value=2, max_value=10**12))
@@ -367,7 +347,7 @@ def test_arithmetic_computes_no_gcd(monkeypatch):
     results += [a + 1, a * -2, a / -3, a.round_out(8)]
     assert all(isinstance(r, Enclosure) for r in results)
     assert a.lies_below(b) and not a.lies_at_or_above(b) and b.encloses(b)
-    assert trichotomy(a) is Trichotomy.CONTAINS_ZERO
+    assert a.contains(0)
     assert a.is_point() is False and a == Enclosure(-6, 10, 24)
 
 

@@ -18,8 +18,8 @@ uncertified; every check in them now decides.
 
 The source rules: no assert, no floating point, no thread-local decimal
 context, and no unbounded cache outside the test oracles; no unused import
-in the package or the scripts; and the commands import nothing outside the
-standard library.
+in the package or the scripts; no public name that only the tests use; and
+the commands import nothing outside the standard library.
 """
 
 import ast
@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+import zeta3forms
 from zeta3forms import beukers, bounds, chain, zeta3
 from zeta3forms.cli import EXIT_FAILS, EXIT_OK, main
 
@@ -412,6 +413,36 @@ def test_package_and_scripts_have_no_unused_import():
     assert len(paths) >= 10
     found = [v for path in paths for v in _unused_imports(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+# -- every public name is used by the package or the scripts -----------------------
+
+
+def _unreferenced(public: list[str], sources: list[tuple[str, str]]) -> list[str]:
+    """Names in ``public``, dunders aside, that no Name, Attribute or import
+    alias in the (file name, source) pairs spells: a definition alone does
+    not count."""
+    trees = [ast.parse(source, filename=name) for name, source in sources]
+    spelled = {_name_of(node) for tree in trees for node in ast.walk(tree)}
+    return [p for p in public if not (p.startswith("__") and p.endswith("__")) and p not in spelled]
+
+
+def test_public_name_rule_flags_each_construct():
+    sources = [
+        ("a.py", "from .b import by_import as alias\nx = by_name\ny = obj.by_attribute\n"),
+        ("b.py", "def defined_only(): pass\nclass DefinedOnly: pass\n'in_a_string'\n"),
+    ]
+    public = ["by_import", "by_name", "by_attribute", "defined_only", "DefinedOnly", "in_a_string"]
+    public.append("__version__")
+    assert _unreferenced(public, sources) == ["defined_only", "DefinedOnly", "in_a_string"]
+
+
+def test_every_public_name_is_used_by_the_package_or_the_scripts():
+    # A name the package exports but only the tests read belongs in tests/.
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths = modules + sorted(SCRIPTS.glob("*.py"))
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+    assert _unreferenced(zeta3forms.__all__, sources) == []
 
 
 # -- the runtime imports the standard library only -----------------------------------
