@@ -9,7 +9,8 @@ straddles 10**-EXP, so neither is (the CLI's code for unknown); 2 on a
 usage error, such as a size below 1, a negative EXP or an --out
 path that cannot be written (checked before any computation, without
 truncating an existing file); 4 on an internal fault (an `ArithmeticError`
-or a `ValueError`), reported on one stderr line with nothing on stdout.
+or a `ValueError`), reported on one stderr line with nothing on stdout;
+141 when its reader closes stdout (nothing on stderr).
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -34,6 +35,7 @@ from zeta3forms.cli import (  # noqa: E402
     _nonnegative_int,
     _positive_int,
     enclosure_decimal,
+    run_to_stdout,
     write_decay_table,
 )
 
@@ -83,7 +85,7 @@ def main() -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main())
+        sys.exit(run_to_stdout(main))
     except (ArithmeticError, ValueError) as exc:
         print(f"run_decay_table: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL)

@@ -99,9 +99,9 @@ def ratio_enclosure(n: int, digits: int) -> Enclosure:
     It is rounded outward onto a 2**-bits grid, bits = budget_bits(digits)
     plus the bits by which R_n falls below 1. The grid is relative to R_n's
     size (about 10**(-1.3 n)), so the rounded lower end stays positive at
-    every n, and the audit's power steps decide at the requested digits. It
-    is a multiple of zeta(3)'s 2**-budget_bits(digits) grid, so the audit's
-    weighted sum and its upper bound align by one shift. Before rounding,
+    every n, and the audit's power steps decide at the requested digits.
+    sandwich_status compares the audit's S, a Horner pass over R_n, with
+    z * residual by cross-multiplying, so no grids need align. Before rounding,
     R_n has denominator 2**k * 10**digits * 2 d_n^3, from |I_n|'s grid and
     sqrt(2)'s, so the rounding divides by 5**digits times the odd part of
     d_n^3.

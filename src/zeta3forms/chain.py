@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bounds import CheckStatus, ratio_enclosure, sandwich_status
 from .exactnum import Enclosure
@@ -81,25 +81,16 @@ class CoeffVector:
         return ",".join(str(x) for x in self.c)
 
 
-class JustificationKind(Enum):
+class Justification(Enum):
+    """Whether a step follows from the one before; the value is its printed text."""
+
     JUSTIFIED = "justified"
-    REQUIRES_CONDITION = "requires_condition"
     NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True, slots=True)
-class Justification:
-    kind: JustificationKind
-    condition: str = ""
-    met: Optional[bool] = None  # None when undetermined or not a condition
-
-    def as_text(self) -> str:
-        if self.kind is JustificationKind.JUSTIFIED:
-            return "justified"
-        if self.kind is JustificationKind.NOT_APPLICABLE:
-            return "not_applicable"
-        state = "undetermined" if self.met is None else ("met" if self.met else "unmet")
-        return f"requires_condition: {self.condition} ({state})"
+    POSITIVITY_UNMET = "requires_condition: all weight coefficients c_i strictly positive (unmet)"
+    RELATION_UNMET = "requires_condition: assumed integer relation evaluates to zero (residual = 0) (unmet)"
+    RELATION_UNDETERMINED = (
+        "requires_condition: assumed integer relation evaluates to zero (residual = 0) (undetermined)"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,16 +115,6 @@ class ChainReport:
             if s.step_id == step_id:
                 return s
         raise KeyError(step_id)
-
-
-# The step verdicts; Justification is frozen, so every report shares these.
-_POSITIVITY = "all weight coefficients c_i strictly positive"
-_RELATION = "assumed integer relation evaluates to zero (residual = 0)"
-_JUSTIFIED = Justification(JustificationKind.JUSTIFIED)
-_NOT_APPLICABLE = Justification(JustificationKind.NOT_APPLICABLE)
-_POSITIVITY_UNMET = Justification(JustificationKind.REQUIRES_CONDITION, _POSITIVITY, False)
-_RELATION_UNMET = Justification(JustificationKind.REQUIRES_CONDITION, _RELATION, False)
-_RELATION_UNDETERMINED = Justification(JustificationKind.REQUIRES_CONDITION, _RELATION, None)
 
 
 def _poly_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
@@ -179,7 +160,8 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # is > 0, and on such enclosures [lo^k, hi^k] (numerators and denominator
     # raised to the k) compares with 0 and with the other side as [lo, hi] does.
     base = sandwich_status(ratio, z)
-    steps = [StepReport(f"power_{k}", base, _JUSTIFIED) for k in range(1, c.m + 2)]
+    justified = Justification.JUSTIFIED  # one member lookup, not one per power
+    steps = [StepReport(f"power_{k}", base, justified) for k in range(1, c.m + 2)]
 
     # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
     # bounds is only an inference when every multiplier is positive. The
@@ -189,16 +171,16 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     weighted = _poly_enclosure((0,) + c.c, ratio)
     residual = _poly_enclosure(c.c, z)
     upper = z * residual
-    ws_just = _JUSTIFIED if c.all_positive else _POSITIVITY_UNMET
+    ws_just = justified if c.all_positive else Justification.POSITIVITY_UNMET
     steps.append(StepReport("weighted_sum", sandwich_status(weighted, upper), ws_just))
 
     # Substitution: the upper bound is replaced using the assumed relation.
     # Numeric verdict reflects whether the residual enclosure still allows
     # zero: certified-nonzero residual refutes the substitution.
     if residual.contains(0):
-        sub_status, sub_just = CheckStatus.UNKNOWN, _RELATION_UNDETERMINED
+        sub_status, sub_just = CheckStatus.UNKNOWN, Justification.RELATION_UNDETERMINED
     else:
-        sub_status, sub_just = CheckStatus.FAILS, _RELATION_UNMET
+        sub_status, sub_just = CheckStatus.FAILS, Justification.RELATION_UNMET
     steps.append(StepReport("substitution", sub_status, sub_just))
 
     # Final statement 0 < S < 0: unsatisfiable; Fails once S has a
@@ -208,7 +190,7 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
         final_status = CheckStatus.UNKNOWN
     else:
         final_status = CheckStatus.FAILS
-    steps.append(StepReport("final_contradiction", final_status, _NOT_APPLICABLE))
+    steps.append(StepReport("final_contradiction", final_status, Justification.NOT_APPLICABLE))
 
     return ChainReport(
         n=n,
@@ -224,8 +206,8 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
 # -- report serialization ---------------------------------------------------
 
 
-def report_to_dict(report: ChainReport) -> dict:
-    return {
+def report_to_json(report: ChainReport) -> str:
+    payload = {
         "n": report.n,
         "coeffs": list(report.coeffs.c),
         "R": str(report.R),
@@ -234,18 +216,11 @@ def report_to_dict(report: ChainReport) -> dict:
         "c0_positive": report.coeffs.c0_positive,
         "digits_used": report.digits_used,
         "steps": [
-            {
-                "id": s.step_id,
-                "numeric": s.numeric.value,
-                "justification": s.justification.as_text(),
-            }
+            {"id": s.step_id, "numeric": s.numeric.value, "justification": s.justification.value}
             for s in report.steps
         ],
     }
-
-
-def report_to_json(report: ChainReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    return json.dumps(payload, indent=2)
 
 
 # -- deterministic test corpora ----------------------------------------------

@@ -12,8 +12,9 @@ requested digits; `audit` first climbs its refinement ladder), or some
 printed decay cell carries a +/- field (not one digit certified), 4 internal
 fault (an `ArithmeticError`, such as the two zeta(3) routes disagreeing, or a
 `ValueError` from inside the package), reported on one stderr line with
-nothing on stdout. Of the input errors, argparse reports its own; only an
-invalid coefficient vector reaches `main` as an exception.
+nothing on stdout, 141 stdout closed by its reader (nothing on stderr). Of
+the input errors, argparse reports its own; only an invalid coefficient
+vector reaches `main` as an exception.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import bounds, chain
 from .beukers import linear_form
@@ -35,6 +37,7 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # what a shell reports for a process that SIGPIPE ended
 
 
 # -- certified decimal printing ----------------------------------------------
@@ -75,18 +78,6 @@ def _sci(num: int, den: int, sig: int, e: int, up: bool = False) -> str:
     return f"{sign}{mant}e{e:+03d}"
 
 
-def fraction_sci(num: int, den: int, sig: int, mode: str = "half_up") -> str:
-    """num/den (den > 0, not necessarily coprime) in scientific notation
-    with exactly ``sig`` significant digits, rounded "half_up" or "up"."""
-    if sig < 1 or den < 1:
-        raise ValueError("fraction_sci expects sig >= 1 and den >= 1")
-    if mode not in ("half_up", "up"):
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    if num == 0:
-        return "0"
-    return _sci(num, den, sig, _floor_log10(abs(num), den), mode == "up")
-
-
 def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
     """Midpoint decimal certified to < 1 ulp of the printed precision.
 
@@ -98,16 +89,16 @@ def enclosure_decimal(enc: Enclosure, max_sig: int = 7) -> str:
     """
     den = enc.den
     mid = enc.lo_num + enc.hi_num  # over 2 * den
-    width = enc.hi_num - enc.lo_num  # over den
+    width = enc.hi_num - enc.lo_num  # over den, so the half-width over 2 * den
     if width == 0:
-        return fraction_sci(mid, 2 * den, max_sig)
-    if mid == 0:
-        return "0±" + fraction_sci(width, 2 * den, 2, "up")
-    e = _floor_log10(abs(mid), 2 * den)
-    sig = min(max_sig, e - _floor_log10(width, den))
-    text = _sci(mid, 2 * den, max(sig, 1), e)
+        return _sci(mid, 2 * den, max_sig, _floor_log10(abs(mid), 2 * den)) if mid else "0"
+    text, sig = "0", 0
+    if mid:
+        e = _floor_log10(abs(mid), 2 * den)
+        sig = min(max_sig, e - _floor_log10(width, den))
+        text = _sci(mid, 2 * den, max(sig, 1), e)
     if sig < 1:
-        text += "±" + fraction_sci(width, 2 * den, 2, "up")
+        text += "±" + _sci(width, 2 * den, 2, _floor_log10(width, 2 * den), up=True)
     return text
 
 
@@ -166,7 +157,7 @@ def cmd_form(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"n": form.n, **fields}))
     else:
-        print(" ".join(f"{k}={v}" for k, v in fields.items()))
+        _write_table(sys.stdout, False, (), [tuple(fields.values())], tuple(fields))
     return EXIT_OK
 
 
@@ -212,7 +203,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             f"residual={enclosure_decimal(report.residual)}"
         )
         for step in report.steps:
-            print(f"{step.step_id}: {step.numeric.value} | {step.justification.as_text()}")
+            print(f"{step.step_id}: {step.numeric.value} | {step.justification.value}")
     return _exit_for([s.numeric for s in report.steps])
 
 
@@ -234,6 +225,21 @@ def write_decay_table(rows: Sequence[DecayRow], out: TextIO, as_csv: bool) -> in
 def cmd_decay(args: argparse.Namespace) -> int:
     _banner(args, f"decay n=1..{args.n_max} digits={args.digits}")
     return write_decay_table(bounds.decay_table(args.n_max, args.digits), sys.stdout, args.csv)
+
+
+def run_to_stdout(command: Callable[..., int], *args: object) -> int:
+    """command(*args), then a flush of stdout. A reader that closed stdout
+    ends it with EXIT_PIPE and nothing on stderr, as SIGPIPE would."""
+    try:
+        code = command(*args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again, so fd 1 goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 # -- parser ---------------------------------------------------------------------
@@ -303,16 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Fold "--coeffs -6,5" into "--coeffs=-6,5" so negative leading
-    # coefficients are not mistaken for option flags.
-    for i in range(len(argv) - 1):
+    # Fold each "--coeffs -6,5" into "--coeffs=-6,5" so negative leading
+    # coefficients are not mistaken for option flags; argparse keeps the last.
+    i = 0
+    while i < len(argv) - 1:
         if argv[i] == "--coeffs":
             argv[i : i + 2] = [f"--coeffs={argv[i + 1]}"]
-            break
+        i += 1
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run_to_stdout(args.func, args)
     except chain.InvalidCoeffVector as exc:
         print(f"zeta3forms: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,7 @@ from oracles import binom, moment, moment_series_oracle
 from zeta3forms import beukers, bounds, chain
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import CheckStatus, decay_table, verify_form_bound, verify_ratio_bound
-from zeta3forms.chain import JustificationKind
+from zeta3forms.chain import Justification
 from zeta3forms.zeta3 import zeta3
 
 F = Fraction
@@ -184,8 +184,7 @@ def test_criterion_7_auditor_soundness():
             positive_ws_not_holds.append((n, vector.c))
         if any(x < 0 for x in vector.c):
             unmet = any(
-                s.justification.kind is JustificationKind.REQUIRES_CONDITION
-                and s.justification.met is False
+                s.justification in (Justification.POSITIVITY_UNMET, Justification.RELATION_UNMET)
                 for s in report.steps
             )
             fails = any(s.numeric is CheckStatus.FAILS for s in report.steps)

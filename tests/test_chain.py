@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -15,12 +16,11 @@ from zeta3forms.chain import (
     ChainReport,
     CoeffVector,
     InvalidCoeffVector,
-    JustificationKind,
+    Justification,
     _poly_enclosure,
     audit,
     fixed_corpus,
     random_corpus,
-    report_to_dict,
     report_to_json,
 )
 from zeta3forms.exactnum import Enclosure
@@ -150,7 +150,7 @@ def test_power_bound_first_power():
     step = audit(1, CoeffVector((-6, 5)), 30).step("power_1")
     assert step.step_id == "power_1"
     assert step.numeric is CheckStatus.HOLDS
-    assert step.justification.kind is JustificationKind.JUSTIFIED
+    assert step.justification is Justification.JUSTIFIED
 
 
 def test_power_bound_square():
@@ -192,14 +192,13 @@ def test_audit_all_positive_vector():
     assert by_id["power_2"].numeric is CheckStatus.HOLDS
     ws = by_id["weighted_sum"]
     assert ws.numeric is CheckStatus.HOLDS
-    assert ws.justification.kind is JustificationKind.JUSTIFIED
+    assert ws.justification is Justification.JUSTIFIED
     sub = by_id["substitution"]
     assert sub.numeric is CheckStatus.FAILS  # residual ~ 2.202, certified nonzero
-    assert sub.justification.kind is JustificationKind.REQUIRES_CONDITION
-    assert sub.justification.met is False
+    assert sub.justification is Justification.RELATION_UNMET
     final = by_id["final_contradiction"]
     assert final.numeric is CheckStatus.FAILS
-    assert final.justification.kind is JustificationKind.NOT_APPLICABLE
+    assert final.justification is Justification.NOT_APPLICABLE
     assert report.coeffs.c0_positive
 
 
@@ -207,8 +206,7 @@ def test_audit_negative_coefficient_vector():
     report = audit(1, CoeffVector((-6, 5)), 30)
     ws = report.step("weighted_sum")
     assert ws.numeric is CheckStatus.FAILS  # S ~ -1.486, so 0 < S is refuted
-    assert ws.justification.kind is JustificationKind.REQUIRES_CONDITION
-    assert ws.justification.met is False
+    assert ws.justification is Justification.POSITIVITY_UNMET
     assert not report.coeffs.c0_positive
 
 
@@ -268,7 +266,7 @@ def test_soundness_on_small_sample():
 
 def test_report_json_schema_and_determinism():
     report = audit(1, CoeffVector((1, 1)), 30)
-    payload = report_to_dict(report)
+    payload = json.loads(report_to_json(report))
     assert list(payload) == [
         "n",
         "coeffs",
@@ -283,6 +281,16 @@ def test_report_json_schema_and_determinism():
     assert payload["R"].startswith("[") and payload["R"].endswith("]")
     assert all(set(step) == {"id", "numeric", "justification"} for step in payload["steps"])
     assert report_to_json(report) == report_to_json(audit(1, CoeffVector((1, 1)), 30))
+
+
+def test_justification_values_are_the_printed_text():
+    assert [j.value for j in Justification] == [
+        "justified",
+        "not_applicable",
+        "requires_condition: all weight coefficients c_i strictly positive (unmet)",
+        "requires_condition: assumed integer relation evaluates to zero (residual = 0) (unmet)",
+        "requires_condition: assumed integer relation evaluates to zero (residual = 0) (undetermined)",
+    ]
 
 
 def test_report_step_lookup():
@@ -404,8 +412,8 @@ def test_a_residual_touching_zero_leaves_the_substitution_undetermined(monkeypat
     assert report.residual == Enclosure(*residual)
     step = report.step("substitution")
     assert step.numeric is CheckStatus.UNKNOWN
-    assert step.justification.met is None
-    assert step.justification.as_text().endswith("(undetermined)")
+    assert step.justification is Justification.RELATION_UNDETERMINED
+    assert step.justification.value.endswith("(undetermined)")
     assert report.digits_used == LADDER_TOP
 
 
@@ -415,8 +423,8 @@ def test_a_residual_clear_of_zero_fails_the_substitution(monkeypatch, z):
     assert not report.residual.contains(0)
     step = report.step("substitution")
     assert step.numeric is CheckStatus.FAILS
-    assert step.justification.met is False
-    assert step.justification.as_text().endswith("(unmet)")
+    assert step.justification is Justification.RELATION_UNMET
+    assert step.justification.value.endswith("(unmet)")
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from zeta3forms.cli import (
     EXIT_USAGE,
     enclosure_decimal,
     fraction_places,
-    fraction_sci,
     main,
 )
 from zeta3forms.exactnum import Enclosure
@@ -57,23 +56,17 @@ def widen_form_abs(monkeypatch):
 # -- decimal formatting -------------------------------------------------------
 
 
-def test_fraction_sci_basic():
-    assert fraction_sci(-12, 1, 7) == "-1.200000e+01"
-    assert fraction_sci(1, 3, 4) == "3.333e-01"
-    assert fraction_sci(2, 3, 4) == "6.667e-01"
-    assert fraction_sci(0, 1, 5) == "0"
-    assert fraction_sci(999999, 10**6, 3) == "1.00e+00"  # carry into next decade
+def test_enclosure_decimal_prints_a_point_half_up():
+    assert enclosure_decimal(Enclosure(-12, -12), 7) == "-1.200000e+01"
+    assert enclosure_decimal(Enclosure(1, 1, 3), 4) == "3.333e-01"
+    assert enclosure_decimal(Enclosure(2, 2, 3), 4) == "6.667e-01"
+    assert enclosure_decimal(Enclosure(0, 0), 5) == "0"
+    assert enclosure_decimal(Enclosure(999999, 999999, 10**6), 3) == "1.00e+00"  # carry into next decade
 
 
-def test_fraction_sci_rejects_unknown_mode_at_zero_too():
-    with pytest.raises(ValueError, match="bogus"):
-        fraction_sci(1, 1, 5, "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        fraction_sci(0, 1, 5, "bogus")
-
-
-def test_fraction_sci_directed_up():
-    assert fraction_sci(1001, 10**6, 2, "up") == "1.1e-03"
+def test_enclosure_decimal_rounds_the_error_field_up():
+    # midpoint 0, half-width 1.001e-3
+    assert enclosure_decimal(Enclosure(-1001, 1001, 10**6)) == "0±1.1e-03"
 
 
 # The Fraction printer the integer one replaced, kept as its reference.
@@ -185,17 +178,6 @@ def test_enclosure_decimal_matches_fraction_reference(enc):
 def test_enclosure_decimal_matches_fraction_reference_at_the_boundary(enc):
     for sig in range(1, 11):
         assert enclosure_decimal(enc, sig) == _ref_enclosure_decimal(enc, sig)
-
-
-@given(
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.integers(min_value=1, max_value=10**40),
-    st.integers(min_value=1, max_value=2**70),
-    st.integers(min_value=1, max_value=12),
-    st.sampled_from(("half_up", "up")),
-)
-def test_fraction_sci_reads_unreduced_integers(num, den, k, sig, mode):
-    assert fraction_sci(num * k, den * k, sig, mode) == _ref_fraction_sci(F(num, den), sig, mode)
 
 
 def test_enclosure_decimal_certifies_precision():
@@ -396,6 +378,13 @@ def test_audit_negative_coeffs_text(capsys):
     assert "c0_positive=false" in out
     assert "weighted_sum: fails" in out
     assert "(unmet)" in out
+
+
+def test_audit_repeated_coeffs_takes_the_last(capsys):
+    last = run_cli(capsys, "audit", "--coeffs", "-6,5", "--n", "1", "--quiet")
+    repeated = run_cli(capsys, "audit", "--coeffs", "1,2", "--coeffs", "-6,5", "--n", "1", "--quiet")
+    assert repeated == last
+    assert last[0] == EXIT_FAILS
 
 
 def test_audit_invalid_vector_usage_error(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zeta3forms.cli import EXIT_INTERNAL
+from zeta3forms.cli import EXIT_INTERNAL, EXIT_PIPE
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -150,3 +150,29 @@ def test_scripts_exit_4_on_an_internal_fault(
             out.unlink()
         else:
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-m", "zeta3forms", "verify", "--n-max", "5", "--quiet"],
+        ["-m", "zeta3forms", "audit", "--coeffs", "-6,5", "--n", "1", "--quiet"],
+        ["-m", "zeta3forms", "zeta3", "--digits", "3000", "--quiet"],
+        [str(SCRIPTS / "run_corpus_audit.py"), "--random", "10"],
+        [str(SCRIPTS / "run_decay_table.py"), "--n-max", "5", "--digits", "60", "--out", "decay.csv"],
+    ],
+    ids=["verify", "audit", "zeta3", "corpus_audit", "decay_table"],
+)
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, args):
+    # a pipe whose reader is gone: every write to it fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    try:
+        proc = subprocess.run(
+            [sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
