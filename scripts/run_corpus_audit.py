@@ -6,9 +6,10 @@ whether any audit ever certified the final contradiction (none should).
 Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
 usage error, such as a size below 1, a negative --random or a --json-out
 path that cannot be written (checked before any computation, without
-truncating an existing file), 4 on an internal fault (an `ArithmeticError`
-or a `ValueError`), reported on one stderr line with nothing on stdout, 141
-when its reader closes stdout (nothing on stderr).
+truncating an existing file), 4 when the run could not complete (an
+internal fault, an `ArithmeticError` or a `ValueError`, or output that could
+not be written), reported on one stderr line, 141 when its reader closes
+stdout (nothing on stderr).
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60
@@ -27,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import CheckStatus  # noqa: E402
 from zeta3forms.chain import audit, fixed_corpus, random_corpus  # noqa: E402
-from zeta3forms.cli import EXIT_INTERNAL, _nonnegative_int, _positive_int, run_to_stdout  # noqa: E402
+from zeta3forms.cli import _nonnegative_int, _positive_int, run_to_stdout  # noqa: E402
 
 
 def main() -> int:
@@ -93,8 +94,4 @@ def _audit_corpus(args: argparse.Namespace) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(run_to_stdout(main))
-    except (ArithmeticError, ValueError) as exc:
-        print(f"run_corpus_audit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INTERNAL)
+    sys.exit(run_to_stdout("run_corpus_audit", main))

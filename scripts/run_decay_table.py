@@ -8,9 +8,10 @@ T_{n_max} >= 10**-EXP is certified, and 3 when the enclosure of T_{n_max}
 straddles 10**-EXP, so neither is (the CLI's code for unknown); 2 on a
 usage error, such as a size below 1, a negative EXP or an --out
 path that cannot be written (checked before any computation, without
-truncating an existing file); 4 on an internal fault (an `ArithmeticError`
-or a `ValueError`), reported on one stderr line with nothing on stdout;
-141 when its reader closes stdout (nothing on stderr).
+truncating an existing file); 4 when the run could not complete (an
+internal fault, an `ArithmeticError` or a `ValueError`, or output that could
+not be written), reported on one stderr line; 141 when its reader closes
+stdout (nothing on stderr).
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -29,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from zeta3forms.bounds import decay_table  # noqa: E402
 from zeta3forms.cli import (  # noqa: E402
     EXIT_FAILS,
-    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNKNOWN,
     _nonnegative_int,
@@ -84,8 +84,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(run_to_stdout(main))
-    except (ArithmeticError, ValueError) as exc:
-        print(f"run_decay_table: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INTERNAL)
+    sys.exit(run_to_stdout("run_decay_table", main))

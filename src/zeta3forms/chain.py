@@ -27,7 +27,6 @@ fields equal those of Enclosure's ``*`` and ``+``; the kernel test checks it.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass
@@ -144,9 +143,10 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    unknown = CheckStatus.UNKNOWN  # one member lookup, not one per step
     for k in range(MAX_REFINEMENTS + 1):
         report = _audit_once(n, c, digits << k)
-        if all(s.numeric is not CheckStatus.UNKNOWN for s in report.steps):
+        if all(s.numeric is not unknown for s in report.steps):
             break
     return report
 
@@ -201,26 +201,6 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
         steps=tuple(steps),
         digits_used=digits,
     )
-
-
-# -- report serialization ---------------------------------------------------
-
-
-def report_to_json(report: ChainReport) -> str:
-    payload = {
-        "n": report.n,
-        "coeffs": list(report.coeffs.c),
-        "R": str(report.R),
-        "S": str(report.S),
-        "residual": str(report.residual),
-        "c0_positive": report.coeffs.c0_positive,
-        "digits_used": report.digits_used,
-        "steps": [
-            {"id": s.step_id, "numeric": s.numeric.value, "justification": s.justification.value}
-            for s in report.steps
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 # -- deterministic test corpora ----------------------------------------------

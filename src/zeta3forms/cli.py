@@ -7,14 +7,12 @@ precision the enclosure certifies (a +/- error field is appended whenever
 the width exceeds one unit in the last printed place).
 
 Exit codes: 0 all requested checks hold / completed, 1 some check fails,
-2 usage error, 3 some check is unknown (its enclosures overlap at the
-requested digits; `audit` first climbs its refinement ladder), or some
-printed decay cell carries a +/- field (not one digit certified), 4 internal
-fault (an `ArithmeticError`, such as the two zeta(3) routes disagreeing, or a
-`ValueError` from inside the package), reported on one stderr line with
-nothing on stdout, 141 stdout closed by its reader (nothing on stderr). Of
-the input errors, argparse reports its own; only an invalid coefficient
-vector reaches `main` as an exception.
+2 usage error (argparse reports every input error), 3 some check is unknown
+(its enclosures overlap at the requested digits; `audit` first climbs its
+refinement ladder) or some printed decay cell carries a +/- field, 4 the
+command could not complete (an internal fault, an `ArithmeticError` such as
+the zeta(3) routes disagreeing or a `ValueError`, or unwritable output), on
+one stderr line, 141 stdout closed by its reader (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -122,9 +120,9 @@ def fraction_places(num: int, den: int, places: int) -> str:
 
 
 def _exit_for(statuses: Sequence[CheckStatus]) -> int:
-    if any(s is CheckStatus.FAILS for s in statuses):
+    if CheckStatus.FAILS in statuses:
         return EXIT_FAILS
-    if any(s is CheckStatus.UNKNOWN for s in statuses):
+    if CheckStatus.UNKNOWN in statuses:
         return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -186,12 +184,28 @@ def cmd_zeta3(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def report_to_json(report: chain.ChainReport) -> str:
+    payload = {
+        "n": report.n,
+        "coeffs": list(report.coeffs.c),
+        "R": str(report.R),
+        "S": str(report.S),
+        "residual": str(report.residual),
+        "c0_positive": report.coeffs.c0_positive,
+        "digits_used": report.digits_used,
+        "steps": [
+            {"id": s.step_id, "numeric": s.numeric.value, "justification": s.justification.value}
+            for s in report.steps
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
-    vector = chain.CoeffVector(tuple(args.coeffs))
-    report = chain.audit(args.n, vector, args.digits)
-    _banner(args, f"audit n={args.n} coeffs={vector} digits={args.digits}")
+    report = chain.audit(args.n, args.coeffs, args.digits)
+    _banner(args, f"audit n={args.n} coeffs={args.coeffs} digits={args.digits}")
     if args.json:
-        print(chain.report_to_json(report))
+        print(report_to_json(report))
     else:
         print(
             f"n={report.n} coeffs={report.coeffs} m={report.coeffs.m} "
@@ -227,27 +241,48 @@ def cmd_decay(args: argparse.Namespace) -> int:
     return write_decay_table(bounds.decay_table(args.n_max, args.digits), sys.stdout, args.csv)
 
 
-def run_to_stdout(command: Callable[..., int], *args: object) -> int:
-    """command(*args), then a flush of stdout. A reader that closed stdout
-    ends it with EXIT_PIPE and nothing on stderr, as SIGPIPE would."""
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, so the flush at exit raises nothing."""
     try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # None, or no descriptor (an in-memory stream)
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def run_to_stdout(prog: str, command: Callable[..., int], *args: object) -> int:
+    """command(*args), then a flush of stdout, as the program ``prog``, with int-str
+    conversion unlimited. A reader that closed stdout ends it with EXIT_PIPE and
+    nothing on stderr, as SIGPIPE would; an internal fault (ArithmeticError,
+    ValueError) or unwritable output (a None stdout, any other OSError) with
+    EXIT_INTERNAL and one stderr line."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         code = command(*args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the flush at interpreter exit would raise again, so fd 1 goes to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _stdout_to_devnull()
         return EXIT_PIPE
+    except (ArithmeticError, ValueError) as exc:
+        print(f"{prog}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except OSError as exc:
+        _stdout_to_devnull()
+        print(f"{prog}: cannot complete: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def _parse_coeffs(text: str) -> list[int]:
-    try:
-        return [int(part.strip()) for part in text.split(",")]
+def _parse_coeffs(text: str) -> chain.CoeffVector:
+    try:  # chain.InvalidCoeffVector is a ValueError too
+        return chain.CoeffVector(tuple(int(part.strip()) for part in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}") from exc
 
@@ -316,17 +351,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if argv[i] == "--coeffs":
             argv[i : i + 2] = [f"--coeffs={argv[i + 1]}"]
         i += 1
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return run_to_stdout(args.func, args)
-    except chain.InvalidCoeffVector as exc:
-        print(f"zeta3forms: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, ValueError) as exc:
-        print(f"zeta3forms: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    args = build_parser().parse_args(argv)
+    return run_to_stdout("zeta3forms", args.func, args)

@@ -40,14 +40,8 @@ safe.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Union
-
-# Exact serialization of arbitrarily large integers is part of this package's
-# contract; CPython's default 4300-digit str() guard would break it.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 # Outward-rounding budget: bits of denominator granularity granted per
 # requested decimal digit. 4 bits/digit is a grid of 16**-digits <=

@@ -21,8 +21,8 @@ from zeta3forms.chain import (
     audit,
     fixed_corpus,
     random_corpus,
-    report_to_json,
 )
+from zeta3forms.cli import report_to_json
 from zeta3forms.exactnum import Enclosure
 from zeta3forms.zeta3 import zeta3
 

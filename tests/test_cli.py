@@ -1,6 +1,9 @@
 import csv
+import errno
 import io
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -329,6 +332,28 @@ def test_an_integrality_violation_exits_4(capsys, monkeypatch):
     assert err == "zeta3forms: internal error: IntegralityViolation: d_n^3 * alpha is not an integer at n=2\n"
 
 
+class _FullDisk(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    ("stdout", "reason"),
+    [(_FullDisk(), "[Errno 28] "), (None, "stdout is closed")],
+    ids=["full-disk", "none"],
+)
+def test_unwritable_stdout_exits_4_with_one_stderr_line(capsys, monkeypatch, stdout, reason):
+    # a traceback exits 1, which reads as "some check fails"
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["verify", "--n-max", "3", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err.startswith(f"zeta3forms: cannot complete: OSError: {reason}")
+    assert err.count("\n") == 1
+
+
 # -- zeta3 -----------------------------------------------------------------------
 
 
@@ -388,9 +413,19 @@ def test_audit_repeated_coeffs_takes_the_last(capsys):
 
 
 def test_audit_invalid_vector_usage_error(capsys):
-    code, _, err = run_cli(capsys, "audit", "--coeffs", "0,0", "--n", "1", "--quiet")
-    assert code == EXIT_USAGE
-    assert "error" in err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "audit", "--coeffs", "0,0", "--n", "1", "--quiet")
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --coeffs: bad coefficient list '0,0'" in captured.err
+
+
+def test_audit_invalid_earlier_coeffs_usage_error(capsys):
+    # argparse checks every value of a repeated option, even one a later value replaces
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "audit", "--coeffs", "0,0", "--coeffs", "-6,5", "--n", "1", "--quiet")
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_audit_malformed_coeffs_usage_error(capsys):

@@ -34,7 +34,7 @@ from pathlib import Path
 import pytest
 
 import zeta3forms
-from zeta3forms import beukers, bounds, chain, zeta3
+from zeta3forms import beukers, bounds, chain, cli, zeta3
 from zeta3forms.cli import EXIT_FAILS, EXIT_OK, main
 
 # Test id -> (argv, exit code, sha256 of stdout). Help text wraps at the
@@ -148,7 +148,7 @@ def test_corpus_audit_json_matches_pinned_sha256():
     for n in (1, 7, 20):
         for digits in (1, 60):
             for c in chain.fixed_corpus():
-                report = chain.report_to_json(chain.audit(n, c, digits))
+                report = cli.report_to_json(chain.audit(n, c, digits))
                 digest.update((report + "\n").encode("utf-8"))
     assert digest.hexdigest() == CORPUS_AUDIT_SHA256
 
@@ -197,10 +197,9 @@ def test_stdout_matches_pinned_sha256_under_python_O(name):
 
 
 def test_every_check_and_cell_certified_at_default_flags(capsys):
-    """The workflow's step of the same name: at default digits every verify
-    check decides and no decay cell carries a +/- field, also under
-    ``python -O``, and the 1-digit audit at n = 200 holds every power step
-    without refining."""
+    """At default digits every verify check decides and no decay cell
+    carries a +/- field, also under ``python -O``, and the 1-digit audit at
+    n = 200 holds every power step without refining."""
     for argv in (("verify", "--n-max", "1000"), ("decay", "--n-max", "200")):
         assert main([*argv, "--quiet"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -475,6 +474,27 @@ def test_the_commands_import_only_the_standard_library():
         encoding="utf-8",
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
+
+
+_IMPORT_STATE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # absent before 3.10.7
+before = limit()
+import zeta3forms
+print("json" in sys.modules, limit() == before)
+"""
+
+
+def test_importing_the_package_changes_no_interpreter_state():
+    # The limit on int-str conversion is lifted by the CLI's runner, for the
+    # process it runs, and json is loaded by the CLI; a library import does neither.
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_STATE, str(PACKAGE.parent)],
+        capture_output=True,
+        encoding="utf-8",
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False True\n")
 
 
 # -- a cache is kept only where its keys come back ---------------------------------

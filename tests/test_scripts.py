@@ -169,10 +169,47 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, args):
     os.close(read_end)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    ends = []
     try:
-        proc = subprocess.run(
-            [sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path
-        )
+        # buffered, the flush at exit retries the text left in stdout's buffer
+        for unbuffered in ("", "1"):
+            env["PYTHONUNBUFFERED"] = unbuffered
+            proc = subprocess.run(
+                [sys.executable, *args],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+            )
+            ends.append((proc.returncode, proc.stderr))
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
+    assert ends == [(EXIT_PIPE, b"")] * 2
+
+
+# Each program with its argv and the flag that names its output path (None: stdout).
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize(
+    ("prog", "args", "flag"),
+    [
+        ("zeta3forms", ["-m", "zeta3forms", "verify", "--n-max", "3", "--quiet"], None),
+        ("run_corpus_audit", [str(SCRIPTS / "run_corpus_audit.py"), "--random", "1"], "--json-out"),
+        ("run_decay_table", [str(SCRIPTS / "run_decay_table.py")], "--out"),
+    ],
+    ids=["verify", "corpus_audit", "decay_table"],
+)
+def test_output_on_a_full_disk_exits_4_with_one_stderr_line(tmp_path, prog, args, flag):
+    # a traceback exits 1, which reads as "some check fails", "soundness
+    # VIOLATED" or "REFUTED"
+    if flag is not None:
+        args = [*args, "--n-max", "3", "--digits", "20", flag, "/dev/full"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    # buffered, the text left in stdout's buffer is flushed again at exit,
+    # which must add no second line; unbuffered, the first print fails
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        with open(os.devnull if flag else "/dev/full", "wb") as out:
+            proc = subprocess.run(
+                [sys.executable, *args], stdout=out, stderr=subprocess.PIPE, env=env, cwd=tmp_path
+            )
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stderr.startswith(f"{prog}: cannot complete: OSError: [Errno 28] ".encode())
+        assert proc.stderr.count(b"\n") == 1
