@@ -28,11 +28,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import CheckStatus  # noqa: E402
 from zeta3forms.chain import audit, fixed_corpus, random_corpus  # noqa: E402
-from zeta3forms.cli import _nonnegative_int, _positive_int, run_to_stdout  # noqa: E402
+from zeta3forms.cli import ArgumentParser, _nonnegative_int, _positive_int, run_to_stdout  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--random", type=_nonnegative_int, default=1000)
     parser.add_argument("--seed", type=int, default=20260810)
     parser.add_argument("--digits", type=_positive_int, default=60)
@@ -70,15 +70,8 @@ def _audit_corpus(args: argparse.Namespace) -> int:
             contradiction_certified.append((n, vector.c))
     elapsed = time.perf_counter() - started
 
-    print(f"audited {len(corpus)} vectors in {elapsed:.2f}s at {args.digits} digits")
-    for key in sorted(numeric):
-        print(f"  {key:<32} {numeric[key]}")
-    for key in sorted(justifications):
-        print(f"  justification:{key:<20} {justifications[key]}")
-    sound = not contradiction_certified
-    print(f"final contradiction certified anywhere: {contradiction_certified or 'never'}")
-    print(f"auditor soundness: {'OK' if sound else 'VIOLATED'}")
-
+    # The side file first: a failed write must leave stdout as empty when it
+    # is unbuffered as when it is buffered.
     if args.json_out is not None:
         payload = {
             "vectors": len(corpus),
@@ -89,6 +82,16 @@ def _audit_corpus(args: argparse.Namespace) -> int:
             "contradiction_certified": contradiction_certified,
         }
         args.json_out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+    sound = not contradiction_certified
+    print(f"audited {len(corpus)} vectors in {elapsed:.2f}s at {args.digits} digits")
+    for key in sorted(numeric):
+        print(f"  {key:<32} {numeric[key]}")
+    for key in sorted(justifications):
+        print(f"  justification:{key:<20} {justifications[key]}")
+    print(f"final contradiction certified anywhere: {contradiction_certified or 'never'}")
+    print(f"auditor soundness: {'OK' if sound else 'VIOLATED'}")
+    if args.json_out is not None:
         print(f"wrote {args.json_out}")
     return 0 if sound else 1
 

@@ -19,7 +19,6 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +31,7 @@ from zeta3forms.cli import (  # noqa: E402
     EXIT_FAILS,
     EXIT_OK,
     EXIT_UNKNOWN,
+    ArgumentParser,
     _nonnegative_int,
     _positive_int,
     enclosure_decimal,
@@ -41,7 +41,7 @@ from zeta3forms.cli import (  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=_positive_int, default=50)
     parser.add_argument("--digits", type=_positive_int, default=220)
     parser.add_argument("--out", type=Path, default=Path("decay.csv"))

@@ -24,7 +24,7 @@ moments and shifted Legendre coefficients in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import Enclosure
@@ -34,13 +34,10 @@ class IntegralityViolation(ArithmeticError):
     """d_n^3 * alpha_n failed to be an integer; signals an implementation bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class LinearForm:
-    n: int
-    beta: int
-    A: int  # dn3 * alpha
-    B: int  # dn3 * beta
-    dn3: int
+class LinearForm(namedtuple("LinearForm", "n beta A B dn3")):
+    """I_n = alpha + beta*zeta(3) with the ints A = dn3*alpha, B = dn3*beta, dn3 = d_n^3."""
+
+    __slots__ = ()
 
     @property
     def alpha(self) -> Fraction:
@@ -105,7 +102,7 @@ def linear_form(n: int) -> LinearForm:
     _grow_apery(n)
     cube = dn_cubed(n)
     beta = 2 * _APERY[n]
-    return LinearForm(n=n, beta=beta, A=-_APERY_Y[n], B=beta * cube, dn3=cube)
+    return LinearForm(n, beta, -_APERY_Y[n], beta * cube, cube)
 
 
 def apery_bracket(N: int) -> Enclosure:

@@ -20,7 +20,7 @@ right-hand sides only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
@@ -36,13 +36,8 @@ class CheckStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    n: int
-    lhs: Enclosure
-    rhs: Enclosure
-    status: CheckStatus
-    digits_used: int
+# The certified status of 0 < lhs < rhs at n, both sides built at digits_used.
+CheckResult = namedtuple("CheckResult", "n lhs rhs status digits_used")
 
 
 @lru_cache(maxsize=DIGITS_CACHE_SIZE)
@@ -129,7 +124,7 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
 
 def _check_sandwich(n: int, digits: int, lhs: Enclosure, rhs: Enclosure) -> CheckResult:
     """Decide 0 < lhs < rhs, both sides built at (n, digits)."""
-    return CheckResult(n=n, lhs=lhs, rhs=rhs, status=sandwich_status(lhs, rhs), digits_used=digits)
+    return CheckResult(n, lhs, rhs, sandwich_status(lhs, rhs), digits)
 
 
 def verify_form_bound(n: int, digits: int) -> CheckResult:
@@ -143,14 +138,9 @@ def verify_ratio_bound(n: int, digits: int) -> CheckResult:
     return _check_sandwich(n, digits, ratio_enclosure(n, digits), zeta3(digits))
 
 
-@dataclass(frozen=True, slots=True)
-class DecayRow:
-    n: int
-    dn: int
-    form_abs: Enclosure  # |I_n|
-    rhs: Enclosure  # 2 (sqrt(2)-1)^(4n) zeta(3)
-    ratio: Enclosure  # |I_n| / rhs
-    t_n: Enclosure  # d_n^3 * rhs
+# One row of the decay table: d_n and the enclosures form_abs = |I_n|,
+# rhs = 2 (sqrt(2)-1)^(4n) zeta(3), ratio = |I_n| / rhs and t_n = d_n^3 * rhs.
+DecayRow = namedtuple("DecayRow", "n dn form_abs rhs ratio t_n")
 
 
 def decay_table(n_max: int, digits: int) -> list[DecayRow]:
@@ -161,17 +151,7 @@ def decay_table(n_max: int, digits: int) -> list[DecayRow]:
         raise ValueError("digits must be >= 1")
     rows = []
     for n in range(1, n_max + 1):
-        cube = dn_cubed(n)
         form_abs = form_abs_enclosure(n, digits)
         rhs = rhs_bound(n, digits)
-        rows.append(
-            DecayRow(
-                n=n,
-                dn=d(n),
-                form_abs=form_abs,
-                rhs=rhs,
-                ratio=form_abs / rhs,
-                t_n=rhs * cube,
-            )
-        )
+        rows.append(DecayRow(n, d(n), form_abs, rhs, form_abs / rhs, rhs * dn_cubed(n)))
     return rows

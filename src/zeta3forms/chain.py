@@ -28,14 +28,14 @@ fields equal those of Enclosure's ``*`` and ``+``; the kernel test checks it.
 from __future__ import annotations
 
 import operator
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bounds import CheckStatus, ratio_enclosure, sandwich_status
-from .exactnum import Enclosure
+from .exactnum import DIGITS_CACHE_SIZE, Enclosure
 from .zeta3 import zeta3
 
 
@@ -43,26 +43,30 @@ class InvalidCoeffVector(ValueError):
     """Coefficient vector has a non-integer entry, or violates m >= 1 or c_m != 0."""
 
 
-@dataclass(frozen=True, slots=True)
-class CoeffVector:
+class CoeffVector(namedtuple("CoeffVector", "c")):
     """Integer coefficients c_0..c_m of a degree-m candidate relation.
 
     Positivity of c_0 is audited on reports, never enforced here. A float,
     Fraction or str entry is rejected, never truncated to another relation.
     """
 
-    c: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, c: Iterable[int]) -> CoeffVector:
         try:
-            c = tuple(operator.index(x) for x in self.c)
+            c = tuple(operator.index(x) for x in c)
         except TypeError as exc:
             raise InvalidCoeffVector(f"coefficients must be integers: {exc}") from None
         if len(c) < 2:
             raise InvalidCoeffVector("need m >= 1, i.e. at least c_0 and c_1")
         if c[-1] == 0:
             raise InvalidCoeffVector("leading coefficient c_m must be nonzero")
-        object.__setattr__(self, "c", c)
+        return super().__new__(cls, c)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CoeffVector:
+        # namedtuple's _make, and so _replace, would skip the checks in __new__
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
@@ -74,7 +78,7 @@ class CoeffVector:
 
     @property
     def all_positive(self) -> bool:
-        return all(x > 0 for x in self.c)
+        return min(self.c) > 0
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.c)
@@ -92,22 +96,15 @@ class Justification(Enum):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StepReport:
-    step_id: str
-    numeric: CheckStatus
-    justification: Justification
+# One step of the chain: its id, its numeric CheckStatus and its Justification.
+StepReport = namedtuple("StepReport", "step_id numeric justification")
 
 
-@dataclass(frozen=True, slots=True)
-class ChainReport:
-    n: int
-    coeffs: CoeffVector
-    R: Enclosure
-    S: Enclosure
-    residual: Enclosure
-    steps: tuple[StepReport, ...]
-    digits_used: int
+class ChainReport(namedtuple("ChainReport", "n coeffs R S residual steps digits_used")):
+    """The audit of one vector at n: the enclosures R (of R_n), S and residual,
+    and the steps in chain order, all built at digits_used."""
+
+    __slots__ = ()
 
     def step(self, step_id: str) -> StepReport:
         for s in self.steps:
@@ -151,6 +148,36 @@ def audit(n: int, c: CoeffVector, digits: int) -> ChainReport:
     return report
 
 
+# Every step record is immutable, so the audits share them: the steps after the
+# powers are built here, the powers once per (m, base verdict) by _power_steps.
+# weighted_sum by (its verdict, c.all_positive): summing the scaled power bounds
+# is only an inference when every multiplier is positive.
+_WEIGHTED_SUM = {
+    (status, positive): StepReport(
+        "weighted_sum", status, Justification.JUSTIFIED if positive else Justification.POSITIVITY_UNMET
+    )
+    for status in CheckStatus
+    for positive in (True, False)
+}
+# substitution by whether the residual's enclosure holds 0: a residual that
+# may vanish leaves it undetermined; a certified-nonzero residual refutes it.
+_SUBSTITUTION = {
+    True: StepReport("substitution", CheckStatus.UNKNOWN, Justification.RELATION_UNDETERMINED),
+    False: StepReport("substitution", CheckStatus.FAILS, Justification.RELATION_UNMET),
+}
+# final_contradiction by whether S straddles zero with positive width.
+_FINAL_CONTRADICTION = {
+    True: StepReport("final_contradiction", CheckStatus.UNKNOWN, Justification.NOT_APPLICABLE),
+    False: StepReport("final_contradiction", CheckStatus.FAILS, Justification.NOT_APPLICABLE),
+}
+
+
+@lru_cache(maxsize=DIGITS_CACHE_SIZE)
+def _power_steps(m: int, base: CheckStatus) -> tuple[StepReport, ...]:
+    """The steps power_1..power_{m+1}, each with the base bound's verdict."""
+    return tuple(StepReport(f"power_{k}", base, Justification.JUSTIFIED) for k in range(1, m + 2))
+
+
 def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     z = zeta3(digits)
     ratio = ratio_enclosure(n, digits)
@@ -159,48 +186,28 @@ def _audit_once(n: int, c: CoeffVector, digits: int) -> ChainReport:
     # is >= 0 (round_out, a floor, of a positive enclosure), zeta(3)'s
     # is > 0, and on such enclosures [lo^k, hi^k] (numerators and denominator
     # raised to the k) compares with 0 and with the other side as [lo, hi] does.
-    base = sandwich_status(ratio, z)
-    justified = Justification.JUSTIFIED  # one member lookup, not one per power
-    steps = [StepReport(f"power_{k}", base, justified) for k in range(1, c.m + 2)]
+    powers = _power_steps(c.m, sandwich_status(ratio, z))
 
-    # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. Summing the scaled power
-    # bounds is only an inference when every multiplier is positive. The
-    # upper bound is z * residual with residual = sum_i c_i zeta(3)^i, so one
-    # Horner pass serves this step and the substitution. S = R_n * P(R_n) is
-    # one pass over R_n with the coefficients (0, c_0, ..., c_m).
+    # Weighted sum: 0 < S < sum_k c_{k-1} zeta(3)^k. The upper bound is
+    # z * residual with residual = sum_i c_i zeta(3)^i, so one Horner pass
+    # serves this step and the substitution. S = R_n * P(R_n) is one pass
+    # over R_n with the coefficients (0, c_0, ..., c_m).
     weighted = _poly_enclosure((0,) + c.c, ratio)
     residual = _poly_enclosure(c.c, z)
-    upper = z * residual
-    ws_just = justified if c.all_positive else Justification.POSITIVITY_UNMET
-    steps.append(StepReport("weighted_sum", sandwich_status(weighted, upper), ws_just))
+    weighted_sum = _WEIGHTED_SUM[sandwich_status(weighted, z * residual), c.all_positive]
 
     # Substitution: the upper bound is replaced using the assumed relation.
-    # Numeric verdict reflects whether the residual enclosure still allows
-    # zero: certified-nonzero residual refutes the substitution.
-    if residual.contains(0):
-        sub_status, sub_just = CheckStatus.UNKNOWN, Justification.RELATION_UNDETERMINED
-    else:
-        sub_status, sub_just = CheckStatus.FAILS, Justification.RELATION_UNMET
-    steps.append(StepReport("substitution", sub_status, sub_just))
-
     # Final statement 0 < S < 0: unsatisfiable; Fails once S has a
     # determinate sign (or is exactly zero), Unknown only while S straddles
-    # zero with positive width.
-    if weighted.contains(0) and not weighted.is_point():
-        final_status = CheckStatus.UNKNOWN
-    else:
-        final_status = CheckStatus.FAILS
-    steps.append(StepReport("final_contradiction", final_status, Justification.NOT_APPLICABLE))
-
-    return ChainReport(
-        n=n,
-        coeffs=c,
-        R=ratio,
-        S=weighted,
-        residual=residual,
-        steps=tuple(steps),
-        digits_used=digits,
+    # zero with positive width. Both tests read the numerators, over positive
+    # denominators.
+    s_lo, s_hi = weighted.lo_num, weighted.hi_num
+    steps = powers + (
+        weighted_sum,
+        _SUBSTITUTION[residual.lo_num <= 0 <= residual.hi_num],
+        _FINAL_CONTRADICTION[s_lo <= 0 <= s_hi and s_lo < s_hi],
     )
+    return ChainReport(n, c, ratio, weighted, residual, steps, digits)
 
 
 # -- deterministic test corpora ----------------------------------------------
@@ -231,6 +238,8 @@ def fixed_corpus() -> tuple[CoeffVector, ...]:
 def random_corpus(count: int, seed: int) -> tuple[CoeffVector, ...]:
     """Seeded pseudo-random coefficient vectors, m <= CORPUS_M_MAX and
     |c_i| <= CORPUS_COEFF_BOUND; reproducible across runs."""
+    import random  # here, not at the top: importing the package need not load it
+
     rng = random.Random(seed)
     out = []
     for _ in range(count):

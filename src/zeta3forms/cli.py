@@ -17,9 +17,9 @@ one stderr line, 141 stdout closed by its reader (nothing on stderr).
 
 from __future__ import annotations
 
+# csv and json are imported by the functions that write them, so a command
+# that prints neither format does not load them.
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import Callable, Optional, Sequence, TextIO
@@ -137,6 +137,8 @@ def _write_table(
 ) -> None:
     """Rows as CSV under ``header``, or as one line of key=value pairs each."""
     if as_csv:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -153,6 +155,8 @@ def cmd_form(args: argparse.Namespace) -> int:
     _banner(args, f"form n={args.n}")
     fields = dict(alpha=str(form.alpha), beta=form.beta, A=form.A, B=form.B, dn3=form.dn3)
     if args.json:
+        import json
+
         print(json.dumps({"n": form.n, **fields}))
     else:
         _write_table(sys.stdout, False, (), [tuple(fields.values())], tuple(fields))
@@ -185,6 +189,8 @@ def cmd_zeta3(args: argparse.Namespace) -> int:
 
 
 def report_to_json(report: chain.ChainReport) -> str:
+    import json
+
     payload = {
         "n": report.n,
         "coeffs": list(report.coeffs.c),
@@ -254,18 +260,20 @@ def _stdout_to_devnull() -> None:
 
 def run_to_stdout(prog: str, command: Callable[..., int], *args: object) -> int:
     """command(*args), then a flush of stdout, as the program ``prog``, with int-str
-    conversion unlimited. A reader that closed stdout ends it with EXIT_PIPE and
-    nothing on stderr, as SIGPIPE would; an internal fault (ArithmeticError,
-    ValueError) or unwritable output (a None stdout, any other OSError) with
-    EXIT_INTERNAL and one stderr line."""
+    conversion unlimited. The flush also follows a SystemExit, such as the one
+    argparse raises after --help. A reader that closed stdout ends it with
+    EXIT_PIPE and nothing on stderr, as SIGPIPE would; an internal fault
+    (ArithmeticError, ValueError) or unwritable output (a None stdout, any
+    other OSError) with EXIT_INTERNAL and one stderr line."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
         if sys.stdout is None:
             raise OSError("stdout is closed")
-        code = command(*args)
-        sys.stdout.flush()
-        return code
+        try:
+            return command(*args)
+        finally:
+            sys.stdout.flush()
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_PIPE
@@ -278,6 +286,14 @@ def run_to_stdout(prog: str, command: Callable[..., int], *args: object) -> int:
 
 
 # -- parser ---------------------------------------------------------------------
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, with --help written to stdout as any other output is:
+    argparse's own print_help drops a failed write and exits 0."""
+
+    def print_help(self, file: Optional[TextIO] = None) -> None:
+        (sys.stdout if file is None else file).write(self.format_help())
 
 
 def _parse_coeffs(text: str) -> chain.CoeffVector:
@@ -301,11 +317,11 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def build_parser() -> ArgumentParser:
+    common = ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress the stderr banner")
 
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="zeta3forms",
         description="Exact linear forms in 1 and zeta(3), certified bounds, chain audits.",
     )
@@ -351,5 +367,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if argv[i] == "--coeffs":
             argv[i : i + 2] = [f"--coeffs={argv[i + 1]}"]
         i += 1
+    return run_to_stdout("zeta3forms", _parse_and_run, argv)
+
+
+def _parse_and_run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
-    return run_to_stdout("zeta3forms", args.func, args)
+    return args.func(args)

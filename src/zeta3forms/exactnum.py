@@ -54,8 +54,8 @@ def budget_bits(digits: int) -> int:
     return BITS_PER_DIGIT * max(1, digits) + 4
 
 
-# Size of every production cache, keyed by requested digits or by n, so long
-# runs stay bounded.
+# Size of every production cache, keyed by requested digits, by n or by a
+# vector's degree, so long runs stay bounded.
 DIGITS_CACHE_SIZE = 256
 
 

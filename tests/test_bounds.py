@@ -290,6 +290,21 @@ def test_ratio_enclosure_strictly_inside_unit():
         assert 0 < enc.lo and enc.hi < 1
 
 
+def test_bounds_records_are_immutable_tuples():
+    check = verify_form_bound(2, 20)
+    row = decay_table(2, 20)[-1]
+    form = linear_form(2)
+    for record in (check, row, form):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None  # no instance dict
+    assert check == tuple(check) and check._fields[-1] == "digits_used"
+    assert row._fields == ("n", "dn", "form_abs", "rhs", "ratio", "t_n")
+    assert (form.n, form.alpha) == (2, F(form.A, form.dn3))
+
+
 def test_digit_keyed_caches_stay_bounded():
     caches = (
         ratio_enclosure,

@@ -55,6 +55,24 @@ def test_vector_rejects_non_integer_coefficients(bad):
         CoeffVector((1, bad))
     with pytest.raises(InvalidCoeffVector):
         CoeffVector((bad, 1))
+    with pytest.raises(InvalidCoeffVector):
+        CoeffVector(c=(1, bad))
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2), (F(1, 2), 2), ("1", 2), (5,), (), (1, 0), (0, 0)])
+def test_vector_replace_and_make_check_like_the_constructor(bad):
+    # namedtuple's own _make, which _replace calls, would skip the checks
+    with pytest.raises(InvalidCoeffVector):
+        CoeffVector((1, 2))._replace(c=bad)
+    with pytest.raises(InvalidCoeffVector):
+        CoeffVector._make([bad])
+    assert CoeffVector((1, 2))._replace(c=[3, 4]) == CoeffVector((3, 4))
+
+
+def test_vector_is_a_tuple_of_its_int_coefficients():
+    v = CoeffVector(c=[True, 2])  # bools are ints; any iterable is read
+    assert v == ((1, 2),) and v.c == (1, 2)
+    assert str(v) == "1,2" and repr(v) == "CoeffVector(c=(1, 2))"
 
 
 # -- residuals ---------------------------------------------------------------------
@@ -296,8 +314,39 @@ def test_justification_values_are_the_printed_text():
 def test_report_step_lookup():
     report = audit(1, CoeffVector((1, 1)), 20)
     assert isinstance(report, ChainReport)
+    assert report.step("substitution") is report.steps[-2]
+    assert report.step("substitution").justification is Justification.RELATION_UNMET
     with pytest.raises(KeyError):
         report.step("nonexistent")
+
+
+def test_chain_records_are_immutable():
+    report = audit(3, CoeffVector((1, -2, 3)), 20)
+    for record in (report, report.coeffs, *report.steps):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None  # no instance dict
+    assert report.coeffs.c == (1, -2, 3)
+
+
+def test_audits_share_their_step_records():
+    # equal m and base verdict: the same power and final step objects
+    first = audit(4, CoeffVector((1, -2, 3)), 30)
+    second = audit(9, CoeffVector((-5, 4, 1)), 60)
+    assert first.steps[0].numeric is second.steps[0].numeric is CheckStatus.HOLDS
+    for step_id in ("power_1", "power_2", "power_3", "final_contradiction"):
+        assert first.step(step_id) is second.step(step_id)
+    assert first.step("substitution") is second.step("substitution")  # both refuted
+    # weighted_sum by its verdict: S < upper holds at (1, -2, 3), fails at (-5, 4, 1)
+    assert audit(7, CoeffVector((1, -2, 3)), 60).step("weighted_sum") is first.step("weighted_sum")
+    assert first.step("weighted_sum") is not second.step("weighted_sum")
+    # a degree of its own builds its own power steps, with the shared final one
+    third = audit(4, CoeffVector((1, 2)), 30)
+    assert [s.step_id for s in third.steps[:2]] == ["power_1", "power_2"]
+    assert third.steps[0] is not first.steps[0]
+    assert third.step("final_contradiction") is first.step("final_contradiction")
 
 
 LADDER_VECTORS = [

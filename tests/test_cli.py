@@ -339,19 +339,36 @@ class _FullDisk(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+_VERIFY = ["verify", "--n-max", "3", "--quiet"]
+
+
 @pytest.mark.parametrize(
-    ("stdout", "reason"),
-    [(_FullDisk(), "[Errno 28] "), (None, "stdout is closed")],
-    ids=["full-disk", "none"],
+    ("stdout", "reason", "argv"),
+    [
+        (_FullDisk(), "[Errno 28] ", _VERIFY),
+        (None, "stdout is closed", _VERIFY),
+        (_FullDisk(), "[Errno 28] ", ["--help"]),
+        (_FullDisk(), "[Errno 28] ", ["audit", "--help"]),
+    ],
+    ids=["full-disk", "none", "help-full-disk", "audit-help-full-disk"],
 )
-def test_unwritable_stdout_exits_4_with_one_stderr_line(capsys, monkeypatch, stdout, reason):
-    # a traceback exits 1, which reads as "some check fails"
+def test_unwritable_stdout_exits_4_with_one_stderr_line(capsys, monkeypatch, stdout, reason, argv):
+    # a traceback exits 1, which reads as "some check fails"; argparse's own
+    # print_help drops a failed write and exits 0, having printed nothing
     monkeypatch.setattr(sys, "stdout", stdout)
-    code = main(["verify", "--n-max", "3", "--quiet"])
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL
     assert err.startswith(f"zeta3forms: cannot complete: OSError: {reason}")
     assert err.count("\n") == 1
+
+
+def test_help_to_a_writable_stdout_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (EXIT_OK, "")
+    assert captured.out.startswith("usage: zeta3forms ")
 
 
 # -- zeta3 -----------------------------------------------------------------------

@@ -467,14 +467,21 @@ print(" ".join(sorted({m.split(".")[0] for m in sys.modules} - allowed)))
 def test_the_commands_import_only_the_standard_library():
     # -I ignores PYTHON* variables and the user site, -S skips site and the
     # .pth files that installed packages add, which may import third-party
-    # modules at start-up; zeta3 at 3000 digits takes the forked path.
+    # modules at start-up; -B writes no bytecode cache into src/, which -I
+    # would otherwise do even under PYTHONDONTWRITEBYTECODE; zeta3 at 3000
+    # digits takes the forked path.
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, str(PACKAGE.parent)],
+        [sys.executable, "-I", "-S", "-B", "-c", _STDLIB_ONLY, str(PACKAGE.parent)],
         capture_output=True,
         encoding="utf-8",
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
 
+
+# Modules a library import and a plain verify run leave unloaded: dataclasses
+# alone loads inspect, ast, dis and tokenize; json and csv are loaded only by
+# the commands that write those formats.
+_UNLOADED = ("dataclasses", "inspect", "ast", "json", "csv")
 
 _IMPORT_STATE = """
 import sys
@@ -482,19 +489,40 @@ sys.path.insert(0, sys.argv[1])
 limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # absent before 3.10.7
 before = limit()
 import zeta3forms
-print("json" in sys.modules, limit() == before)
+print(limit() == before, *sorted(set(sys.argv[2:]) & set(sys.modules)))
+"""
+
+_VERIFY_MODULES = """
+import runpy, sys
+sys.path.insert(0, sys.argv[1])
+unloaded = set(sys.argv[2:])
+sys.argv = ["zeta3forms", "verify", "--n-max", "1", "--quiet"]
+try:
+    runpy.run_module("zeta3forms", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code, *sorted(unloaded & set(sys.modules)))
 """
 
 
 def test_importing_the_package_changes_no_interpreter_state():
     # The limit on int-str conversion is lifted by the CLI's runner, for the
-    # process it runs, and json is loaded by the CLI; a library import does neither.
+    # process it runs; a library import neither lifts it nor loads the modules above.
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _IMPORT_STATE, str(PACKAGE.parent)],
+        [sys.executable, "-I", "-S", "-B", "-c", _IMPORT_STATE, str(PACKAGE.parent), *_UNLOADED],
         capture_output=True,
         encoding="utf-8",
     )
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False True\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
+
+
+def test_a_verify_run_loads_no_record_or_format_module():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", _VERIFY_MODULES, str(PACKAGE.parent), *_UNLOADED],
+        capture_output=True,
+        encoding="utf-8",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "exit 0"
 
 
 # -- a cache is kept only where its keys come back ---------------------------------

@@ -1,6 +1,7 @@
 """The experiment scripts, run as a user runs them: one subprocess each,
 except where a patched package must reach them (run in-process)."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -66,9 +67,17 @@ def test_decay_script_writes_the_cli_table(tmp_path, n_max, digits, cap_exp, scr
 
 
 def test_corpus_script_is_sound(tmp_path):
-    proc = _run([str(SCRIPTS / "run_corpus_audit.py"), "--random", "20"], tmp_path)
+    proc = _run([str(SCRIPTS / "run_corpus_audit.py"), "--random", "20", "--json-out", "a.json"], tmp_path)
     assert proc.returncode == 0
-    assert "auditor soundness: OK" in proc.stdout
+    assert proc.stdout.endswith("auditor soundness: OK\nwrote a.json\n")
+    assert json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))["vectors"] == 220
+
+
+@pytest.mark.parametrize("script", ["run_decay_table.py", "run_corpus_audit.py"])
+def test_scripts_print_their_help_and_exit_0(tmp_path, script):
+    proc = _run([str(SCRIPTS / script), "--help"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")
 
 
 @pytest.mark.parametrize(
@@ -192,24 +201,33 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, args):
         ("zeta3forms", ["-m", "zeta3forms", "verify", "--n-max", "3", "--quiet"], None),
         ("run_corpus_audit", [str(SCRIPTS / "run_corpus_audit.py"), "--random", "1"], "--json-out"),
         ("run_decay_table", [str(SCRIPTS / "run_decay_table.py")], "--out"),
+        ("zeta3forms", ["-m", "zeta3forms", "--help"], None),
+        ("run_corpus_audit", [str(SCRIPTS / "run_corpus_audit.py"), "--help"], None),
+        ("run_decay_table", [str(SCRIPTS / "run_decay_table.py"), "--help"], None),
     ],
-    ids=["verify", "corpus_audit", "decay_table"],
+    ids=["verify", "corpus_audit", "decay_table", "help", "corpus_audit_help", "decay_table_help"],
 )
 def test_output_on_a_full_disk_exits_4_with_one_stderr_line(tmp_path, prog, args, flag):
     # a traceback exits 1, which reads as "some check fails", "soundness
-    # VIOLATED" or "REFUTED"
+    # VIOLATED" or "REFUTED"; argparse drops a failed write of --help, so
+    # it would exit 0 unbuffered, and 120 buffered, from the flush at exit
+    stdout = Path("/dev/full")
     if flag is not None:
         args = [*args, "--n-max", "3", "--digits", "20", flag, "/dev/full"]
+        stdout = tmp_path / "stdout.txt"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     # buffered, the text left in stdout's buffer is flushed again at exit,
     # which must add no second line; unbuffered, the first print fails
     for unbuffered in ("", "1"):
         env["PYTHONUNBUFFERED"] = unbuffered
-        with open(os.devnull if flag else "/dev/full", "wb") as out:
+        with open(stdout, "wb") as out:
             proc = subprocess.run(
                 [sys.executable, *args], stdout=out, stderr=subprocess.PIPE, env=env, cwd=tmp_path
             )
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stderr.startswith(f"{prog}: cannot complete: OSError: [Errno 28] ".encode())
         assert proc.stderr.count(b"\n") == 1
+        if flag is not None:  # the output file is written before any summary line
+            assert stdout.read_bytes() == b""
+
