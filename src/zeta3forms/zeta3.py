@@ -16,45 +16,76 @@ central-binomial series (5/2) sum (-1)^(k-1) / (k^3 C(2k,k)), the test
 oracle, rounded onto the same 2**-budget_bits(digits) grid, at every size
 measured (each of 1-3000, 6000 and 20000), so a check decided on that
 enclosure is decided the same on this one. Rounding onto that grid adds at
-most 10**-digits / 8 to the width.
+most 10**-digits / 8 to the width. The leaves are p_j = -j^5 and q_j = 32
+(2j+1)^5 for odd j, p_j = -(j/2)^5 and q_j = (2j+1)^5 for even j: the same
+ratios, so the same sums, with P and Q about 4 % shorter (108k and 128k
+digits against 113k and 133k at 20000 digits).
 
 The splitting runs on `decimal.Decimal`, used only as an exact integer type:
 libmpdec multiplies and divides large integers by a number-theoretic
 transform, which beats CPython's Karatsuba once operands pass about 30k bits
-and loses to it below. Measured on a 2-vCPU Xeon with CPython 3.11, the
-whole route (splitting and rounding) takes 2-3x the time of the same
-splitting on ints with `Enclosure.round_out` at 30-2000 digits (0.61
-against 0.28 ms at 480), 1.2x at 6000 and two thirds of it at 20000 (0.18
-against 0.26 s). Every operation goes through one module context,
-`_EXACT` (precision MAX_PREC, exponent limits MAX_EMAX and MIN_EMIN, with
-Inexact, Rounded and InvalidOperation trapped), so an operation that would
-round raises instead; the caller's thread-local context is never read or
-changed. The two endpoints floor(n * 2**bits / den) and ceil(n * 2**bits /
-den) come from a bracket on operands cut to the quotient's digits plus
-`_GUARD_DIGITS`, evaluated in contexts that round down and up. The bracket
-decides an endpoint when both of its bounds round to the same integer;
-otherwise an exact divmod of the full operands does. Decimal results become
-ints through their digit strings, split in halves, and ints become Decimals
-only at the leaves, where they are small. See Brent & Zimmermann, *Modern
-Computer Arithmetic* (2010), section 1.3 on fast multiplication and section
-4.9 on binary splitting.
+and loses to it below. Measured in-process on a 2-vCPU Xeon with CPython
+3.11, the whole route takes 5x the time of the same splitting on ints with
+`Enclosure.round_out` at 30 digits (0.040 against 0.008 ms), 2x at 480 and
+2000, 0.9x at 6000 and a third of it at 20000 (48 against 144 ms). Every
+exact operation goes through one module context, `_EXACT` (precision
+MAX_PREC, exponent limits MAX_EMAX and MIN_EMIN, with Inexact, Rounded and
+InvalidOperation trapped), so an operation that would round raises instead;
+the rounded ones go through contexts that round down and up, with every
+field given. The caller's thread-local context is never read or changed.
+Decimal results become ints through their digit strings, split in
+halves, and ints become Decimals only at the leaves, where they are small.
+See Brent & Zimmermann, *Modern Computer Arithmetic* (2010), section 1.3 on
+fast multiplication and section 4.9 on binary splitting.
 
-From _FORK_DIGITS (2500) digits on, the splitting of [0, K+2) runs in two
-processes, when os.fork exists and no other thread runs (Python 3.12 and
-later deprecate fork in a threaded process). The two halves of a binary
-splitting are independent products (Haible & Papanikolaou, ANTS 1998). A
-forked child sums [m, K+2), m = 0.52 (K+2), and writes its exact (P, Q, T)
-to a pipe as digit strings; this process sums [0, m), reads the pipe, reaps
-the child and combines the halves with the step `_binsplit` uses. The upper
-terms carry longer factors, so m = 0.52 (K+2) balances the halves better
-than the midpoint (44.8 and 47.5 ms against 44.4 and 50.5 ms at 20000
-digits). A second thread would not do: `_decimal` keeps the GIL while it
-multiplies, and two splittings at 20000 digits took 227 ms in two threads
-against 212 ms one after the other. The fork, the pipe and the parse cost
-about 2 ms, which the halved splitting repays from about 2200 digits on.
-Measured in-process on a 2-vCPU Xeon with CPython 3.11, two processes
-against one take 2.7 against 1.6 ms at 1000 digits, 6.3 against 6.3 ms at
-2200, 7.6 against 8.1 ms at 2500 and 18.4 against 25.0 ms at 6000.
+The splitting of [0, n), n = K+2, breaks at m = 0.52 n into two halves,
+which are independent (Haible & Papanikolaou, ANTS 1998) and meet only as
+short brackets, never as an exact product of 100k-digit integers. With
+(P_L, Q_L, T_L) over [0, m) and (P_R, Q_R, T_R) over [m, n), each endpoint
+x = 2**bits S / 64 is head + step * y, with head = T_L 2**bits / (64 Q_L),
+step = P_L 2**bits / (64 Q_L), and y = T_R / Q_R for S_{K+1} or (T_R -
+a(K+1) P_R) / Q_R for S_K. The left half gives brackets of head and step
+from one reciprocal of 64 Q_L (`_reciprocals`), the right half brackets of
+its two y from one reciprocal of Q_R; two bracket products, two sums and
+the floor and ceiling remain. Every bracket is rounded outward, toward -inf
+at its lower end and toward +inf at its upper, and a product of brackets
+picks its ends by their signs, so one that held zero raises.
+
+Precision rule: head and the sums carry prec = D + `_GUARD_DIGITS` digits,
+where D = 2 + floor(log10 2**bits) bounds the digits of every x <
+2**(bits+1). The step, the y and their products carry tail_prec = prec -
+3(m-1): |prod_{j<m} p_j/q_j| < 1024^-(m-1) < 10^-3(m-1), since each
+|p_j/q_j| = (j/(2(2j+1)))^5 < 1/1024, so the step is 3(m-1) digits shorter
+than x. Their product, 2**bits (sum_{k=m..} t_k) / 64, is at most 2**bits
+|t_m| / 64 < 10**(D-3m+1) by the term bound above, so tail_prec leaves its
+rounding below 10**-_GUARD_DIGITS. An endpoint is taken from its bracket
+when both bounds floor (for the lower endpoint; ceil for the upper) to the
+same integer, which is then the exact one. Otherwise the exact route decides
+it: the exact halves are combined, the right one summed again in this
+process, and one exact divmod gives it. The fields are therefore those of
+the exact quotient at any precision; the guard only sets how often the exact
+route runs. With 40 guard digits it ran for none of the 826 endpoints at
+1-400, 999-1001, 1999-2001, 2499, 2500, 3000, 6000, 20000, 20001 and 40000
+digits; with none, for 772.
+
+From _FORK_DIGITS (2000) digits on, the right half is summed in a forked
+child, when os.fork exists and no other thread runs (Python 3.12 and later
+deprecate fork in a threaded process). The child writes the four ends of
+its two brackets to a pipe as decimal strings, 55k characters at 20000
+digits against 190k for its exact (P, Q, T), while this process sums [0, m)
+and forms its own brackets; then this process reads the pipe, reaps the
+child and joins. Below _FORK_DIGITS, or when fork is missing or fails, both
+halves are summed here and join the same way. The upper terms carry longer
+factors, so m = 0.52 n balances the two processes better than the midpoint:
+`zeta3_accelerated(20000)` takes 51.4, 49.4, 48.3, 47.4, 48.2, 48.8 and 51.0
+ms at m = 0.48, 0.50, 0.51, 0.52, 0.53, 0.54 and 0.56 n. A second thread
+would not do: `_decimal` keeps the GIL while it multiplies, and two
+splittings at 20000 digits took 227 ms in two threads against 212 ms one
+after the other. The fork, the pipe and the parse cost about 1 ms, which the
+halved splitting repays from about 1900 digits on. Measured in-process on a
+2-vCPU Xeon with CPython 3.11, two processes against one take 1.82 against
+0.98 ms at 1000 digits, 2.90 against 2.90 ms at 1900, 3.03 against 3.19 ms
+at 2000, 3.92 against 4.84 ms at 2500 and 12.5 against 19.7 ms at 6000.
 
 The child leaves only through os._exit, on success or on any exception: an
 ordinary exit would flush this process's buffered stdout a second time and
@@ -95,8 +126,8 @@ from decimal import (
     InvalidOperation,
     Rounded,
 )
-from functools import lru_cache
-from typing import IO
+from functools import lru_cache, partial
+from typing import IO, Callable
 
 from .beukers import apery_bracket, apery_index
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
@@ -111,7 +142,7 @@ _CROSS_DIGITS = 1000
 
 # Digits from which a forked child sums the upper part of the splitting,
 # when it can (module docstring).
-_FORK_DIGITS = 2500
+_FORK_DIGITS = 2000
 
 
 def _context(prec: int, rounding: str, traps: list) -> Context:
@@ -128,7 +159,7 @@ _EXACT = _context(MAX_PREC, ROUND_HALF_EVEN, [Inexact, Rounded, InvalidOperation
 _mul = _EXACT.multiply
 _add = _EXACT.add
 
-# Digits the bracket in `_round_out` carries beyond the quotient's own; its
+# Digits the brackets carry beyond what the endpoints need; an endpoint's
 # two bounds then straddle an integer with probability about 10**-39.
 _GUARD_DIGITS = 40
 
@@ -138,6 +169,9 @@ _INT_CHUNK_DIGITS = 2000
 
 # (P, Q, T) of a range of the series, as exact Decimal integers.
 _Split = tuple[Decimal, Decimal, Decimal]
+
+# (lo, hi) with lo <= x <= hi, for a number x known only by its bracket.
+_Bracket = tuple[Decimal, Decimal]
 
 
 def _weight(k: int) -> int:
@@ -149,15 +183,19 @@ def _binsplit(a: int, b: int) -> _Split:
     """(P, Q, T) over [a, b) of the Amdeberhan-Zeilberger series, as exact
     Decimal integers.
 
-    t_k = a(k) prod_{j=1..k} p_j/q_j with p_j = -j^5 and q_j = 32 (2j+1)^5
+    t_k = a(k) prod_{j=1..k} p_j/q_j with p_j/q_j = -j^5 / (32 (2j+1)^5),
+    the 32 kept in q_j for odd j and taken out of p_j = -(j/2)^5 for even j
     (p_0 = q_0 = 1). P and Q are the range products and T/Q =
     sum_{k=a..b-1} t_k / prod_{j<a} (p_j/q_j).
     """
     if b - a == 1:
         if a == 0:
             return Decimal(1), Decimal(1), Decimal(77)
-        p = -(a**5)
-        return Decimal(p), Decimal(32 * (2 * a + 1) ** 5), Decimal(_weight(a) * p)
+        if a % 2:
+            p, q = -(a**5), 32 * (2 * a + 1) ** 5
+        else:
+            p, q = -((a // 2) ** 5), (2 * a + 1) ** 5
+        return Decimal(p), Decimal(q), Decimal(_weight(a) * p)
     m = (a + b) // 2
     return _combine(_binsplit(a, m), _binsplit(m, b))
 
@@ -175,11 +213,73 @@ def _combine(left: _Split, right: _Split) -> _Split:
     return _mul(pl, pr), q, t
 
 
-def _fork_binsplit(a: int, b: int) -> tuple[int, IO[str], int]:
-    """Fork a child that writes `_binsplit(a, b)` to a pipe; (its pid, the
-    pipe's read end as a text file, the write end of its lifeline).
+def _directed(prec: int) -> tuple[Context, Context]:
+    """Contexts at ``prec`` digits that round toward -inf and toward +inf."""
+    return _context(prec, ROUND_FLOOR, [InvalidOperation]), _context(prec, ROUND_CEILING, [InvalidOperation])
 
-    The child writes the three fields as digit strings and leaves only
+
+def _product(x: _Bracket, y: _Bracket, down: Context, up: Context) -> _Bracket:
+    """A bracket of u * v for every u in the bracket x and v in y, rounded
+    outward at the precision of ``down`` and ``up``.
+
+    Neither bracket may hold zero: then each has one sign, and the product
+    of two positive brackets is [RD(x_lo y_lo), RU(x_hi y_hi)]. A negative
+    bracket is negated first, exactly, and the product negated back. A
+    bracket that holds zero raises ArithmeticError.
+    """
+    negative = False
+    ends = []
+    for lo, hi in (x, y):
+        if lo.is_zero() or hi.is_zero() or lo.is_signed() != hi.is_signed():
+            raise ArithmeticError("a zeta(3) bracket holds zero")
+        if lo.is_signed():
+            lo, hi = hi.copy_negate(), lo.copy_negate()
+            negative = not negative
+        ends.append((lo, hi))
+    (x_lo, x_hi), (y_lo, y_hi) = ends
+    lo, hi = down.multiply(x_lo, y_lo), up.multiply(x_hi, y_hi)
+    return (hi.copy_negate(), lo.copy_negate()) if negative else (lo, hi)
+
+
+def _times(n: Decimal, r: _Bracket, down: Context, up: Context) -> _Bracket:
+    """A bracket of n * x for the Decimal integer n != 0 and any x in r."""
+    return _product((down.plus(n), up.plus(n)), r, down, up)
+
+
+def _join(head: _Bracket, step: _Bracket, y: _Bracket, prec: int, tail_prec: int) -> _Bracket:
+    """A bracket of h + s * v for every h in the bracket ``head``, s in
+    ``step`` and v in ``y``: the product rounded outward to ``tail_prec``
+    digits, the sum to ``prec``."""
+    lo, hi = _product(step, y, *_directed(tail_prec))
+    down, up = _directed(prec)
+    return down.add(head[0], lo), up.add(head[1], hi)
+
+
+def _head(m: int, scale: Decimal, prec: int, tail_prec: int) -> tuple[_Split, _Bracket, _Bracket]:
+    """The exact (P, Q, T) over [0, m), with brackets of T * scale / (64 Q)
+    to ``prec`` digits and of P * scale / (64 Q) to ``tail_prec`` digits,
+    both from one reciprocal."""
+    left = _binsplit(0, m)
+    p, q, t = left
+    down, up = _directed(prec)
+    r = _reciprocals(scale, _mul(64, q), down, up)
+    return left, _times(t, r, down, up), _times(p, r, *_directed(tail_prec))
+
+
+def _tail(m: int, n: int, weight: int, prec: int) -> list[Decimal]:
+    """Brackets of T/Q and (T - weight * P)/Q over [m, n), to ``prec``
+    digits, as their four ends."""
+    p, q, t = _binsplit(m, n)
+    down, up = _directed(prec)
+    r = _reciprocals(Decimal(1), q, down, up)
+    return [*_times(t, r, down, up), *_times(_EXACT.subtract(t, _mul(weight, p)), r, down, up)]
+
+
+def _fork_tail(m: int, n: int, weight: int, prec: int) -> tuple[int, IO[str], int]:
+    """Fork a child that writes `_tail(m, n, weight, prec)` to a pipe; (its
+    pid, the pipe's read end as a text file, the write end of its lifeline).
+
+    The child writes the four ends as decimal strings and leaves only
     through os._exit: with status 0 once all of them are written, else 1.
     The lifeline is a second pipe whose write end only this process holds;
     the caller closes it once the child is reaped. An OSError from os.pipe
@@ -203,7 +303,7 @@ def _fork_binsplit(a: int, b: int) -> tuple[int, IO[str], int]:
             # os.read returns b"" at EOF: once the parent has closed alive_w or died
             threading.Thread(target=lambda: os.read(alive_r, 1) or os._exit(1), daemon=True).start()
             with open(w, "w", encoding="ascii") as out:
-                out.write(" ".join(map(_EXACT.to_sci_string, _binsplit(a, b))))
+                out.write(" ".join(map(_EXACT.to_sci_string, _tail(m, n, weight, prec))))
             code = 0
         finally:
             os._exit(code)
@@ -212,39 +312,42 @@ def _fork_binsplit(a: int, b: int) -> tuple[int, IO[str], int]:
     return pid, open(r, encoding="ascii"), alive_w
 
 
-def _binsplit_in_two(n: int) -> _Split:
-    """`_binsplit(0, n)`, with [m, n) summed meanwhile in a forked child.
+def _halves(
+    m: int, n: int, weight: int, scale: Decimal, prec: int, tail_prec: int, fork: bool
+) -> tuple[tuple[_Split, _Bracket, _Bracket], list[Decimal]]:
+    """(`_head(m, scale, prec, tail_prec)`, `_tail(m, n, weight, tail_prec)`),
+    the tail from a forked child when ``fork`` is true.
 
-    m = 0.52 n (module docstring). The child is reaped, and then its
-    lifeline closed, before this returns or raises; on an exception here,
-    Ctrl-C included, it is killed first. A child that fails raises
-    ArithmeticError. When os.pipe or os.fork raises OSError, [0, n) is
-    summed in this process.
+    The child is reaped, and then its lifeline closed, before this returns
+    or raises; on an exception here, Ctrl-C included, it is killed first. A
+    child that fails raises ArithmeticError. When os.pipe or os.fork raises
+    OSError, both halves are summed in this process.
     """
-    m = 13 * n // 25
-    try:
-        pid, pipe, lifeline = _fork_binsplit(m, n)
-    except OSError:
-        return _binsplit(0, n)
-    try:
-        with pipe:
-            left = _binsplit(0, m)
-            fields = pipe.read().split()
-    except BaseException:
-        # imported here: `signal` adds about 0.7 ms to every start-up
-        from signal import SIGKILL
-
-        os.kill(pid, SIGKILL)
-        raise
-    finally:
+    if fork:
         try:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        finally:
-            os.close(lifeline)
-    if code != 0:
-        raise ArithmeticError(f"the child summing terms [{m}, {n}) of the zeta(3) series exited with {code}")
-    pr, qr, tr = map(_EXACT.create_decimal, fields)
-    return _combine(left, (pr, qr, tr))
+            pid, pipe, lifeline = _fork_tail(m, n, weight, tail_prec)
+        except OSError:
+            pass
+        else:
+            try:
+                with pipe:
+                    head = _head(m, scale, prec, tail_prec)
+                    fields = pipe.read().split()
+            except BaseException:
+                # imported here: `signal` adds about 0.7 ms to every start-up
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                raise
+            finally:
+                try:
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                finally:
+                    os.close(lifeline)
+            if code != 0:
+                raise ArithmeticError(f"the child summing terms [{m}, {n}) of the zeta(3) series exited with {code}")
+            return head, list(map(_EXACT.create_decimal, fields))
+    return _head(m, scale, prec, tail_prec), _tail(m, n, weight, tail_prec)
 
 
 def _digits_to_int(s: str) -> int:
@@ -261,7 +364,7 @@ def _exact_round(n: Decimal, scale: Decimal, den: Decimal, ceiling: bool) -> Dec
     return _add(q, 1) if ceiling and not r.is_zero() else q
 
 
-def _reciprocals(scale: Decimal, den: Decimal, down: Context, up: Context) -> tuple[Decimal, Decimal]:
+def _reciprocals(scale: Decimal, den: Decimal, down: Context, up: Context) -> _Bracket:
     """(r_down, r_up) with r_down <= scale / den <= r_up, for scale, den > 0,
     from one division at the precision p of ``down`` and ``up``.
 
@@ -279,35 +382,27 @@ def _reciprocals(scale: Decimal, den: Decimal, down: Context, up: Context) -> tu
     return r_down, up.fma(r_down, three_e, r_down)
 
 
-def _round_out(lo: Decimal, hi: Decimal, den: Decimal, bits: int) -> tuple[int, int]:
-    """(floor(lo * 2**bits / den), ceil(hi * 2**bits / den)) as ints, for
-    Decimal integers 0 < lo <= hi and den > 0.
+def _exact_end(left: _Split, m: int, n: int, weight: int, scale: Decimal, ceiling: bool) -> Decimal:
+    """The floor of the lower endpoint (or the ceiling of the upper) of
+    [S_K, S_{K+1}] * scale / 64, from the exact (P, Q, T) over [0, n): the
+    halves combined, the right one summed again."""
+    p, q, t = _combine(left, _binsplit(m, n))
+    ends = (_EXACT.subtract(t, _mul(weight, p)), t)
+    lo, hi = ends[::-1] if p.is_signed() else ends
+    return _exact_round(hi if ceiling else lo, scale, _mul(64, q), ceiling)
 
-    Each quotient x = n * 2**bits / den is bracketed from operands cut to
-    prec = (digits of x) + _GUARD_DIGITS significant digits, in a context
-    that rounds down and one that rounds up, by the reciprocal bounds
-    r_down <= 2**bits / den <= r_up of `_reciprocals`:
-        RD(RD(n) * r_down) <= x <= RU(RU(n) * r_up).
-    When both bounds round to the same integer, that integer is the exact
-    floor (or ceiling) of x. Otherwise one exact divmod of the full operands
-    decides it.
+
+def _round_out(lo: _Bracket, hi: _Bracket, exact: Callable[[bool], Decimal]) -> tuple[int, int]:
+    """(floor(x), ceil(y)) as ints, for x known by its bracket ``lo`` and y
+    by its bracket ``hi``.
+
+    When both ends of a bracket round to the same integer, that integer is
+    the exact floor (or ceiling). Otherwise ``exact(ceiling)`` gives it.
     """
-    if lo.is_signed() or lo.is_zero():
-        raise ArithmeticError("zeta(3) endpoint numerator is not positive")
-    scale = _EXACT.power(2, bits)
-    # an upper bound on the digits of floor(hi * 2**bits / den)
-    prec = max(1, hi.adjusted() + scale.adjusted() - den.adjusted() + 2) + _GUARD_DIGITS
-    down = _context(prec, ROUND_FLOOR, [InvalidOperation])
-    up = _context(prec, ROUND_CEILING, [InvalidOperation])
-    r_down, r_up = _reciprocals(scale, den, down, up)
     ends = []
-    for n, outward in ((lo, down), (hi, up)):
-        below = outward.to_integral_value(down.multiply(down.plus(n), r_down))
-        above = outward.to_integral_value(up.multiply(up.plus(n), r_up))
-        digits = _EXACT.to_sci_string(below)
-        if digits != _EXACT.to_sci_string(above):
-            digits = _EXACT.to_sci_string(_exact_round(n, scale, den, outward is up))
-        ends.append(_digits_to_int(digits))
+    for bracket, rounding, ceiling in ((lo, ROUND_FLOOR, False), (hi, ROUND_CEILING, True)):
+        below, above = (_EXACT.to_sci_string(end.to_integral_value(rounding, _EXACT)) for end in bracket)
+        ends.append(_digits_to_int(below if below == above else _EXACT.to_sci_string(exact(ceiling))))
     return ends[0], ends[1]
 
 
@@ -319,19 +414,21 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     terms = digits // 3 + 2
     # Over [0, K+2) the sum gives S_{K+1} = T/Q and the products give
     # t_{K+1} = a(K+1) P/Q, so S_K = (T - a(K+1) P)/Q; no factorial is formed.
-    if digits >= _FORK_DIGITS and hasattr(os, "fork") and threading.active_count() == 1:
-        p, q, t = _binsplit_in_two(terms + 2)
-    else:
-        p, q, t = _binsplit(0, terms + 2)
-    ends = (_EXACT.subtract(t, _mul(_weight(terms + 1), p)), t)
-    del t
-    den = _mul(64, q)
-    del q
-    # [S_K, S_{K+1}]/64, ends ordered by the sign of t_{K+1}.
-    lo, hi = ends[::-1] if p.is_signed() else ends
-    del p, ends
+    n = terms + 2
+    m = 13 * n // 25
+    weight = _weight(terms + 1)
     bits = budget_bits(digits)
-    lo_num, hi_num = _round_out(lo, hi, den, bits)
+    scale = _EXACT.power(2, bits)
+    # the precision rule (module docstring)
+    prec = scale.adjusted() + 2 + _GUARD_DIGITS
+    tail_prec = prec - 3 * (m - 1)
+    fork = digits >= _FORK_DIGITS and hasattr(os, "fork") and threading.active_count() == 1
+    (left, head, step), tail = _halves(m, n, weight, scale, prec, tail_prec, fork)
+    # y = T_R/Q_R for S_{K+1}, then (T_R - a(K+1) P_R)/Q_R for S_K
+    ends = [_join(head, step, y, prec, tail_prec) for y in zip(tail[::2], tail[1::2])]
+    # [S_K, S_{K+1}], ordered by the sign (-1)**(K+1) of t_{K+1}
+    lo_end, hi_end = ends if terms % 2 == 0 else ends[::-1]
+    lo_num, hi_num = _round_out(lo_end, hi_end, partial(_exact_end, left, m, n, weight, scale))
     return Enclosure(lo_num, hi_num, 1 << bits)
 
 
@@ -343,9 +440,9 @@ def zeta3(digits: int) -> Enclosure:
     _CROSS_DIGITS), the bracket `bounds.form_abs_enclosure` builds I_n on;
     by `beukers.apery_index` it is narrower than 10**-c. Both enclosures are
     then at most 10**-c wide, so a fault that moves either by more than
-    2 * 10**-c makes the two disjoint. The cap bounds the check's cost: 5-6
-    ms at 1000 digits, 50-60 ms at 4000, in a fresh process on a 2-vCPU
-    Xeon with CPython 3.11.
+    2 * 10**-c makes the two disjoint. The cap bounds the check's cost: 1.7
+    ms at 1000 digits, 24 ms at 4000 (medians of 7 fresh processes on a
+    2-vCPU Xeon with CPython 3.11).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")

@@ -197,6 +197,22 @@ def test_the_child_is_forked_from_the_threshold_on_and_reaped(monkeypatch):
     _assert_no_unreaped_child()
 
 
+def test_the_child_writes_the_tail_brackets_only():
+    # at 6000 digits: four ends of the tail's 4144 digits each, where the
+    # exact (P, Q, T) of [1042, 2004) would take about 49000 characters
+    m, n, weight, prec = 1042, 2004, zmod._weight(2003), 4144
+    pid, pipe, lifeline = zmod._fork_tail(m, n, weight, prec)
+    try:
+        with pipe:
+            text = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.close(lifeline)
+    assert code == 0
+    assert text.split() == [zmod._EXACT.to_sci_string(end) for end in zmod._tail(m, n, weight, prec)]
+    assert len(text) < 4 * (prec + 10)
+
+
 def test_a_fault_in_the_child_alone_is_an_internal_error(monkeypatch, capsys):
     parent, exact = os.getpid(), zmod._binsplit
 
@@ -279,8 +295,8 @@ def test_the_child_exits_when_its_parent_dies(tmp_path):
     # goes to a file: the child inherits it, and a pipe would stay open.
     source = (
         "import os\n"
-        "from zeta3forms.zeta3 import _fork_binsplit\n"
-        "pid, pipe, lifeline = _fork_binsplit(0, 10**8)\n"
+        "from zeta3forms.zeta3 import _fork_tail\n"
+        "pid, pipe, lifeline = _fork_tail(0, 10**8, 1, 10)\n"
         "print(pid, flush=True)\n"
         "os._exit(0)\n"
     )
@@ -315,25 +331,37 @@ def test_exact_context_raises_instead_of_rounding():
         narrow.multiply(123456, 7)
 
 
-# With the default 40 guard digits the bracket decides every endpoint; with
-# none, both brackets straddle an integer at 6 and 6000 digits, so the exact
-# divmod gives both endpoints, first the floor, then the ceiling.
+# With the default 40 guard digits the brackets decide every endpoint, and
+# no exact product of the two halves is formed; with none, both brackets
+# straddle an integer at 6 digits (one process) and 6000 (two), so the
+# exact route gives both endpoints, first the floor, then the ceiling.
 @pytest.mark.parametrize(
     "guard, digits, fallbacks",
-    [(40, 1, []), (40, 60, []), (40, 2001, []), (40, 6000, []), (0, 6, [False, True]), (0, 6000, [False, True])],
+    [
+        (40, 1, []),
+        (40, 60, []),
+        (40, 2001, []),
+        (40, 6000, []),
+        (0, 6, [False, True]),
+        (0, 6000, [False, True]),
+        (40, 20000, []),
+    ],
 )
 def test_exact_fallback_runs_only_when_the_bracket_straddles(monkeypatch, guard, digits, fallbacks):
     calls = []
-    exact_round = zmod._exact_round
+    exact_end, exact_round = zmod._exact_end, zmod._exact_round
+    rounds = []
 
-    def spy(n, scale, den, ceiling):
+    def spy(left, m, n, weight, scale, ceiling):
         calls.append(ceiling)
-        return exact_round(n, scale, den, ceiling)
+        return exact_end(left, m, n, weight, scale, ceiling)
 
-    monkeypatch.setattr(zmod, "_exact_round", spy)
+    monkeypatch.setattr(zmod, "_exact_end", spy)
+    monkeypatch.setattr(zmod, "_exact_round", lambda *args: rounds.append(1) or exact_round(*args))
     monkeypatch.setattr(zmod, "_GUARD_DIGITS", guard)
     got = _fields(zeta3_accelerated(digits))
     assert calls == fallbacks
+    assert len(rounds) == len(fallbacks)
     assert got == _fields(_reference_accelerated(digits))
 
 
@@ -347,10 +375,16 @@ def test_exact_fallback_runs_only_when_the_bracket_straddles(monkeypatch, guard,
 @example(3, 0, 3, 4, 40)  # 3 * 2**4 / 3 = 16 exactly: floor and ceiling are both 16
 @settings(max_examples=200, deadline=None)
 def test_round_out_matches_int_floor_and_ceiling(lo, extra, den, bits, guard):
+    # brackets of n * 2**bits / den carried to the quotient's digits plus the
+    # guard, as zeta3_accelerated carries its endpoints, then rounded out
     hi = lo + extra
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zmod, "_GUARD_DIGITS", guard)
-        got = zmod._round_out(decimal.Decimal(lo), decimal.Decimal(hi), decimal.Decimal(den), bits)
+    scale, d_den = zmod._EXACT.power(2, bits), decimal.Decimal(den)
+    down, up = zmod._directed(len(str((hi << bits) // den)) + guard)
+    r = zmod._reciprocals(scale, d_den, down, up)
+    lo_end, hi_end = (zmod._times(decimal.Decimal(n), r, down, up) for n in (lo, hi))
+    got = zmod._round_out(
+        lo_end, hi_end, lambda ceiling: zmod._exact_round(decimal.Decimal(hi if ceiling else lo), scale, d_den, ceiling)
+    )
     assert got == ((lo << bits) // den, -((-hi << bits) // den))
 
 
@@ -378,10 +412,62 @@ def test_reciprocals_bound_the_quotient_from_both_sides(den, bits, prec):
     assert p_up * q_down * 10 ** (prec - 1) <= p_down * q_up * (10 ** (prec - 1) + 7)
 
 
-def test_round_out_rejects_a_non_positive_endpoint():
-    one = decimal.Decimal(1)
-    with pytest.raises(ArithmeticError, match="not positive"):
-        zmod._round_out(decimal.Decimal(0), one, one, 16)
+def _as_fraction(x: decimal.Decimal) -> Fraction:
+    return F(*x.as_integer_ratio())
+
+
+_ends = st.decimals(min_value=-(10**12), max_value=10**12, allow_nan=False, allow_infinity=False, places=6)
+
+
+@given(
+    st.tuples(_ends, _ends).map(sorted),
+    st.tuples(_ends, _ends).map(sorted),
+    st.tuples(_ends, _ends).map(sorted),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.tuples(*[st.fractions(min_value=0, max_value=1)] * 3),
+)
+@example([-1, 0], [1, 2], [3, 4], 5, 5, (F(1, 2),) * 3)
+@example([-3, -2], [-7, -5], [-1, 9], 1, 1, (F(1), F(0), F(1)))
+@settings(max_examples=300, deadline=None)
+def test_bracket_product_contains_every_product_of_points(x, y, head, prec, tail_prec, weights):
+    # any point of each signed bracket, the ends included, for the product
+    # and for the join head + x * y; a bracket that holds zero must raise
+    # through an if, so the guard survives python -O
+    x, y, head = ((decimal.Decimal(lo), decimal.Decimal(hi)) for lo, hi in (x, y, head))
+    down, up = zmod._directed(prec)
+    if any(lo <= 0 <= hi for lo, hi in (x, y)):
+        with pytest.raises(ArithmeticError, match="holds zero"):
+            zmod._product(x, y, down, up)
+        with pytest.raises(ArithmeticError, match="holds zero"):
+            zmod._join(head, x, y, prec, tail_prec)
+        return
+    lo, hi = map(_as_fraction, zmod._product(x, y, down, up))
+    join_lo, join_hi = map(_as_fraction, zmod._join(head, x, y, prec, tail_prec))
+    (x_lo, x_hi), (y_lo, y_hi), (h_lo, h_hi) = ((_as_fraction(a), _as_fraction(b)) for a, b in (x, y, head))
+    u, v, h = (a + (b - a) * w for (a, b), w in zip(((x_lo, x_hi), (y_lo, y_hi), (h_lo, h_hi)), weights))
+    corners = [x_lo * y_lo, x_lo * y_hi, x_hi * y_lo, x_hi * y_hi]
+    for point in (u * v, *corners):
+        assert lo <= point <= hi
+    assert join_lo <= h_lo + min(corners) and h_hi + max(corners) <= join_hi
+    assert join_lo <= h + u * v <= join_hi
+    # and no wider than the corners' hull plus a unit in the last place each way
+    ulp = max(map(abs, corners)) / 10 ** (prec - 1)
+    assert hi - lo <= max(corners) - min(corners) + 2 * ulp
+
+
+def test_the_step_is_smaller_than_the_endpoints_by_three_digits_a_term():
+    # the lemma under the tail's precision: |prod_{j<m} p_j/q_j| < 1024**-(m-1)
+    # <= 10**-3(m-1), each |p_j/q_j| = (j/(2(2j+1)))**5 < 1/1024 (equal at m = 1)
+    ratio = F(1)
+    for m in range(1, 401):
+        if m > 1:
+            ratio *= F(-((m - 1) ** 5), 32 * (2 * m - 1) ** 5)
+        assert abs(ratio) < F(1, 1024 ** (m - 1)) or m == 1 and ratio == 1, m
+        assert 1024 ** (m - 1) >= 10 ** (3 * (m - 1))
+        if m in (1, 2, 3, 4, 57, 400):  # the leaves' own products
+            p, q, _ = zmod._binsplit(0, m)
+            assert F(int(p), int(q)) == ratio, m
 
 
 def test_accelerated_matches_direct():
