@@ -7,9 +7,9 @@ Exit codes: 0 when none did, 1 when one did (soundness violated), 2 on a
 usage error, such as a size below 1, a negative --random or a --json-out
 path that cannot be written (checked before any computation, without
 truncating an existing file), 4 when the run could not complete (an
-internal fault, an `ArithmeticError` or a `ValueError`, or output that could
-not be written), reported on one stderr line, 141 when its reader closes
-stdout (nothing on stderr).
+internal fault, an `ArithmeticError` or a `ValueError`, output that could
+not be written, or out of memory), reported on one stderr line, 141 when its
+reader closes stdout (nothing on stderr).
 
 Example:
     python scripts/run_corpus_audit.py --random 1000 --seed 20260810 --digits 60

@@ -9,9 +9,9 @@ straddles 10**-EXP, so neither is (the CLI's code for unknown); 2 on a
 usage error, such as a size below 1, a negative EXP or an --out
 path that cannot be written (checked before any computation, without
 truncating an existing file); 4 when the run could not complete (an
-internal fault, an `ArithmeticError` or a `ValueError`, or output that could
-not be written), reported on one stderr line; 141 when its reader closes
-stdout (nothing on stderr).
+internal fault, an `ArithmeticError` or a `ValueError`, output that could
+not be written, or out of memory), reported on one stderr line; 141 when its
+reader closes stdout (nothing on stderr).
 
 Example:
     python scripts/run_decay_table.py --n-max 50 --digits 220 --out decay.csv
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -38,6 +37,7 @@ from zeta3forms.cli import (  # noqa: E402
     run_to_stdout,
     write_decay_table,
 )
+from zeta3forms.exactnum import Enclosure  # noqa: E402
 
 
 def main() -> int:
@@ -66,11 +66,11 @@ def main() -> int:
         raise
 
     last = rows[-1]
-    cap = Fraction(1, 10**args.t_cap_exp)
+    cap = Enclosure(1, 1, 10**args.t_cap_exp)
     bound = f"1e-{args.t_cap_exp}"
-    if last.t_n.hi < cap:
+    if last.t_n.lies_below(cap):
         verdict, code = "CERTIFIED", EXIT_OK
-    elif last.t_n.lo >= cap:
+    elif last.t_n.lies_at_or_above(cap):
         verdict, code = f"REFUTED (T_{last.n} >= {bound} is certified)", EXIT_FAILS
     else:
         verdict, code = f"UNDECIDED (its enclosure straddles {bound})", EXIT_UNKNOWN

@@ -11,8 +11,9 @@ Exit codes: 0 all requested checks hold / completed, 1 some check fails,
 (its enclosures overlap at the requested digits; `audit` first climbs its
 refinement ladder) or some printed decay cell carries a +/- field, 4 the
 command could not complete (an internal fault, an `ArithmeticError` such as
-the zeta(3) routes disagreeing or a `ValueError`, or unwritable output), on
-one stderr line, 141 stdout closed by its reader (nothing on stderr).
+the zeta(3) routes disagreeing or a `ValueError`, unwritable output, or out
+of memory), on one stderr line, 141 stdout closed by its reader (nothing on
+stderr).
 """
 
 from __future__ import annotations
@@ -263,8 +264,9 @@ def run_to_stdout(prog: str, command: Callable[..., int], *args: object) -> int:
     conversion unlimited. The flush also follows a SystemExit, such as the one
     argparse raises after --help. A reader that closed stdout ends it with
     EXIT_PIPE and nothing on stderr, as SIGPIPE would; an internal fault
-    (ArithmeticError, ValueError) or unwritable output (a None stdout, any
-    other OSError) with EXIT_INTERNAL and one stderr line."""
+    (ArithmeticError, ValueError), unwritable output (a None stdout, any
+    other OSError) or running out of memory (MemoryError) with EXIT_INTERNAL
+    and one stderr line."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
@@ -279,8 +281,9 @@ def run_to_stdout(prog: str, command: Callable[..., int], *args: object) -> int:
         return EXIT_PIPE
     except (ArithmeticError, ValueError) as exc:
         print(f"{prog}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    except OSError as exc:
-        _stdout_to_devnull()
+    except (OSError, MemoryError) as exc:
+        if isinstance(exc, OSError):
+            _stdout_to_devnull()
         print(f"{prog}: cannot complete: {type(exc).__name__}: {exc}", file=sys.stderr)
     return EXIT_INTERNAL
 

@@ -4,7 +4,7 @@ The series is the Amdeberhan-Zeilberger (AZ) series (1997)
 zeta(3) = (1/64) sum_{k>=0} t_k, t_k = (-1)^k (k!)^10 a(k) / ((2k+1)!)^5,
 a(k) = 205k^2 + 250k + 77, summed exactly by binary splitting. The term
 ratio -k^5 / (32 (2k+1)^5) gives about 3 digits per term. The terms
-alternate and strictly shrink, so consecutive partial sums S_K = sum_{k<=K}
+alternate and strictly shrink, so the consecutive sums S_K = sum_{k<=K}
 t_k and S_{K+1} bracket the limit. Term count, with no trial evaluation:
 (2k+1)! = (2k+1) C(2k,k) (k!)^2 and (2k+1) C(2k,k) >= sqrt(k) 4^k, so
 (k!)^10 / ((2k+1)!)^5 <= k^(-5/2) 1024^-k; with a(k) <= 532 k^2 this gives
@@ -15,11 +15,11 @@ the spare term keeps this enclosure inside the enclosure of the
 central-binomial series (5/2) sum (-1)^(k-1) / (k^3 C(2k,k)), the test
 oracle, rounded onto the same 2**-budget_bits(digits) grid, at every size
 measured (each of 1-3000, 6000 and 20000), so a check decided on that
-enclosure is decided the same on this one. Rounding onto that grid adds at
-most 10**-digits / 8 to the width. The leaves are p_j = -j^5 and q_j = 32
-(2j+1)^5 for odd j, p_j = -(j/2)^5 and q_j = (2j+1)^5 for even j: the same
-ratios, so the same sums, with P and Q about 4 % shorter (108k and 128k
-digits against 113k and 133k at 20000 digits).
+enclosure is decided the same on this one. Rounding outward onto that grid
+adds at most 10**-digits / 4 to the width (precision rule below). The leaves
+are p_j = -j^5 and q_j = 32 (2j+1)^5 for odd j, p_j = -(j/2)^5 and q_j =
+(2j+1)^5 for even j: the same ratios, so the same sums, with P and Q about
+4 % shorter (108k and 128k digits against 113k and 133k at 20000 digits).
 
 The splitting runs on `decimal.Decimal`, used only as an exact integer type:
 libmpdec multiplies and divides large integers by a number-theoretic
@@ -58,15 +58,21 @@ where D = 2 + floor(log10 2**bits) bounds the digits of every x <
 |p_j/q_j| = (j/(2(2j+1)))^5 < 1/1024, so the step is 3(m-1) digits shorter
 than x. Their product, 2**bits (sum_{k=m..} t_k) / 64, is at most 2**bits
 |t_m| / 64 < 10**(D-3m+1) by the term bound above, so tail_prec leaves its
-rounding below 10**-_GUARD_DIGITS. An endpoint is taken from its bracket
-when both bounds floor (for the lower endpoint; ceil for the upper) to the
-same integer, which is then the exact one. Otherwise the exact route decides
-it: the exact halves are combined, the right one summed again in this
-process, and one exact divmod gives it. The fields are therefore those of
-the exact quotient at any precision; the guard only sets how often the exact
-route runs. With 40 guard digits it ran for none of the 826 endpoints at
-1-400, 999-1001, 1999-2001, 2499, 2500, 3000, 6000, 20000, 20001 and 40000
-digits; with none, for 772.
+rounding below 10**-_GUARD_DIGITS. So each bracket is a few units of
+10**-_GUARD_DIGITS wide, a unit being 1 in x (2**-bits in zeta(3)).
+
+The lower field is the floor of the lower bracket's lower end, the upper
+field the ceiling of the upper bracket's upper end: outward rounding alone
+keeps zeta(3) inside (Moore, *Interval Analysis*, 1966). A field is long
+division's exact floor (or ceiling) when both ends of its bracket round
+alike, and else one unit further out while the bracket is narrower than one
+unit, so it lies at most two units, 2**(1-bits) <= 10**-digits / 8, outside
+its endpoint. Over the 818 endpoints at 1-400, 999-1001, 1999-2001, 2500,
+6000 and 20000 digits, the brackets were at most 6e-40 units wide and
+decided every endpoint, so the fields equal long division's there (and at
+each of 1-3000 and 40000 digits); with one guard digit they were up to 0.7
+wide and 80 of the 409 sizes moved one unit out; with none, up to 7 wide and
+358 sizes moved by up to 5.
 
 From _FORK_DIGITS (2000) digits on, the right half is summed in a forked
 child, when os.fork exists and no other thread runs (Python 3.12 and later
@@ -126,8 +132,8 @@ from decimal import (
     InvalidOperation,
     Rounded,
 )
-from functools import lru_cache, partial
-from typing import IO, Callable
+from functools import lru_cache
+from typing import IO
 
 from .beukers import apery_bracket, apery_index
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
@@ -157,10 +163,10 @@ def _context(prec: int, rounding: str, traps: list) -> Context:
 # context that would round, or is invalid, raises instead of returning.
 _EXACT = _context(MAX_PREC, ROUND_HALF_EVEN, [Inexact, Rounded, InvalidOperation])
 _mul = _EXACT.multiply
-_add = _EXACT.add
 
 # Digits the brackets carry beyond what the endpoints need; an endpoint's
-# two bounds then straddle an integer with probability about 10**-39.
+# two bounds then straddle an integer, so that its field lies one unit
+# further out than long division's, with probability about 10**-39.
 _GUARD_DIGITS = 40
 
 # Decimal strings at most this long go to int() in one call; longer ones are
@@ -206,7 +212,7 @@ def _combine(left: _Split, right: _Split) -> _Split:
     pl, ql, tl = left
     pr, qr, tr = right
     del left, right
-    t = _add(_mul(tl, qr), _mul(pl, tr))
+    t = _EXACT.add(_mul(tl, qr), _mul(pl, tr))
     del tl, tr
     q = _mul(ql, qr)
     del ql, qr
@@ -255,15 +261,14 @@ def _join(head: _Bracket, step: _Bracket, y: _Bracket, prec: int, tail_prec: int
     return down.add(head[0], lo), up.add(head[1], hi)
 
 
-def _head(m: int, scale: Decimal, prec: int, tail_prec: int) -> tuple[_Split, _Bracket, _Bracket]:
-    """The exact (P, Q, T) over [0, m), with brackets of T * scale / (64 Q)
-    to ``prec`` digits and of P * scale / (64 Q) to ``tail_prec`` digits,
-    both from one reciprocal."""
-    left = _binsplit(0, m)
-    p, q, t = left
+def _head(m: int, scale: Decimal, prec: int, tail_prec: int) -> tuple[_Bracket, _Bracket]:
+    """Brackets of T * scale / (64 Q) to ``prec`` digits and of P * scale /
+    (64 Q) to ``tail_prec`` digits, for (P, Q, T) over [0, m), both from one
+    reciprocal."""
+    p, q, t = _binsplit(0, m)
     down, up = _directed(prec)
     r = _reciprocals(scale, _mul(64, q), down, up)
-    return left, _times(t, r, down, up), _times(p, r, *_directed(tail_prec))
+    return _times(t, r, down, up), _times(p, r, *_directed(tail_prec))
 
 
 def _tail(m: int, n: int, weight: int, prec: int) -> list[Decimal]:
@@ -314,7 +319,7 @@ def _fork_tail(m: int, n: int, weight: int, prec: int) -> tuple[int, IO[str], in
 
 def _halves(
     m: int, n: int, weight: int, scale: Decimal, prec: int, tail_prec: int, fork: bool
-) -> tuple[tuple[_Split, _Bracket, _Bracket], list[Decimal]]:
+) -> tuple[tuple[_Bracket, _Bracket], list[Decimal]]:
     """(`_head(m, scale, prec, tail_prec)`, `_tail(m, n, weight, tail_prec)`),
     the tail from a forked child when ``fork`` is true.
 
@@ -358,12 +363,6 @@ def _digits_to_int(s: str) -> int:
     return _digits_to_int(s[:-low]) * 10**low + _digits_to_int(s[-low:])
 
 
-def _exact_round(n: Decimal, scale: Decimal, den: Decimal, ceiling: bool) -> Decimal:
-    """floor (or ceiling) of n*scale/den by one exact division."""
-    q, r = _EXACT.divmod(_mul(n, scale), den)
-    return _add(q, 1) if ceiling and not r.is_zero() else q
-
-
 def _reciprocals(scale: Decimal, den: Decimal, down: Context, up: Context) -> _Bracket:
     """(r_down, r_up) with r_down <= scale / den <= r_up, for scale, den > 0,
     from one division at the precision p of ``down`` and ``up``.
@@ -382,28 +381,13 @@ def _reciprocals(scale: Decimal, den: Decimal, down: Context, up: Context) -> _B
     return r_down, up.fma(r_down, three_e, r_down)
 
 
-def _exact_end(left: _Split, m: int, n: int, weight: int, scale: Decimal, ceiling: bool) -> Decimal:
-    """The floor of the lower endpoint (or the ceiling of the upper) of
-    [S_K, S_{K+1}] * scale / 64, from the exact (P, Q, T) over [0, n): the
-    halves combined, the right one summed again."""
-    p, q, t = _combine(left, _binsplit(m, n))
-    ends = (_EXACT.subtract(t, _mul(weight, p)), t)
-    lo, hi = ends[::-1] if p.is_signed() else ends
-    return _exact_round(hi if ceiling else lo, scale, _mul(64, q), ceiling)
-
-
-def _round_out(lo: _Bracket, hi: _Bracket, exact: Callable[[bool], Decimal]) -> tuple[int, int]:
-    """(floor(x), ceil(y)) as ints, for x known by its bracket ``lo`` and y
-    by its bracket ``hi``.
-
-    When both ends of a bracket round to the same integer, that integer is
-    the exact floor (or ceiling). Otherwise ``exact(ceiling)`` gives it.
-    """
-    ends = []
-    for bracket, rounding, ceiling in ((lo, ROUND_FLOOR, False), (hi, ROUND_CEILING, True)):
-        below, above = (_EXACT.to_sci_string(end.to_integral_value(rounding, _EXACT)) for end in bracket)
-        ends.append(_digits_to_int(below if below == above else _EXACT.to_sci_string(exact(ceiling))))
-    return ends[0], ends[1]
+def _round_out(lo: _Bracket, hi: _Bracket) -> tuple[int, int]:
+    """(floor(lo[0]), ceil(hi[1])) as ints, so at or below every x in the
+    bracket ``lo`` and at or above every y in ``hi``: floor(x) (ceil(y)) when
+    both ends of the bracket round alike, else one unit further out while it
+    is narrower than one unit."""
+    below, above = lo[0].to_integral_value(ROUND_FLOOR, _EXACT), hi[1].to_integral_value(ROUND_CEILING, _EXACT)
+    return _digits_to_int(_EXACT.to_sci_string(below)), _digits_to_int(_EXACT.to_sci_string(above))
 
 
 def zeta3_accelerated(digits: int) -> Enclosure:
@@ -423,12 +407,12 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     prec = scale.adjusted() + 2 + _GUARD_DIGITS
     tail_prec = prec - 3 * (m - 1)
     fork = digits >= _FORK_DIGITS and hasattr(os, "fork") and threading.active_count() == 1
-    (left, head, step), tail = _halves(m, n, weight, scale, prec, tail_prec, fork)
+    (head, step), tail = _halves(m, n, weight, scale, prec, tail_prec, fork)
     # y = T_R/Q_R for S_{K+1}, then (T_R - a(K+1) P_R)/Q_R for S_K
     ends = [_join(head, step, y, prec, tail_prec) for y in zip(tail[::2], tail[1::2])]
     # [S_K, S_{K+1}], ordered by the sign (-1)**(K+1) of t_{K+1}
     lo_end, hi_end = ends if terms % 2 == 0 else ends[::-1]
-    lo_num, hi_num = _round_out(lo_end, hi_end, partial(_exact_end, left, m, n, weight, scale))
+    lo_num, hi_num = _round_out(lo_end, hi_end)
     return Enclosure(lo_num, hi_num, 1 << bits)
 
 

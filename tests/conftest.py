@@ -46,6 +46,22 @@ def zeta3_methods_disagree(monkeypatch):
 
 
 @pytest.fixture
+def out_of_memory(monkeypatch):
+    """zeta(3)'s series replaced by one that raises MemoryError, as a size too
+    large for the memory at hand does: a run that cannot complete, not a
+    verdict. zeta3's cache is cleared before and after, as above."""
+    from zeta3forms import zeta3 as zmod
+
+    def exhausted(digits: int):
+        raise MemoryError
+
+    monkeypatch.setattr(zmod, "zeta3_accelerated", exhausted)
+    zmod.zeta3.cache_clear()
+    yield
+    zmod.zeta3.cache_clear()
+
+
+@pytest.fixture
 def ratio_straddles_zero(monkeypatch):
     """The audit's R_n replaced by [-1, 1], which no R_n > 0 can be, so the
     Horner kernel raises ValueError: an internal fault no input can cause."""

@@ -300,25 +300,28 @@ def test_verify_csv_round_trip(capsys):
         assert bounds.verify_ratio_bound(n, 25).status.value == row["ratio_status"]
 
 
-# Each argv with the fixture that plants a fault on its path and the error it raises.
+# Each argv with the fixture that plants a fault on its path and the start of
+# the stderr line it leads to.
 @pytest.mark.parametrize(
     "argv, fault, error",
     [
-        (("verify", "--n-max", "3"), "zeta3_methods_disagree", "DisjointEnclosures"),
-        (("decay", "--n-max", "3"), "zeta3_methods_disagree", "DisjointEnclosures"),
-        (("audit", "--coeffs", "-6,5", "--n", "1"), "zeta3_methods_disagree", "DisjointEnclosures"),
-        (("zeta3", "--digits", "20"), "zeta3_methods_disagree", "DisjointEnclosures"),
-        (("audit", "--coeffs", "-6,5", "--n", "1"), "ratio_straddles_zero", "ValueError"),
+        (("verify", "--n-max", "3"), "zeta3_methods_disagree", "internal error: DisjointEnclosures"),
+        (("decay", "--n-max", "3"), "zeta3_methods_disagree", "internal error: DisjointEnclosures"),
+        (("audit", "--coeffs", "-6,5", "--n", "1"), "zeta3_methods_disagree", "internal error: DisjointEnclosures"),
+        (("zeta3", "--digits", "20"), "zeta3_methods_disagree", "internal error: DisjointEnclosures"),
+        (("audit", "--coeffs", "-6,5", "--n", "1"), "ratio_straddles_zero", "internal error: ValueError"),
+        (("verify", "--n-max", "3"), "out_of_memory", "cannot complete: MemoryError"),
     ],
-    ids=[f"argv{i}" for i in range(5)],
+    ids=[f"argv{i}" for i in range(6)],
 )
 def test_an_internal_fault_exits_4_with_one_stderr_line(capsys, request, argv, fault, error):
     # exit 1 would read as "some check fails" and 2 as "bad input"; an
-    # ArithmeticError or a ValueError from inside the package is a fault
+    # ArithmeticError or a ValueError from inside the package is a fault, and
+    # running out of memory leaves the run unfinished
     request.getfixturevalue(fault)
     code, out, err = run_cli(capsys, *argv, "--quiet")
     assert (code, out) == (EXIT_INTERNAL, "")
-    assert err.startswith(f"zeta3forms: internal error: {error}: ")
+    assert err.startswith(f"zeta3forms: {error}: ")
     assert err.count("\n") == 1
 
 

@@ -124,15 +124,17 @@ _CORPUS_FLAGS = ["--random", "0", "--json-out", "audit.json"]
 
 
 # The last flag names the output file; the fixture plants a fault on the
-# script's path that raises the error named.
+# script's path that leads to the start of the stderr line given.
 @pytest.mark.parametrize(
     ("script", "flags", "fault", "error"),
     [
-        ("run_decay_table.py", _DECAY_FLAGS, "zeta3_methods_disagree", "DisjointEnclosures"),
-        ("run_corpus_audit.py", _CORPUS_FLAGS, "zeta3_methods_disagree", "DisjointEnclosures"),
-        ("run_corpus_audit.py", _CORPUS_FLAGS, "ratio_straddles_zero", "ValueError"),
+        ("run_decay_table.py", _DECAY_FLAGS, "zeta3_methods_disagree", "internal error: DisjointEnclosures"),
+        ("run_corpus_audit.py", _CORPUS_FLAGS, "zeta3_methods_disagree", "internal error: DisjointEnclosures"),
+        ("run_corpus_audit.py", _CORPUS_FLAGS, "ratio_straddles_zero", "internal error: ValueError"),
+        ("run_decay_table.py", _DECAY_FLAGS, "out_of_memory", "cannot complete: MemoryError"),
     ],
-    ids=["run_decay_table.py-flags0", "run_corpus_audit.py-flags1", "run_corpus_audit.py-flags2"],
+    ids=["run_decay_table.py-flags0", "run_corpus_audit.py-flags1", "run_corpus_audit.py-flags2",
+         "run_decay_table.py-flags3"],
 )
 def test_scripts_exit_4_on_an_internal_fault(
     tmp_path, monkeypatch, capsys, request, script, flags, fault, error
@@ -152,7 +154,7 @@ def test_scripts_exit_4_on_an_internal_fault(
             runpy.run_path(str(SCRIPTS / script), run_name="__main__")
         captured = capsys.readouterr()
         assert (exit_info.value.code, captured.out) == (EXIT_INTERNAL, "")
-        assert captured.err.startswith(f"{script[:-3]}: internal error: {error}: ")
+        assert captured.err.startswith(f"{script[:-3]}: {error}: ")
         assert captured.err.count("\n") == 1
         if sentinel is not None:
             assert out.read_bytes() == sentinel
