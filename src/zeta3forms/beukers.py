@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .exactnum import Enclosure
 
@@ -40,8 +39,11 @@ class LinearForm(namedtuple("LinearForm", "n beta A B dn3")):
     __slots__ = ()
 
     @property
-    def alpha(self) -> Fraction:
-        return Fraction(self.A, self.dn3)
+    def alpha(self):
+        """A/dn3 as a reduced `fractions.Fraction`."""
+        import fractions
+
+        return fractions.Fraction(self.A, self.dn3)
 
 
 # _LCM[i] = lcm(1..i+1); append-only, idempotent fill.

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
 
 from .bounds import CheckStatus, ratio_enclosure, sandwich_status
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure

@@ -23,7 +23,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Optional, Sequence, TextIO
+from collections.abc import Callable, Sequence
+from io import TextIOBase
 
 from . import bounds, chain
 from .beukers import linear_form
@@ -134,7 +135,7 @@ def _banner(args: argparse.Namespace, text: str) -> None:
 
 
 def _write_table(
-    out: TextIO, as_csv: bool, header: Sequence[str], rows: Sequence[tuple], keys: Sequence[str]
+    out: TextIOBase, as_csv: bool, header: Sequence[str], rows: Sequence[tuple], keys: Sequence[str]
 ) -> None:
     """Rows as CSV under ``header``, or as one line of key=value pairs each."""
     if as_csv:
@@ -228,7 +229,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return _exit_for([s.numeric for s in report.steps])
 
 
-def write_decay_table(rows: Sequence[DecayRow], out: TextIO, as_csv: bool) -> int:
+def write_decay_table(rows: Sequence[DecayRow], out: TextIOBase, as_csv: bool) -> int:
     """Write the decay table to ``out`` as CSV or key=value lines; EXIT_UNKNOWN
     when a cell carries a +/- field (not one digit certified), else EXIT_OK."""
     header = ("n", "d_n", "abs_form", "rhs_bound", "ratio", "T_n")
@@ -295,7 +296,7 @@ class ArgumentParser(argparse.ArgumentParser):
     """argparse's parser, with --help written to stdout as any other output is:
     argparse's own print_help drops a failed write and exits 0."""
 
-    def print_help(self, file: Optional[TextIO] = None) -> None:
+    def print_help(self, file: TextIOBase | None = None) -> None:
         (sys.stdout if file is None else file).write(self.format_help())
 
 
@@ -306,15 +307,23 @@ def _parse_coeffs(text: str) -> chain.CoeffVector:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}") from exc
 
 
+def _int(text: str) -> int:
+    """int(text); argparse puts the option's name before a non-integer's message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -361,7 +370,7 @@ def build_parser() -> ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Fold each "--coeffs -6,5" into "--coeffs=-6,5" so negative leading
     # coefficients are not mistaken for option flags; argparse keeps the last.

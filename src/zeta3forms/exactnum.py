@@ -1,10 +1,10 @@
 """Exact rational and interval (enclosure) arithmetic.
 
-Every real quantity in this package is carried either as an exact rational
-(a `fractions.Fraction`) or as an `Enclosure`, a closed interval guaranteed
-to contain the true value. Endpoints are never floats, so a strict
-inequality certified through enclosures is an exact fact, not a rounding
-artifact.
+Every real quantity in this package is carried either as exact integers
+(a numerator over a denominator) or as an `Enclosure`, a closed interval
+guaranteed to contain the true value. Endpoints are never floats, so a
+strict inequality certified through enclosures is an exact fact, not a
+rounding artifact.
 
 Representation: an enclosure is three integers, numerators
 ``lo_num <= hi_num`` over one shared positive denominator ``den``; its
@@ -29,19 +29,16 @@ endpoint is one exact floor division, `floor_div_scaled`: floor(n * 2**bits
 / den) with the power of two that ``den`` carries cancelled first, which
 leaves the same rational and so the same quotient.
 ``bounds.form_abs_enclosure`` divides by its full denominator once per (n,
-digits). Reduced `Fraction`s are built only when an endpoint is read
-(``lo``, ``hi``, ``width``, ``midpoint``) and by ``__hash__`` and
-``__str__``; the CLI's decimal printer reads the integers instead. See
-Moore, *Interval Analysis* (1966), for the interval rules.
+digits). A reduced `fractions.Fraction` is built only when an endpoint is
+read as one (``lo``, ``hi``, and so ``__hash__`` and ``__str__``), and
+`fractions` is imported there; the CLI's decimal printer reads the integers
+instead. See Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from typing import Union
 
 # Outward-rounding budget: bits of denominator granularity granted per
 # requested decimal digit. 4 bits/digit is a grid of 16**-digits <=
@@ -94,9 +91,7 @@ class Enclosure:
         if den < 1:
             raise ValueError("den must be >= 1")
         if lo_num > hi_num:
-            raise ValueError(
-                f"inverted enclosure: lo={Fraction(lo_num, den)} > hi={Fraction(hi_num, den)}"
-            )
+            raise ValueError(f"inverted enclosure: lo={lo_num}/{den} > hi={hi_num}/{den}")
         _set_lo(self, lo_num)
         _set_hi(self, hi_num)
         _set_den(self, den)
@@ -110,34 +105,20 @@ class Enclosure:
     # -- exact endpoints, built on access ---------------------------------
 
     @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_num, self.den)
+    def lo(self):
+        """lo_num/den as a reduced `fractions.Fraction`."""
+        import fractions  # a plain import costs less per call than a from-import
+
+        return fractions.Fraction(self.lo_num, self.den)
 
     @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_num, self.den)
+    def hi(self):
+        """hi_num/den as a reduced `fractions.Fraction`."""
+        import fractions
 
-    # -- queries ----------------------------------------------------------
+        return fractions.Fraction(self.hi_num, self.den)
 
-    def width(self) -> Fraction:
-        return Fraction(self.hi_num - self.lo_num, self.den)
-
-    def midpoint(self) -> Fraction:
-        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
-
-    def is_point(self) -> bool:
-        return self.lo_num == self.hi_num
-
-    def contains(self, x: int | Fraction) -> bool:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"contains expects an int or Fraction, not {type(x).__name__}")
-        p, q = x.numerator * self.den, x.denominator
-        return self.lo_num * q <= p <= self.hi_num * q
-
-    def encloses(self, other: Enclosure) -> bool:
-        """True when ``other`` lies entirely inside ``self``."""
-        d, e = self.den, other.den
-        return self.lo_num * e <= other.lo_num * d and other.hi_num * d <= self.hi_num * e
+    # -- comparisons -------------------------------------------------------
 
     def lies_below(self, other: Enclosure) -> bool:
         """Every point of ``self`` is strictly below every point of ``other``."""
@@ -160,7 +141,7 @@ class Enclosure:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: Union[Enclosure, int]) -> Enclosure:
+    def __add__(self, other: Enclosure | int) -> Enclosure:
         if isinstance(other, int):
             shift = other * self.den
             return _raw(self.lo_num + shift, self.hi_num + shift, self.den)
@@ -174,7 +155,7 @@ class Enclosure:
     def __neg__(self) -> Enclosure:
         return _raw(-self.hi_num, -self.lo_num, self.den)
 
-    def __mul__(self, other: Union[Enclosure, int]) -> Enclosure:
+    def __mul__(self, other: Enclosure | int) -> Enclosure:
         if isinstance(other, int):
             if other >= 0:
                 return _raw(self.lo_num * other, self.hi_num * other, self.den)
@@ -201,7 +182,7 @@ class Enclosure:
         # [d/b, d/a] over the common denominator a*b > 0
         return _raw(d * a, d * b, a * b)
 
-    def __truediv__(self, other: Union[Enclosure, int]) -> Enclosure:
+    def __truediv__(self, other: Enclosure | int) -> Enclosure:
         if isinstance(other, int):
             if other > 0:
                 return _raw(self.lo_num, self.hi_num, self.den * other)

@@ -133,7 +133,7 @@ from decimal import (
     Rounded,
 )
 from functools import lru_cache
-from typing import IO
+from io import TextIOWrapper
 
 from .beukers import apery_bracket, apery_index
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
@@ -280,7 +280,7 @@ def _tail(m: int, n: int, weight: int, prec: int) -> list[Decimal]:
     return [*_times(t, r, down, up), *_times(_EXACT.subtract(t, _mul(weight, p)), r, down, up)]
 
 
-def _fork_tail(m: int, n: int, weight: int, prec: int) -> tuple[int, IO[str], int]:
+def _fork_tail(m: int, n: int, weight: int, prec: int) -> tuple[int, TextIOWrapper, int]:
     """Fork a child that writes `_tail(m, n, weight, prec)` to a pipe; (its
     pid, the pipe's read end as a text file, the write end of its lifeline).
 

@@ -45,6 +45,34 @@ def overlaps(a: Enclosure, b: Enclosure) -> bool:
     """True when the two enclosures share a point."""
     return not (a.lies_below(b) or b.lies_below(a))
 
+
+# -- queries on the integer fields of an enclosure -------------------------------
+
+
+def width(e: Enclosure) -> Fraction:
+    return Fraction(e.hi_num - e.lo_num, e.den)
+
+
+def midpoint(e: Enclosure) -> Fraction:
+    return Fraction(e.lo_num + e.hi_num, 2 * e.den)
+
+
+def is_point(e: Enclosure) -> bool:
+    return e.lo_num == e.hi_num
+
+
+def contains(e: Enclosure, x: int | Fraction) -> bool:
+    """True when the int or Fraction ``x`` lies in ``e``."""
+    p, q = x.numerator * e.den, x.denominator
+    return e.lo_num * q <= p <= e.hi_num * q
+
+
+def encloses(a: Enclosure, b: Enclosure) -> bool:
+    """True when ``b`` lies entirely inside ``a``."""
+    d, e = a.den, b.den
+    return a.lo_num * e <= b.lo_num * d and b.hi_num * d <= a.hi_num * e
+
+
 # -- combinatorics -------------------------------------------------------------
 
 

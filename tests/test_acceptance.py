@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import oracles
-from oracles import binom, moment, moment_series_oracle
+from oracles import binom, encloses, moment, moment_series_oracle, width
 from zeta3forms import beukers, bounds, chain
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import CheckStatus, decay_table, verify_form_bound, verify_ratio_bound
@@ -65,7 +65,7 @@ def test_criterion_2_sandwich_bound():
         rb = verify_ratio_bound(n, SWEEP_DIGITS)
         if fb.status is not CheckStatus.HOLDS or rb.status is not CheckStatus.HOLDS:
             bad.append((n, fb.status.value, rb.status.value))
-        if fb.lhs.width() > width_cap or fb.rhs.width() > width_cap:
+        if width(fb.lhs) > width_cap or width(fb.rhs) > width_cap:
             bad.append((n, "width"))
     # spot values, against independently computed 60-digit references
     fb1 = verify_form_bound(1, 30)
@@ -115,11 +115,11 @@ def test_criterion_4_zeta3_thousand_digits():
     bracket = beukers.apery_bracket(beukers.apery_index(0, 1000))  # the bracket zeta3 checks against
     ok = (
         oracles.overlaps(enc, bracket)
-        and enc.width() <= F(1, 10**1000)
-        and bracket.width() <= F(1, 10**1000)
+        and width(enc) <= F(1, 10**1000)
+        and width(bracket) <= F(1, 10**1000)
         and elapsed <= 10.0
     )
-    scaled = float(enc.width() * 10**1000)  # in units of 1e-1000
+    scaled = float(width(enc) * 10**1000)  # in units of 1e-1000
     _criterion(
         4,
         "zeta(3) series meets Apery's bracket; both widths <= 1e-1000; <= 10s",
@@ -142,7 +142,7 @@ def test_criterion_5_moment_oracle_containment():
                 oracle_cache[key] = moment_series_oracle(key[0], key[1], 10**5)
             enc = oracle_cache[key]
             closed = moment(r, s).value_enclosure(z)
-            if not enc.encloses(closed):
+            if not encloses(enc, closed):
                 violations.append((r, s))
     elapsed = time.perf_counter() - started
     ok = not violations

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enclosure_of, growth_fields, overlaps
+from oracles import enclosure_of, growth_fields, overlaps, width
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
@@ -97,7 +97,7 @@ def test_shrink_enclosure_always_positive():
         for n in (1, 5, 20, 50):
             enc = _growth_enclosure(n, digits).reciprocal()
             assert enc.lo > 0
-            assert enc.width() < enc.lo / 10**digits
+            assert width(enc) < enc.lo / 10**digits
 
 
 def test_shrink_enclosure_contains_true_value():
@@ -110,7 +110,7 @@ def test_shrink_enclosure_contains_true_value():
         a, c = unit_pair(n)
         tight = enclosure_of(F(a * scale - c * (root + 1), scale), F(a * scale - c * root, scale))
         enc = _growth_enclosure(n, 20).reciprocal()
-        assert tight.width() < enc.width()
+        assert width(tight) < width(enc)
         assert overlaps(enc, tight)
 
 

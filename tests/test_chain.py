@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import contains
 from zeta3forms import chain
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import CheckStatus, ratio_enclosure, sandwich_status
@@ -469,7 +470,7 @@ def test_a_residual_touching_zero_leaves_the_substitution_undetermined(monkeypat
 @pytest.mark.parametrize("z", [Enclosure(2, 2), Enclosure(1, 1, 2)], ids=["positive", "negative"])
 def test_a_residual_clear_of_zero_fails_the_substitution(monkeypatch, z):
     report = _audit_on(monkeypatch, (-1, 1), TENTH, z)
-    assert not report.residual.contains(0)
+    assert not contains(report.residual, 0)
     step = report.step("substitution")
     assert step.numeric is CheckStatus.FAILS
     assert step.justification is Justification.RELATION_UNMET

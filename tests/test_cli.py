@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import binom, enclosure_of, zeta3_direct
+from oracles import binom, enclosure_of, midpoint, width, zeta3_direct
 from zeta3forms import bounds
 from zeta3forms import cli
 from zeta3forms.beukers import IntegralityViolation, dn_cubed
@@ -108,19 +108,19 @@ def _ref_fraction_sci(x: Fraction, sig: int, mode: str = "half_up") -> str:
 
 
 def _ref_enclosure_decimal(enc: Enclosure, max_sig: int) -> str:
-    mid = enc.midpoint()
-    width = enc.width()
-    if width == 0:
+    mid = midpoint(enc)
+    w = width(enc)
+    if w == 0:
         return _ref_fraction_sci(mid, max_sig)
     if mid == 0:
-        return "0±" + _ref_fraction_sci(width / 2, 2, "up")
+        return "0±" + _ref_fraction_sci(w / 2, 2, "up")
     e = _ref_floor_log10(abs(mid))
     sig = max_sig
-    while sig > 1 and width >= _ref_pow10(e - sig + 1):
+    while sig > 1 and w >= _ref_pow10(e - sig + 1):
         sig -= 1
-    if width < _ref_pow10(e - sig + 1):
+    if w < _ref_pow10(e - sig + 1):
         return _ref_fraction_sci(mid, sig)
-    return _ref_fraction_sci(mid, sig) + "±" + _ref_fraction_sci(width / 2, 2, "up")
+    return _ref_fraction_sci(mid, sig) + "±" + _ref_fraction_sci(w / 2, 2, "up")
 
 
 SHAPES = ("any", "point", "zero_midpoint", "negative", "straddle", "boundary")
@@ -495,6 +495,16 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n-max", "3", "--frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_a_non_integer_size_is_a_usage_error_that_names_its_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n-max", "abc", "--quiet"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --n-max: expected an integer, got 'abc'" in err
+    assert "Traceback" not in err
+    assert "_positive_int" not in err and "_nonnegative_int" not in err
 
 
 def test_missing_subcommand_rejected(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import enclosure_of, overlaps
+from oracles import contains, enclosure_of, encloses, is_point, midpoint, overlaps, width
 from zeta3forms.bounds import _growth_enclosure
 from zeta3forms.exactnum import Enclosure, budget_bits, floor_div_scaled
 
@@ -53,11 +53,11 @@ def test_abs_cases():
 
 
 def test_contains_zero_cases():
-    assert not enc(F(1, 7), F(1, 3)).contains(0)
-    assert enc(-1, 1).contains(0)
-    assert not enc(-3, -2).contains(0)
-    assert enc(0, 1).contains(0)
-    assert enc(-1, 0).contains(0)
+    assert not contains(enc(F(1, 7), F(1, 3)), 0)
+    assert contains(enc(-1, 1), 0)
+    assert not contains(enc(-3, -2), 0)
+    assert contains(enc(0, 1), 0)
+    assert contains(enc(-1, 0), 0)
 
 
 def test_inverted_endpoints_rejected():
@@ -84,21 +84,21 @@ def _sqrt2(digits: int) -> Enclosure:
 
 def test_sqrt2_one_digit():
     s = _sqrt2(1)
-    assert s.width() <= F(1, 10)
+    assert width(s) <= F(1, 10)
     assert s.lo**2 <= 2 <= s.hi**2
 
 
 def test_sqrt2_five_digits():
     s = _sqrt2(5)
-    assert s.width() <= F(1, 10**5)
-    assert s.contains(F("1.41421"))
+    assert width(s) <= F(1, 10**5)
+    assert contains(s, F("1.41421"))
 
 
 @given(st.integers(min_value=1, max_value=80))
 def test_sqrt2_defining_property(digits):
     s = _sqrt2(digits)
     assert s.lo**2 <= 2 <= s.hi**2
-    assert s.width() <= F(1, 10**digits)
+    assert width(s) <= F(1, 10**digits)
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
@@ -131,9 +131,9 @@ def test_containment_random_sweep():
     for _ in range(10_000):
         x, y = _random_rat(rng), _random_rat(rng)
         a, b = _enclosing(rng, x), _enclosing(rng, y)
-        assert (a + b).contains(x + y)
-        assert (a * b).contains(x * y)
-        assert abs(a).contains(abs(x))
+        assert contains(a + b, x + y)
+        assert contains(a * b, x * y)
+        assert contains(abs(a), abs(x))
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=200)
@@ -148,7 +148,7 @@ def test_containment_division(x, y, p1, p2, p3, p4):
         with pytest.raises(ZeroDivisionError):
             a / b
     else:
-        assert (a / b).contains(x / y)
+        assert contains(a / b, x / y)
 
 
 @given(rationals, rationals, pads, pads, pads, pads)
@@ -157,16 +157,16 @@ def test_width_monotonicity(x, y, p1, p2, widen_lo, widen_hi):
     wide = enclosure_of(a.lo - widen_lo, a.hi + widen_hi)
     b = enclosure_of(y, y + 1)
     for op in (lambda u, v: u + v, lambda u, v: u * v):
-        assert op(wide, b).encloses(op(a, b))
-    assert abs(wide).encloses(abs(a))
+        assert encloses(op(wide, b), op(a, b))
+    assert encloses(abs(wide), abs(a))
 
 
 @given(rationals, pads, pads, st.integers(min_value=4, max_value=64))
 def test_round_out_preserves_containment(x, p1, p2, bits):
     a = enclosure_of(x - p1, x + p2)
     rounded = a.round_out(bits)
-    assert rounded.encloses(a)
-    assert rounded.width() <= a.width() + F(2, 2**bits)
+    assert encloses(rounded, a)
+    assert width(rounded) <= width(a) + F(2, 2**bits)
     assert rounded.lo.denominator <= 2**bits
     assert rounded.hi.denominator <= 2**bits
 
@@ -208,9 +208,9 @@ def test_non_int_scalars_are_refused(scalar):
 
 def test_point_queries():
     p = Enclosure(3, 3, 7)
-    assert p.is_point() and Enclosure(3, 3).den == 1
-    assert p.width() == 0
-    assert p.midpoint() == F(3, 7)
+    assert is_point(p) and Enclosure(3, 3).den == 1
+    assert width(p) == 0
+    assert midpoint(p) == F(3, 7)
 
 
 # -- the integer kernel against the Fraction endpoint formulas -----------------
@@ -318,8 +318,8 @@ def test_scalar_ops_match_fraction_reference(a, s):
 def test_strict_comparisons_match_fraction_reference(a, b):
     assert a.lies_below(b) == (a.hi < b.lo)
     assert a.lies_at_or_above(b) == (a.lo >= b.hi)
-    assert a.encloses(b) == (a.lo <= b.lo and b.hi <= a.hi)
-    assert a.contains(0) == (a.lo <= 0 <= a.hi)
+    assert encloses(a, b) == (a.lo <= b.lo and b.hi <= a.hi)
+    assert contains(a, 0) == (a.lo <= 0 <= a.hi)
 
 
 @given(enclosures, st.integers(min_value=2, max_value=10**12))
@@ -346,16 +346,16 @@ def test_arithmetic_computes_no_gcd(monkeypatch):
     results = [a + b, a * b, b * a, a / b, abs(a), -a]
     results += [a + 1, a * -2, a / -3, a.round_out(8)]
     assert all(isinstance(r, Enclosure) for r in results)
-    assert a.lies_below(b) and not a.lies_at_or_above(b) and b.encloses(b)
-    assert a.contains(0)
-    assert a.is_point() is False and a == Enclosure(-6, 10, 24)
+    assert a.lies_below(b) and not a.lies_at_or_above(b) and encloses(b, b)
+    assert contains(a, 0)
+    assert is_point(a) is False and a == Enclosure(-6, 10, 24)
 
 
 def test_unreduced_fields_and_fraction_views():
     a = Enclosure(6, 10, 4)
     assert (a.lo_num, a.hi_num, a.den) == (6, 10, 4)  # kept as given
     assert (a.lo, a.hi) == (F(3, 2), F(5, 2))
-    assert a.width() == 1 and a.midpoint() == 2
+    assert width(a) == 1 and midpoint(a) == 2
     assert str(a) == "[3/2, 5/2]"
     # sums align denominators without a gcd: to the larger when it is a
     # multiple of the other, else to the product

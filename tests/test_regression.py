@@ -18,18 +18,22 @@ uncertified; every check in them now decides.
 
 The source rules: no assert, no floating point, no thread-local decimal
 context, and no unbounded cache outside the test oracles; no unused import
-in the package or the scripts; no public name that only the tests use; and
-the commands import nothing outside the standard library.
+in the package or the scripts; no public name, and no method or property of
+a package class, that only the tests use; and the commands import nothing
+outside the standard library.
 """
 
+import argparse
 import ast
 import fractions
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -436,12 +440,87 @@ def test_public_name_rule_flags_each_construct():
     assert _unreferenced(public, sources) == ["defined_only", "DefinedOnly", "in_a_string"]
 
 
-def test_every_public_name_is_used_by_the_package_or_the_scripts():
-    # A name the package exports but only the tests read belongs in tests/.
+def _package_and_script_sources() -> list[tuple[str, str]]:
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths = modules + sorted(SCRIPTS.glob("*.py"))
-    sources = [(path.name, path.read_text(encoding="utf-8")) for path in paths]
-    assert _unreferenced(zeta3forms.__all__, sources) == []
+    return [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+
+
+def test_every_public_name_is_used_by_the_package_or_the_scripts():
+    # A name the package exports but only the tests read belongs in tests/.
+    assert _unreferenced(zeta3forms.__all__, _package_and_script_sources()) == []
+
+
+def _written_in_body(cls: type, value: object) -> bool:
+    """True when ``value`` is a method or property that the class statement of
+    ``cls`` defines, not one that a factory such as namedtuple adds."""
+    func = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+    path = sys.modules[cls.__module__].__file__
+    return isinstance(func, FunctionType) and func.__code__.co_filename == path
+
+
+def _test_only_members(classes: list[type], sources: list[tuple[str, str]]) -> list[str]:
+    """"Class.name" for each method or property a class body defines that
+    the sources never spell. Dunders and overrides of a member that a base
+    class defines are exempt."""
+    members = [
+        (cls.__name__, name)
+        for cls in classes
+        for name, value in vars(cls).items()
+        if _written_in_body(cls, value) and not any(hasattr(base, name) for base in cls.__mro__[1:])
+    ]
+    unread = set(_unreferenced([name for _, name in members], sources))
+    return [f"{owner}.{name}" for owner, name in members if name in unread]
+
+
+def test_member_rule_flags_each_construct():
+    class Planted(argparse.ArgumentParser):
+        def print_help(self, file=None):  # overrides the base class: exempt
+            pass
+
+        def __len__(self):  # a dunder: exempt
+            return 0
+
+        def called(self):
+            pass
+
+        @property
+        def read(self):
+            return 0
+
+        def test_only(self):
+            pass
+
+        @classmethod
+        def test_only_classmethod(cls):
+            pass
+
+        @staticmethod
+        def test_only_staticmethod():
+            pass
+
+        limit = 3  # a class attribute, not a method
+
+    sources = [("a.py", "p.called()\nx = p.read\n'test_only'\n")]
+    assert _test_only_members([Planted], sources) == [
+        "Planted.test_only",
+        "Planted.test_only_classmethod",
+        "Planted.test_only_staticmethod",
+    ]
+
+
+def test_every_class_member_is_used_by_the_package_or_the_scripts():
+    # A method or property that only the tests read belongs in tests/ too.
+    stems = [path.stem for path in sorted(PACKAGE.glob("*.py")) if not path.stem.startswith("__")]
+    modules = [importlib.import_module(f"zeta3forms.{stem}") for stem in stems]
+    classes = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    assert {"Enclosure", "LinearForm", "CoeffVector", "ArgumentParser"} <= {c.__name__ for c in classes}
+    assert _test_only_members(classes, _package_and_script_sources()) == []
 
 
 # -- the runtime imports the standard library only -----------------------------------
@@ -478,10 +557,12 @@ def test_the_commands_import_only_the_standard_library():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
 
 
-# Modules a library import and a plain verify run leave unloaded: dataclasses
-# alone loads inspect, ast, dis and tokenize; json and csv are loaded only by
-# the commands that write those formats.
-_UNLOADED = ("dataclasses", "inspect", "ast", "json", "csv")
+# Modules a library import and plain verify and decay runs leave unloaded:
+# dataclasses alone loads inspect, ast, dis and tokenize; json and csv are
+# loaded only by the commands that write those formats; typing is read by no
+# annotation at run time; fractions only where an exact endpoint is read as a
+# Fraction (form, audit --json).
+_UNLOADED = ("dataclasses", "inspect", "ast", "json", "csv", "typing", "fractions")
 
 _IMPORT_STATE = """
 import sys
@@ -492,15 +573,16 @@ import zeta3forms
 print(limit() == before, *sorted(set(sys.argv[2:]) & set(sys.modules)))
 """
 
-_VERIFY_MODULES = """
+_COMMAND_MODULES = """
 import runpy, sys
 sys.path.insert(0, sys.argv[1])
 unloaded = set(sys.argv[2:])
-sys.argv = ["zeta3forms", "verify", "--n-max", "1", "--quiet"]
-try:
-    runpy.run_module("zeta3forms", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    print("exit", exc.code, *sorted(unloaded & set(sys.modules)))
+for command in ("verify", "decay"):
+    sys.argv = ["zeta3forms", command, "--n-max", "1", "--quiet"]
+    try:
+        runpy.run_module("zeta3forms", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        print("exit", command, exc.code, *sorted(unloaded & set(sys.modules)))
 """
 
 
@@ -516,13 +598,15 @@ def test_importing_the_package_changes_no_interpreter_state():
 
 
 def test_a_verify_run_loads_no_record_or_format_module():
+    # -S also keeps out the typing that some hosts' site module imports
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", _VERIFY_MODULES, str(PACKAGE.parent), *_UNLOADED],
+        [sys.executable, "-I", "-S", "-B", "-c", _COMMAND_MODULES, str(PACKAGE.parent), *_UNLOADED],
         capture_output=True,
         encoding="utf-8",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == "exit 0"
+    exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert exits == ["exit verify 0", "exit decay 0"]
 
 
 # -- a cache is kept only where its keys come back ---------------------------------

@@ -89,13 +89,26 @@ def test_scripts_print_their_help_and_exit_0(tmp_path, script):
         ("run_corpus_audit.py", ["--digits", "0"]),
         ("run_corpus_audit.py", ["--random", "-1"]),
         ("run_decay_table.py", ["--t-cap-exp", "-1"]),
+        ("run_decay_table.py", ["--n-max", "1.5"]),
+        ("run_decay_table.py", ["--digits", ""]),
+        ("run_corpus_audit.py", ["--n-max", "ten"]),
+        ("run_corpus_audit.py", ["--digits", "1e3"]),
+        ("run_corpus_audit.py", ["--random", "x"]),
+        ("run_decay_table.py", ["--t-cap-exp", "0x10"]),
     ],
 )
 def test_scripts_reject_bad_sizes_as_usage_errors(tmp_path, script, flags):
     proc = _run([str(SCRIPTS / script), *flags], tmp_path)
     assert proc.returncode == 2
-    assert "must be >= " in proc.stderr
+    option, value = flags
+    try:
+        int(value)
+    except ValueError:
+        assert f"argument {option}: expected an integer, got {value!r}" in proc.stderr
+    else:
+        assert "must be >= " in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "_positive_int" not in proc.stderr and "_nonnegative_int" not in proc.stderr
     assert not (tmp_path / "decay.csv").exists()
 
 
