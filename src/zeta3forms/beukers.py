@@ -7,23 +7,28 @@ b_1 = 5) both satisfy the three-term recurrence
     n^3 u_n = P(n) u_{n-1} - (n-1)^3 u_{n-2},  P(n) = 34n^3 - 51n^2 + 27n - 5
 
 (van der Poorten, "A proof that Euler missed", Math. Intelligencer 1979;
-Beukers, Bull. LMS 1979). Both live in integer tables grown on demand: b_n,
-and Y_n = -A_n = 2 d_n^3 a_n (d_n = lcm(1..n), d_0 = 1), whose recurrence is
+Beukers, Bull. LMS 1979). One integer table holds the rows (b_n, Y_n, d_n),
+with d_n = lcm(1..n), d_0 = 1, and Y_n = -A_n = 2 d_n^3 a_n, whose recurrence is
 
     n^3 Y_n = P(n) (d_n/d_{n-1})^3 Y_{n-1} - (n-1)^3 (d_n/d_{n-2})^3 Y_{n-2}.
 
-Forms for n = 0..N cost O(N) big-integer steps and no gcd. Each step's
-division by n^3 must be exact: that remainder check certifies that
-d_n^3 alpha_n is an integer. alpha_n = A_n/d_n^3 is built only when read.
-The same tables bracket zeta(3) between Apery's convergents a_N/b_N
-(``apery_bracket``), which gives I_n with no cancellation. The tests check
-these forms against an independent O(n^2) route, the double sum of kernel
-moments and shifted Legendre coefficients in ``tests/oracles.py``.
+Forms for n = 0..N cost O(N) big-integer steps. Each step's division by n^3
+must be exact: that remainder check certifies that d_n^3 alpha_n is an
+integer. alpha_n = A_n/d_n^3 is built only when read. One loop, under a
+lock, appends whole rows to the append-only table, so any thread reads only
+complete rows. It first refuses, with MemoryError, rows that physical memory
+cannot hold: by the lemma in ``apery_bracket``, b_k >= 9^(k-1) takes over
+3(k-1) bits. The same table brackets zeta(3) between Apery's convergents
+a_N/b_N (``apery_bracket``), which gives I_n with no cancellation. The tests
+check these forms against an independent O(n^2) route, the double sum of
+kernel moments and shifted Legendre coefficients in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import namedtuple
 
 from .exactnum import Enclosure
@@ -46,65 +51,58 @@ class LinearForm(namedtuple("LinearForm", "n beta A B dn3")):
         return fractions.Fraction(self.A, self.dn3)
 
 
-# _LCM[i] = lcm(1..i+1); append-only, idempotent fill.
-_LCM: list[int] = [1]
+# Row n is (b_n, Y_n, d_n): the Apery numbers b_n = 1, 5, 73, 1445, ...,
+# Y_n = 2 d_n^3 a_n = 0, 12, 1404, 750372, ... and d_n = 1, 1, 2, 6, ...
+_APERY: list[tuple[int, int, int]] = [(1, 0, 1), (5, 12, 1)]
+_GROWING = threading.Lock()
+
+
+def _row(n: int) -> tuple[int, int, int]:
+    """Row n of the table, grown through n first if it is short."""
+    if n < len(_APERY):
+        return _APERY[n]
+    with _GROWING:
+        # rows k = len..n hold b_k >= 9^(k-1), over 3(k-1) bits each
+        need = 3 * (n * (n - 1) - (len(_APERY) - 1) * (len(_APERY) - 2)) // 16
+        try:
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # the platform does not say
+            have = 0
+        if 0 < have < need:
+            raise MemoryError(f"Apery's table to n={n} needs over {need} bytes; memory holds {have}")
+        while len(_APERY) <= n:
+            k = len(_APERY)
+            (b2, y2, d2), (b1, y1, d1) = _APERY[-2:]
+            dk = d1 * (k // math.gcd(d1, k))
+            cube, poly, prev = k**3, 34 * k**3 - 51 * k**2 + 27 * k - 5, (k - 1) ** 3
+            b, rem = divmod(poly * b1 - prev * b2, cube)
+            if rem:
+                raise ArithmeticError(f"Apery recurrence not integral at n={k}")
+            y, rem = divmod((dk // d1) ** 3 * (poly * y1 - prev * (d1 // d2) ** 3 * y2), cube)
+            if rem:
+                raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={k}")
+            _APERY.append((b, y, dk))
+    return _APERY[n]
 
 
 def d(n: int) -> int:
-    """d_n = lcm(1, 2, ..., n), computed incrementally."""
+    """d_n = lcm(1, 2, ..., n), read from the table's rows."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    while len(_LCM) < n:
-        _LCM.append(math.lcm(_LCM[-1], len(_LCM) + 1))
-    return _LCM[n - 1]
-
-
-def dn_cubed(n: int) -> int:
-    """d_n^3 with the empty-product convention d_0 = 1."""
-    return 1 if n == 0 else d(n) ** 3
-
-
-# Apery's sequences for the recurrence in the module docstring, grown in
-# lockstep: _APERY holds the Apery numbers b_n = 1, 5, 73, 1445, ... and
-# _APERY_Y holds Y_n = -A_n = 2 d_n^3 a_n = 0, 12, 1404, 750372, ...
-_APERY: list[int] = [1, 5]
-_APERY_Y: list[int] = [0, 12]
-
-
-def _d_ratio_cubed(k: int) -> int:
-    """(d_k / d_{k-1})^3 for k >= 1, with d_0 = 1."""
-    return 1 if k == 1 else (d(k) // d(k - 1)) ** 3
-
-
-def _grow_apery(n: int) -> None:
-    while len(_APERY) <= n:
-        k = len(_APERY)
-        cube, poly, prev = k**3, 34 * k**3 - 51 * k**2 + 27 * k - 5, (k - 1) ** 3
-        b, rem = divmod(poly * _APERY[k - 1] - prev * _APERY[k - 2], cube)
-        if rem:
-            raise ArithmeticError(f"Apery recurrence not integral at n={k}")
-        step = _d_ratio_cubed(k)
-        y, rem = divmod(
-            step * (poly * _APERY_Y[k - 1] - prev * _d_ratio_cubed(k - 1) * _APERY_Y[k - 2]), cube
-        )
-        if rem:
-            raise IntegralityViolation(f"d_n^3 * alpha is not an integer at n={k}")
-        _APERY.append(b)
-        _APERY_Y.append(y)
+    return _row(n)[2]
 
 
 def linear_form(n: int) -> LinearForm:
     """The pair (alpha_n, beta_n) with I_n = alpha_n + beta_n*zeta(3).
 
     Raises IntegralityViolation if d_n^3 * alpha_n is not an integer, which
-    cannot happen unless the recurrence tables or the lcm machinery are broken.
+    cannot happen unless the recurrence table is broken.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _grow_apery(n)
-    cube = dn_cubed(n)
-    beta = 2 * _APERY[n]
-    return LinearForm(n, beta, -_APERY_Y[n], beta * cube, cube)
+    b, y, dn = _row(n)
+    cube, beta = dn**3, 2 * b
+    return LinearForm(n, beta, -y, beta * cube, cube)
 
 
 def apery_bracket(N: int) -> Enclosure:
@@ -123,11 +121,12 @@ def apery_bracket(N: int) -> Enclosure:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    _grow_apery(N + 1)
-    cube, scale = dn_cubed(N), 80 * (N + 1) ** 3 * _APERY[N + 1]
+    scale = 80 * (N + 1) ** 3 * _row(N + 1)[0]
+    b, y, dn = _row(N)
+    cube = dn**3
     # a_N/b_N = Y_N / (2 d_N^3 b_N); eps_N is 81 * 6 * 2 d_N^3 over the same den
-    den = 2 * cube * _APERY[N] * scale
-    lo = _APERY_Y[N] * scale
+    den = 2 * cube * b * scale
+    lo = y * scale
     return Enclosure(lo, lo + 81 * 6 * 2 * cube, den)
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .beukers import apery_bracket, apery_index, d, dn_cubed, linear_form
+from .beukers import apery_bracket, apery_index, d, linear_form
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
 from .zeta3 import zeta3
 
@@ -103,7 +103,7 @@ def ratio_enclosure(n: int, digits: int) -> Enclosure:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ratio = form_abs_enclosure(n, digits) * _growth_enclosure(n, digits) / (2 * dn_cubed(n))
+    ratio = form_abs_enclosure(n, digits) * _growth_enclosure(n, digits) / (2 * d(n) ** 3)
     below_one = max(0, ratio.den.bit_length() - ratio.hi_num.bit_length())
     return ratio.round_out(budget_bits(digits) + below_one)
 
@@ -153,5 +153,5 @@ def decay_table(n_max: int, digits: int) -> list[DecayRow]:
     for n in range(1, n_max + 1):
         form_abs = form_abs_enclosure(n, digits)
         rhs = rhs_bound(n, digits)
-        rows.append(DecayRow(n, d(n), form_abs, rhs, form_abs / rhs, rhs * dn_cubed(n)))
+        rows.append(DecayRow(n, d(n), form_abs, rhs, form_abs / rhs, rhs * d(n) ** 3))
     return rows

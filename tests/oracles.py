@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from zeta3forms.beukers import IntegralityViolation, LinearForm, dn_cubed
+from zeta3forms.beukers import IntegralityViolation, LinearForm, d
 from zeta3forms.exactnum import Enclosure, budget_bits
 
 
@@ -265,6 +265,11 @@ def _diagonal_partial_floor(a: int, terms: int) -> Fraction:
     for m in range(a, a + terms):
         acc += num // (m * m * m)
     return Fraction(acc, 1 << _ORACLE_BITS)
+
+
+def dn_cubed(n: int) -> int:
+    """d_n^3 with the empty-product convention d_0 = 1."""
+    return 1 if n == 0 else d(n) ** 3
 
 
 def _checked_form(n: int, alpha: Fraction, beta: int) -> LinearForm:

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from oracles import (
     KernelMoment,
     binom,
     contains,
+    dn_cubed,
     enclosure_of,
     encloses,
     moment,
@@ -17,7 +21,7 @@ from oracles import (
     width,
 )
 from zeta3forms import beukers
-from zeta3forms.beukers import IntegralityViolation, apery_bracket, dn_cubed, linear_form
+from zeta3forms.beukers import IntegralityViolation, apery_bracket, linear_form
 from zeta3forms.zeta3 import zeta3, zeta3_accelerated
 
 F = Fraction
@@ -158,8 +162,8 @@ def test_casoratian_and_ninefold_growth_over_the_table():
     # a_k b_{k-1} - a_{k-1} b_k = 6/k^3 with a_k = Y_k / (2 d_k^3), multiplied
     # by 2 d_k^3 k^3 to stay in integers, and the lemma b_k >= 9 b_{k-1} behind
     # apery_bracket's tail bound, both exactly for 2 <= k <= 1500.
-    beukers._grow_apery(1500)
-    b, y = beukers._APERY, beukers._APERY_Y
+    linear_form(1500)
+    b, y, _ = zip(*beukers._APERY)
     for k in range(2, 1501):
         step = dn_cubed(k) // dn_cubed(k - 1)
         assert k**3 * (y[k] * b[k - 1] - y[k - 1] * b[k] * step) == 12 * dn_cubed(k), k
@@ -203,18 +207,58 @@ def test_linear_form_matches_moment_double_sum_up_to_60():
 def test_integrality_violation_on_corrupted_recurrence_table(monkeypatch):
     n = 6
     linear_form(n)  # grow the tables past n
-    # Truncate both tables to n entries and add 1 to Y_{n-1}. d_6 = d_5, so the
+    # Truncate the table to n rows and add 1 to Y_{n-1}. d_6 = d_5, so the
     # growth step at n = 6 changes by P(6) = 5665, and 5665 % 6**3 = 49.
-    apery_y = beukers._APERY_Y[:n]
-    apery_y[n - 1] += 1
-    monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:n])
-    monkeypatch.setattr(beukers, "_APERY_Y", apery_y)
+    rows = beukers._APERY[:n]
+    b, y, dn = rows[n - 1]
+    rows[n - 1] = (b, y + 1, dn)
+    monkeypatch.setattr(beukers, "_APERY", rows)
     try:
         with pytest.raises(IntegralityViolation, match="n=6"):
             linear_form(n)
     finally:
         monkeypatch.undo()
     assert linear_form(n) == oracles._assemble(n, moment)
+
+
+def test_concurrent_growth_leaves_the_single_threaded_table(monkeypatch):
+    # Four threads grow the table from its seed rows at once, with the GIL
+    # handed over every microsecond. Each must return the form and leave the
+    # table row for row as one thread grows it.
+    n, seed = 2000, beukers._APERY[:2]
+    monkeypatch.setattr(beukers, "_APERY", list(seed))
+    want = linear_form(n)
+    table = list(beukers._APERY)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            monkeypatch.setattr(beukers, "_APERY", list(seed))
+            got, raised = [], []
+
+            def grow():
+                try:
+                    got.append(linear_form(n))
+                except Exception as exc:
+                    raised.append(exc)
+
+            threads = [threading.Thread(target=grow) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert (raised, got) == ([], [want] * 4)
+            assert beukers._APERY == table
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform reports no physical memory")
+def test_a_table_no_memory_holds_is_refused_before_growth():
+    rows = len(beukers._APERY)
+    with pytest.raises(MemoryError, match="n=1000000000000 "):
+        linear_form(10**12)
+    assert len(beukers._APERY) == rows
 
 
 def _fraction_apery_a(n_max: int) -> list[Fraction]:
@@ -230,9 +274,10 @@ def _fraction_apery_a(n_max: int) -> list[Fraction]:
 def test_integer_table_matches_fraction_recurrence_up_to_300():
     linear_form(300)
     for n, a_n in enumerate(_fraction_apery_a(300)):
-        assert beukers._APERY_Y[n] == 2 * dn_cubed(n) * a_n
+        y_n = beukers._APERY[n][1]
+        assert y_n == 2 * dn_cubed(n) * a_n
         form = linear_form(n)
-        assert (form.A, form.alpha) == (-beukers._APERY_Y[n], -2 * a_n)
+        assert (form.A, form.alpha) == (-y_n, -2 * a_n)
 
 
 @settings(max_examples=30)

@@ -3,17 +3,19 @@ import errno
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import binom, enclosure_of, midpoint, width, zeta3_direct
+from oracles import binom, dn_cubed, enclosure_of, midpoint, width, zeta3_direct
 from zeta3forms import bounds
 from zeta3forms import cli
-from zeta3forms.beukers import IntegralityViolation, dn_cubed
+from zeta3forms.beukers import IntegralityViolation
 from zeta3forms.cli import (
     EXIT_FAILS,
     EXIT_INTERNAL,
@@ -323,6 +325,26 @@ def test_an_internal_fault_exits_4_with_one_stderr_line(capsys, request, argv, f
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err.startswith(f"zeta3forms: {error}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform reports no physical memory")
+@pytest.mark.parametrize(
+    "argv", [("verify", "--n-max", "3", "--digits", "100000000000"), ("form", "--n", "10000000000")]
+)
+def test_a_size_no_memory_holds_exits_4_at_once(argv):
+    # No address-space limit is set: the size is refused before the table grows.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zeta3forms", *argv, "--quiet"],
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, "")
+    assert proc.stderr.startswith("zeta3forms: cannot complete: MemoryError: Apery's table to n=")
+    assert proc.stderr.count("\n") == 1 and " bytes" in proc.stderr
 
 
 def test_an_integrality_violation_exits_4(capsys, monkeypatch):

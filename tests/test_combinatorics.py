@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import binom, harmonic, prime_power_lcm, primes_up_to
-from zeta3forms.beukers import d, dn_cubed
+from oracles import binom, dn_cubed, harmonic, prime_power_lcm, primes_up_to
+from zeta3forms.beukers import d
 
 F = Fraction
 

@@ -231,10 +231,9 @@ def _refuse_fraction(cls, *args, **kwargs):
 
 @pytest.mark.parametrize("name", ["verify", "decay"])
 def test_verify_and_decay_build_no_fraction(capsys, monkeypatch, name):
-    # Start from the seeded Apery tables and empty caches, so every form and
+    # Start from the seeded Apery table and empty caches, so every form and
     # enclosure the command prints is built while Fraction refuses to construct.
     monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:2])
-    monkeypatch.setattr(beukers, "_APERY_Y", beukers._APERY_Y[:2])
     caches = (
         bounds.form_abs_enclosure,
         bounds.ratio_enclosure,
@@ -461,16 +460,20 @@ def _written_in_body(cls: type, value: object) -> bool:
 
 def _test_only_members(classes: list[type], sources: list[tuple[str, str]]) -> list[str]:
     """"Class.name" for each method or property a class body defines that
-    the sources never spell. Dunders and overrides of a member that a base
-    class defines are exempt."""
-    members = [
-        (cls.__name__, name)
+    no attribute access in the sources reads: a bare name, such as a local
+    that shares the member's name, does not count. Dunders and overrides of
+    a member that a base class defines are exempt."""
+    trees = [ast.parse(source, filename=name) for name, source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [
+        f"{cls.__name__}.{name}"
         for cls in classes
         for name, value in vars(cls).items()
-        if _written_in_body(cls, value) and not any(hasattr(base, name) for base in cls.__mro__[1:])
+        if _written_in_body(cls, value)
+        and not (name.startswith("__") and name.endswith("__"))
+        and not any(hasattr(base, name) for base in cls.__mro__[1:])
+        and name not in read
     ]
-    unread = set(_unreferenced([name for _, name in members], sources))
-    return [f"{owner}.{name}" for owner, name in members if name in unread]
 
 
 def test_member_rule_flags_each_construct():
@@ -499,13 +502,17 @@ def test_member_rule_flags_each_construct():
         def test_only_staticmethod():
             pass
 
+        def width(self):  # shares its name with a local below, which is no read
+            pass
+
         limit = 3  # a class attribute, not a method
 
-    sources = [("a.py", "p.called()\nx = p.read\n'test_only'\n")]
+    sources = [("a.py", "p.called()\nx = p.read\n'test_only'\nwidth = 0\n")]
     assert _test_only_members([Planted], sources) == [
         "Planted.test_only",
         "Planted.test_only_classmethod",
         "Planted.test_only_staticmethod",
+        "Planted.width",
     ]
 
 
