@@ -17,11 +17,13 @@ must be exact: that remainder check certifies that d_n^3 alpha_n is an
 integer. alpha_n = A_n/d_n^3 is built only when read. One loop, under a
 lock, appends whole rows to the append-only table, so any thread reads only
 complete rows. It first refuses, with MemoryError, rows that physical memory
-cannot hold: by the lemma in ``apery_bracket``, b_k >= 9^(k-1) takes over
-3(k-1) bits. The same table brackets zeta(3) between Apery's convergents
-a_N/b_N (``apery_bracket``), which gives I_n with no cancellation. The tests
-check these forms against an independent O(n^2) route, the double sum of
-kernel moments and shifted Legendre coefficients in ``tests/oracles.py``.
+cannot hold: row k takes at least 10(k-1) bits, as b_k >= 9^(k-1) (lemma in
+``apery_bracket``), d_k >= 2^(k-1) (Nair, Amer. Math. Monthly 89, 1982, for
+k >= 7, checked by hand below) and Y_k >= 2.4 d_k^3 b_k (a_k/b_k rises from
+6/5). The same table brackets zeta(3) between Apery's convergents a_N/b_N
+(``apery_bracket``), which gives I_n with no cancellation. The tests check
+these forms against an independent O(n^2) route, the double sum of kernel
+moments and shifted Legendre coefficients in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def _row(n: int) -> tuple[int, int, int]:
     if n < len(_APERY):
         return _APERY[n]
     with _GROWING:
-        # rows k = len..n hold b_k >= 9^(k-1), over 3(k-1) bits each
-        need = 3 * (n * (n - 1) - (len(_APERY) - 1) * (len(_APERY) - 2)) // 16
+        # rows k = len..n take over 10(k-1) bits each (module docstring)
+        need = 10 * (n * (n - 1) - (len(_APERY) - 1) * (len(_APERY) - 2)) // 16
         try:
             have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # the platform does not say

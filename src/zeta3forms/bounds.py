@@ -10,12 +10,13 @@ enclosures, once, at the requested digits: `sandwich_status` reports
 Holds/Fails only when the enclosures are disjoint, Unknown when they overlap.
 
 Neither side loses digits to cancellation, so relative widths do not grow
-with n. |I_n| takes zeta(3) from Apery's convergents (`form_abs_enclosure`;
-the tail lemma is in `beukers.apery_bracket`), whose exact lower end
+with n. I_n = 2 b_n (zeta(3) - a_n/b_n) = |I_n| > 0, as Apery's convergents
+a_k/b_k increase to zeta(3) (his Casoratian, `beukers.apery_bracket`).
+`form_abs_enclosure` takes zeta(3) from them, so their exact lower end
 certifies the "0 <" side. (sqrt(2)-1)^(4n) is the reciprocal of
-(17 + 12*sqrt(2))^n = a + c*sqrt(2), a sum of positive terms
-(`_growth_enclosure`). The certified zeta(3) enclosure enters the
-right-hand sides only.
+(17+12*sqrt(2))^n = a + c*sqrt(2), a sum of positive terms
+(`_growth_enclosure`). The certified zeta(3) enclosure enters the right-hand
+sides only.
 """
 
 from __future__ import annotations
@@ -75,14 +76,15 @@ def form_abs_enclosure(n: int, digits: int) -> Enclosure:
     positive, of relative width below 10**-digits.
 
     zeta(3) is `beukers.apery_bracket(apery_index(n, digits))`, so the
-    relative width is below 10**-digits / 80. Rounding onto a grid under
-    half that width at most doubles it and makes operand sizes follow the
-    digits, not n.
+    relative width is below 10**-digits / 80, and its lower end is exactly
+    2 b_n (a_N/b_N - a_n/b_n) > 0 as N > n: it encloses I_n = |I_n|. Rounding
+    onto a grid under half that width at most doubles it and makes operand
+    sizes follow the digits, not n.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     form = linear_form(n)
-    enc = abs((apery_bracket(apery_index(n, digits)) * form.B + form.A) / form.dn3)
+    enc = (apery_bracket(apery_index(n, digits)) * form.B + form.A) / form.dn3
     return enc.round_out(enc.den.bit_length() - (enc.hi_num - enc.lo_num).bit_length() + 2)
 
 

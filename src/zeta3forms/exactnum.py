@@ -9,36 +9,36 @@ rounding artifact.
 Representation: an enclosure is three integers, numerators
 ``lo_num <= hi_num`` over one shared positive denominator ``den``; its
 endpoints are the exact rationals lo_num/den and hi_num/den. The
-denominator is never reduced, and no operation on enclosures computes a
-gcd:
+denominator is never reduced, and only ``hash`` computes a gcd. The kernel
+keeps the arithmetic the package runs and no more:
 
-* ``+`` aligns denominators: when one divides the other both are scaled
-  to the larger, otherwise to their product;
-* ``*`` multiplies the denominators and picks endpoints by sign cases (two
-  products when a factor is non-negative, four with min/max otherwise);
-* ``reciprocal`` maps [a/d, b/d] to [d*a, d*b] / (a*b);
+* ``+`` adds an int; there is no negation, ``abs`` or reflected operator;
+* ``*`` and ``/`` take an int of either sign (not zero in ``/``), or an
+  enclosure after a left factor with lo >= 0, else ValueError: each end is
+  one product, picked by the right factor's signs. Every left factor the
+  package forms is positive: zeta(3), (17+12*sqrt(2))^-n, R_n or |I_n|;
+* ``reciprocal`` maps [a/d, b/d], 0 outside it, to [d*a, d*b] / (a*b);
 * comparisons cross-multiply integers.
 
 Sizes stay bounded because long computations round outward onto a 2**-bits
 grid (`Enclosure.round_out`). A request for ``digits`` decimal digits gets
 ``budget_bits(digits)`` = 4 * digits + 4 bits: 16**-digits <= 10**-digits,
-so operands stay about as long as the digits asked for, and rounding adds
-at most 10**-digits / 8 to a width. R_n (about 10**(-1.3 n)) goes onto a
-grid that many bits below its own size (``bounds.ratio_enclosure``). Each
-endpoint is one exact floor division, `floor_div_scaled`: floor(n * 2**bits
-/ den) with the power of two that ``den`` carries cancelled first, which
-leaves the same rational and so the same quotient.
-``bounds.form_abs_enclosure`` divides by its full denominator once per (n,
-digits). A reduced `fractions.Fraction` is built only when an endpoint is
-read as one (``lo``, ``hi``, and so ``__hash__`` and ``__str__``), and
-`fractions` is imported there; the CLI's decimal printer reads the integers
-instead. See Moore, *Interval Analysis* (1966), for the interval rules.
+so operands stay about as long as the digits asked for, and rounding adds at
+most 10**-digits / 8 to a width (``bounds.ratio_enclosure`` adds the bits by
+which R_n falls below 1). Each endpoint is one exact floor division,
+`floor_div_scaled`: floor(n * 2**bits / den) with the power of two that
+``den`` carries cancelled first, which leaves the same rational and so the
+same quotient. A reduced `fractions.Fraction` is built only when an endpoint
+is read as one (``lo``, ``hi`` and ``__str__``), and `fractions` is imported
+there. See Moore, *Interval Analysis* (1966), for the interval rules.
 
 All operations are pure and all values immutable; sharing across threads is
 safe.
 """
 
 from __future__ import annotations
+
+import math
 
 # Outward-rounding budget: bits of denominator granularity granted per
 # requested decimal digit. 4 bits/digit is a grid of 16**-digits <=
@@ -56,25 +56,14 @@ def budget_bits(digits: int) -> int:
 DIGITS_CACHE_SIZE = 256
 
 
-def _scales(d: int, e: int) -> tuple[int, int, int]:
-    """(s, t, den) with d*s == e*t == den: the larger of d and e when it is a
-    multiple of the other, else d*e."""
-    if d > e:
-        if d % e == 0:
-            return 1, d // e, d
-    elif e % d == 0:
-        return e // d, 1, e
-    return e, d, d * e
-
-
 class Enclosure:
     """Closed interval [lo_num/den, hi_num/den] with integers lo_num <= hi_num
     and den > 0.
 
     Arithmetic is containment-sound: if x is in ``a`` and y is in ``b`` then
-    x op y is in ``a op b``. Int scalars mix with enclosures in ``+``, ``*``
-    and ``/`` as zero-width intervals. ``==`` and ``hash`` compare values, so
-    the same interval over two unreduced denominators is one value.
+    x op y is in ``a op b``, for the forms the module docstring lists; the
+    others raise. ``==`` and ``hash`` compare values, so the same interval
+    over two unreduced denominators is one value.
     """
 
     __slots__ = ("lo_num", "hi_num", "den")
@@ -137,23 +126,16 @@ class Enclosure:
         return self.lo_num * e == other.lo_num * d and self.hi_num * e == other.hi_num * d
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+        g = math.gcd(self.lo_num, self.hi_num, self.den)  # one reduced triple per value
+        return hash((self.lo_num // g, self.hi_num // g, self.den // g))
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: Enclosure | int) -> Enclosure:
-        if isinstance(other, int):
-            shift = other * self.den
-            return _raw(self.lo_num + shift, self.hi_num + shift, self.den)
-        if not isinstance(other, Enclosure):
+    def __add__(self, other: int) -> Enclosure:
+        if not isinstance(other, int):
             return NotImplemented
-        s, t, den = _scales(self.den, other.den)
-        return _raw(self.lo_num * s + other.lo_num * t, self.hi_num * s + other.hi_num * t, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Enclosure:
-        return _raw(-self.hi_num, -self.lo_num, self.den)
+        shift = other * self.den
+        return _raw(self.lo_num + shift, self.hi_num + shift, self.den)
 
     def __mul__(self, other: Enclosure | int) -> Enclosure:
         if isinstance(other, int):
@@ -163,17 +145,10 @@ class Enclosure:
         if not isinstance(other, Enclosure):
             return NotImplemented
         a, b, c, d = self.lo_num, self.hi_num, other.lo_num, other.hi_num
-        den = self.den * other.den
-        if c < 0 <= a:
-            a, b, c, d = c, d, a, b  # put the non-negative factor second
-        if c >= 0:
-            # [c, d] >= 0: the low end pairs a with c (a >= 0) or d (a < 0),
-            # the high end pairs b with d (b >= 0) or c (b < 0).
-            return _raw(a * (c if a >= 0 else d), b * (d if b >= 0 else c), den)
-        products = (a * c, a * d, b * c, b * d)
-        return _raw(min(products), max(products), den)
-
-    __rmul__ = __mul__
+        if a < 0:
+            raise ValueError("an enclosure product needs a left factor with lo >= 0")
+        # a >= 0: the low end is c times a (c >= 0) or b, the high end d times b (d >= 0) or a
+        return _raw((a if c >= 0 else b) * c, (b if d >= 0 else a) * d, self.den * other.den)
 
     def reciprocal(self) -> Enclosure:
         a, b, d = self.lo_num, self.hi_num, self.den
@@ -192,13 +167,6 @@ class Enclosure:
         if not isinstance(other, Enclosure):
             return NotImplemented
         return self * other.reciprocal()
-
-    def __abs__(self) -> Enclosure:
-        if self.lo_num >= 0:
-            return self
-        if self.hi_num <= 0:
-            return -self
-        return _raw(0, max(-self.lo_num, self.hi_num), self.den)
 
     def round_out(self, bits: int) -> Enclosure:
         """Outward-round endpoints onto the grid of multiples of 2**-bits.

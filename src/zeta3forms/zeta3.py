@@ -75,12 +75,14 @@ wide and 80 of the 409 sizes moved one unit out; with none, up to 7 wide and
 358 sizes moved by up to 5.
 
 From _FORK_DIGITS (2000) digits on, the right half is summed in a forked
-child, when os.fork exists and no other thread runs (Python 3.12 and later
-deprecate fork in a threaded process). The child writes the four ends of
-its two brackets to a pipe as decimal strings, 55k characters at 20000
-digits against 190k for its exact (P, Q, T), while this process sums [0, m)
-and forms its own brackets; then this process reads the pipe, reaps the
-child and joins. Below _FORK_DIGITS, or when fork is missing or fails, both
+child, when os.fork exists, no other thread runs (Python 3.12 and later
+deprecate fork in a threaded process) and os.sched_getaffinity(0) (else
+os.cpu_count()) holds two CPUs or more: on one, the fork slowed
+`zeta3 --digits 3000` (71.6 against 67.4 ms, medians of 6 runs, 2-vCPU Xeon,
+CPython 3.11). The child writes the four ends of its two brackets to a pipe
+as decimal strings, 55k characters at 20000 digits against 190k for its
+exact (P, Q, T), while this process sums [0, m) and forms its own brackets;
+then this process reads the pipe, reaps the child and joins. Otherwise both
 halves are summed here and join the same way. The upper terms carry longer
 factors, so m = 0.52 n balances the two processes better than the midpoint:
 `zeta3_accelerated(20000)` takes 51.4, 49.4, 48.3, 47.4, 48.2, 48.8 and 51.0
@@ -406,7 +408,8 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     # the precision rule (module docstring)
     prec = scale.adjusted() + 2 + _GUARD_DIGITS
     tail_prec = prec - 3 * (m - 1)
-    fork = digits >= _FORK_DIGITS and hasattr(os, "fork") and threading.active_count() == 1
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    fork = digits >= _FORK_DIGITS and hasattr(os, "fork") and threading.active_count() == 1 and len(cpus(0)) >= 2
     (head, step), tail = _halves(m, n, weight, scale, prec, tail_prec, fork)
     # y = T_R/Q_R for S_{K+1}, then (T_R - a(K+1) P_R)/Q_R for S_K
     ends = [_join(head, step, y, prec, tail_prec) for y in zip(tail[::2], tail[1::2])]

@@ -73,6 +73,38 @@ def encloses(a: Enclosure, b: Enclosure) -> bool:
     return a.lo_num * e <= b.lo_num * d and b.hi_num * d <= a.hi_num * e
 
 
+# -- interval arithmetic the package's Enclosure leaves out ------------------------
+#
+# Enclosure adds only an int and multiplies only after a non-negative left
+# factor. The oracle routes also add two enclosures, negate, take abs and
+# multiply factors of any signs, on the integer fields (Moore's rules).
+
+
+def add(a: Enclosure, b: Enclosure) -> Enclosure:
+    """[a.lo + b.lo, a.hi + b.hi] over the product of the denominators."""
+    d, e = a.den, b.den
+    return Enclosure(a.lo_num * e + b.lo_num * d, a.hi_num * e + b.hi_num * d, d * e)
+
+
+def neg(a: Enclosure) -> Enclosure:
+    return Enclosure(-a.hi_num, -a.lo_num, a.den)
+
+
+def abs_(a: Enclosure) -> Enclosure:
+    """{|x| : x in a}."""
+    if a.lo_num >= 0:
+        return a
+    if a.hi_num <= 0:
+        return neg(a)
+    return Enclosure(0, max(-a.lo_num, a.hi_num), a.den)
+
+
+def mul(a: Enclosure, b: Enclosure) -> Enclosure:
+    """a * b for factors of any signs: the least and greatest endpoint product."""
+    products = (a.lo_num * b.lo_num, a.lo_num * b.hi_num, a.hi_num * b.lo_num, a.hi_num * b.hi_num)
+    return Enclosure(min(products), max(products), a.den * b.den)
+
+
 # -- combinatorics -------------------------------------------------------------
 
 
@@ -204,7 +236,7 @@ class KernelMoment:
     zeta3_coef: int  # 2 on the diagonal, 0 off it
 
     def value_enclosure(self, zeta3_enc: Enclosure) -> Enclosure:
-        return zeta3_enc * self.zeta3_coef + enclosure_of(self.rat, self.rat)
+        return add(zeta3_enc * self.zeta3_coef, enclosure_of(self.rat, self.rat))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     KernelMoment,
+    add,
     binom,
     contains,
     dn_cubed,
@@ -151,7 +152,7 @@ def test_form_enclosure_excludes_zero_up_to_30():
     z = zeta3(120)
     for n in range(31):
         form = linear_form(n)
-        enc = z * form.beta + enclosure_of(form.alpha, form.alpha)
+        enc = add(z * form.beta, enclosure_of(form.alpha, form.alpha))
         assert not contains(enc, 0)
 
 
@@ -259,6 +260,30 @@ def test_a_table_no_memory_holds_is_refused_before_growth():
     with pytest.raises(MemoryError, match="n=1000000000000 "):
         linear_form(10**12)
     assert len(beukers._APERY) == rows
+
+
+def test_every_row_takes_the_bits_the_memory_floor_counts(monkeypatch):
+    # row k of the table takes at least 10(k-1) bits, the floor _row checks
+    # memory against, for every k <= 3000; grown in a table of its own
+    monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:2])
+    linear_form(3000)
+    for k, row in enumerate(beukers._APERY):
+        assert sum(x.bit_length() for x in row) >= 10 * (k - 1), k
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform reports no physical memory")
+def test_four_megabytes_refuse_n_3000_and_grow_n_2000(monkeypatch):
+    # the rows to n = 3000 take over 10 * 3000 * 2999 / 16 bytes, 5.6 MB;
+    # those to n = 2000 over 2.5 MB
+    want = linear_form(2000)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(beukers.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:2])
+    with pytest.raises(MemoryError, match="n=3000 "):
+        linear_form(3000)
+    assert len(beukers._APERY) == 2
+    assert linear_form(2000) == want
+    assert len(beukers._APERY) == 2001
 
 
 def _fraction_apery_a(n_max: int) -> list[Fraction]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enclosure_of, growth_fields, overlaps, width
+from oracles import abs_, enclosure_of, growth_fields, overlaps, width
 from zeta3forms import bounds
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import (
@@ -45,7 +45,7 @@ def _zeta3_route_form_abs(n: int, digits: int) -> Enclosure:
     """|A_n + B_n*zeta(3)| / d_n^3 from the certified zeta(3) enclosure: the
     oracle route, which loses about 3.07n digits to cancellation."""
     form = linear_form(n)
-    return abs((zeta3(digits) * form.B + form.A) / form.dn3)
+    return abs_((zeta3(digits) * form.B + form.A) / form.dn3)
 
 
 # -- (17+12*sqrt(2))^n, the single sqrt(2) dependency ---------------------

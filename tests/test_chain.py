@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import contains
+from oracles import abs_, contains
 from zeta3forms import chain
 from zeta3forms.beukers import linear_form
 from zeta3forms.bounds import CheckStatus, ratio_enclosure, sandwich_status
@@ -100,7 +100,7 @@ def test_residual_minus6_5_equals_half_form_abs():
     # affine images of it, so the enclosures agree bit for bit
     form = linear_form(1)
     for digits in (10, 30, 60):
-        rhs = abs((zeta3(digits) * form.B + form.A) / form.dn3) / 2
+        rhs = abs_((zeta3(digits) * form.B + form.A) / form.dn3) / 2
         assert _decided(1, (-6, 5), digits).residual == rhs
 
 
@@ -108,10 +108,10 @@ def test_residual_minus6_5_equals_half_form_abs():
 
 
 def _generic_horner(coeffs: tuple[int, ...], x: Enclosure) -> Enclosure:
-    """sum_i coeffs[i] * x**i by Enclosure's own * and +: the kernel's oracle."""
+    """sum_i coeffs[i] * x**i by Enclosure's own * and +, for x >= 0: the kernel's oracle."""
     acc = Enclosure(coeffs[-1], coeffs[-1])
     for ck in reversed(coeffs[:-1]):
-        acc = acc * x + ck
+        acc = x * acc + ck
     return acc
 
 

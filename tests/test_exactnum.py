@@ -1,17 +1,23 @@
 import decimal
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import contains, enclosure_of, encloses, is_point, midpoint, overlaps, width
+from oracles import abs_, add, contains, enclosure_of, encloses, is_point, midpoint, mul, neg, overlaps, width
+from zeta3forms import exactnum
 from zeta3forms.bounds import _growth_enclosure
 from zeta3forms.exactnum import Enclosure, budget_bits, floor_div_scaled
 
 F = Fraction
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def enc(lo, hi) -> Enclosure:
@@ -22,24 +28,34 @@ def enc(lo, hi) -> Enclosure:
 
 
 def test_add_identity():
-    assert enc(0, 0) + enc(1, 2) == enc(1, 2)
+    assert enc(1, 2) + 0 == enc(1, 2)
+    assert add(enc(0, 0), enc(1, 2)) == enc(1, 2)
+    with pytest.raises(TypeError):
+        enc(0, 0) + enc(1, 2)
 
 
 def test_add_exact_rationals():
-    assert enc(F(1, 2), F(1, 2)) + enc(F(1, 3), F(1, 3)) == enc(F(5, 6), F(5, 6))
+    assert enc(F(1, 2), F(5, 6)) + 1 == enc(F(3, 2), F(11, 6))
+    assert add(enc(F(1, 2), F(1, 2)), enc(F(1, 3), F(1, 3))) == enc(F(5, 6), F(5, 6))
 
 
 def test_add_symmetric():
-    assert enc(-1, 1) + enc(-1, 1) == enc(-2, 2)
+    assert enc(-1, 1) + -1 == enc(-2, 0)
+    assert add(enc(-1, 1), enc(-1, 1)) == enc(-2, 2)
 
 
 def test_mul_absorbing_zero():
     assert enc(2, 3) * enc(0, 0) == enc(0, 0)
+    assert enc(0, 0) * enc(-2, 3) == enc(0, 0)
 
 
 def test_mul_mixed_signs():
-    # endpoint products are 3, -1, -6, 2
-    assert enc(-1, 2) * enc(-3, 1) == enc(-6, 3)
+    # a non-negative left factor: endpoint products 0, 0, -6, 4
+    assert enc(0, 2) * enc(-3, 2) == enc(-6, 4)
+    # any signs, through the oracle: endpoint products 3, -1, -6, 2
+    assert mul(enc(-1, 2), enc(-3, 1)) == enc(-6, 3)
+    with pytest.raises(ValueError):
+        enc(-1, 2) * enc(-3, 1)
 
 
 def test_mul_identity():
@@ -47,9 +63,39 @@ def test_mul_identity():
 
 
 def test_abs_cases():
-    assert abs(enc(3, 5)) == enc(3, 5)
-    assert abs(enc(-5, -3)) == enc(3, 5)
-    assert abs(enc(-2, 1)) == enc(0, 2)
+    assert abs_(enc(3, 5)) == enc(3, 5)
+    assert abs_(enc(-5, -3)) == enc(3, 5)
+    assert abs_(enc(-2, 1)) == enc(0, 2)
+    with pytest.raises(TypeError):
+        abs(enc(3, 5))
+
+
+def test_removed_forms_raise():
+    e = enc(1, 2)
+    for form in (lambda: e + e, lambda: 1 + e, lambda: 2 * e, lambda: -e, lambda: abs(e)):
+        with pytest.raises(TypeError):
+            form()
+    with pytest.raises(ValueError):
+        Enclosure(-1, 1) * e
+    for name in ("__radd__", "__rmul__", "__neg__", "__abs__"):
+        assert not hasattr(Enclosure, name)
+    assert not hasattr(exactnum, "_scales")
+
+
+def test_a_left_factor_below_zero_raises_under_python_O():
+    code = (
+        "import sys\n"
+        "from zeta3forms.exactnum import Enclosure\n"
+        "try:\n"
+        "    Enclosure(-1, 1) * Enclosure(1, 2)\n"
+        "except ValueError:\n"
+        "    sys.exit(10 + sys.flags.optimize)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, env=env)
+    # 10 for the ValueError, plus 1 for the asserts that -O strips
+    assert (proc.returncode, proc.stderr) == (11, b"")
 
 
 def test_contains_zero_cases():
@@ -126,14 +172,23 @@ def _enclosing(rng: random.Random, x: Fraction) -> Enclosure:
 
 
 def test_containment_random_sweep():
-    # 10^4 random rational pairs with random enclosing intervals: +, * and abs
+    # 10^4 random rational pairs with random enclosing intervals: Enclosure's
+    # + int and *, and the oracles' +, * and abs
     rng = random.Random(987123)
     for _ in range(10_000):
         x, y = _random_rat(rng), _random_rat(rng)
         a, b = _enclosing(rng, x), _enclosing(rng, y)
-        assert contains(a + b, x + y)
-        assert contains(a * b, x * y)
-        assert contains(abs(a), abs(x))
+        k = x.numerator  # an int shift, drawn without moving rng's sequence
+        assert contains(a + k, x + k)
+        for u, v, p, q in ((a, b, x, y), (b, a, y, x)):
+            if u.lo_num >= 0:
+                assert contains(u * v, p * q)
+            else:
+                with pytest.raises(ValueError):
+                    u * v
+        assert contains(add(a, b), x + y)
+        assert contains(mul(a, b), x * y)
+        assert contains(abs_(a), abs(x))
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=200)
@@ -147,6 +202,9 @@ def test_containment_division(x, y, p1, p2, p3, p4):
     if b.lo <= 0 <= b.hi:
         with pytest.raises(ZeroDivisionError):
             a / b
+    elif a.lo < 0:
+        with pytest.raises(ValueError):
+            a / b
     else:
         assert contains(a / b, x / y)
 
@@ -156,9 +214,14 @@ def test_width_monotonicity(x, y, p1, p2, widen_lo, widen_hi):
     a = enclosure_of(x - p1, x + p2)
     wide = enclosure_of(a.lo - widen_lo, a.hi + widen_hi)
     b = enclosure_of(y, y + 1)
-    for op in (lambda u, v: u + v, lambda u, v: u * v):
+    assert encloses(wide + 3, a + 3)
+    if wide.lo >= 0:
+        assert encloses(wide * b, a * b)
+    if b.lo >= 0:
+        assert encloses(b * wide, b * a)
+    for op in (add, mul):
         assert encloses(op(wide, b), op(a, b))
-    assert encloses(abs(wide), abs(a))
+    assert encloses(abs_(wide), abs_(a))
 
 
 @given(rationals, pads, pads, st.integers(min_value=4, max_value=64))
@@ -188,7 +251,12 @@ def test_budget_rounding_widens_by_at_most_an_eighth_of_the_digits(digits):
 def test_scalar_mixing():
     a = enc(1, 2)
     assert a + 1 == enc(2, 3)
-    assert 1 + a == enc(2, 3)
+    assert a * -2 == enc(-4, -2)
+    assert a / -2 == enc(-1, F(-1, 2))
+    with pytest.raises(TypeError):
+        1 + a
+    with pytest.raises(TypeError):
+        2 * a
 
 
 @pytest.mark.parametrize("scalar", [F(1, 2), F(3), 0.5, 2.0])
@@ -282,31 +350,50 @@ int_scalars = st.integers(min_value=-(10**30), max_value=10**30)
 @given(enclosures, enclosures)
 def test_binary_ops_match_fraction_reference(a, b):
     ra, rb = _ends(a), _ends(b)
-    assert _ends(a + b) == _ref_add(ra, rb)
-    assert _ends(a * b) == _ref_mul(ra, rb)
+    assert _ends(add(a, b)) == _ref_add(ra, rb)
+    assert _ends(mul(a, b)) == _ref_mul(ra, rb)
+    with pytest.raises(TypeError):
+        a + b
+    if ra[0] >= 0:
+        assert _ends(a * b) == _ref_mul(ra, rb)
+    else:
+        with pytest.raises(ValueError):
+            a * b
     inv = _ref_reciprocal(rb)
     if inv is None:
         with pytest.raises(ZeroDivisionError):
             a / b
     else:
-        assert _ends(a / b) == _ref_mul(ra, inv)
         assert _ends(b.reciprocal()) == inv
+        if ra[0] >= 0:
+            assert _ends(a / b) == _ref_mul(ra, inv)
+        else:
+            with pytest.raises(ValueError):
+                a / b
 
 
 @given(enclosures, st.integers(min_value=1, max_value=5000))
 def test_unary_ops_match_fraction_reference(a, bits):
     ra = _ends(a)
-    assert _ends(abs(a)) == _ref_abs(ra)
-    assert _ends(-a) == (-ra[1], -ra[0])
+    assert _ends(abs_(a)) == _ref_abs(ra)
+    assert _ends(neg(a)) == (-ra[1], -ra[0])
     assert _ends(a.round_out(bits)) == _ref_round_out(ra, bits)
+    with pytest.raises(TypeError):
+        abs(a)
+    with pytest.raises(TypeError):
+        -a
 
 
 @given(enclosures, int_scalars)
 def test_scalar_ops_match_fraction_reference(a, s):
     ra = _ends(a)
     p = (F(s), F(s))
-    assert _ends(a + s) == _ends(s + a) == _ref_add(ra, p)
-    assert _ends(a * s) == _ends(s * a) == _ref_mul(ra, p)
+    assert _ends(a + s) == _ref_add(ra, p)
+    assert _ends(a * s) == _ref_mul(ra, p)
+    with pytest.raises(TypeError):
+        s + a
+    with pytest.raises(TypeError):
+        s * a
     if s == 0:
         with pytest.raises(ZeroDivisionError):
             a / s
@@ -333,6 +420,20 @@ def test_equality_and_hash_ignore_unreduced_denominators(a, k):
     assert Enclosure(a.lo_num * k, a.hi_num * k + 1, a.den * k) != a
 
 
+def test_hash_builds_no_fraction():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from zeta3forms.exactnum import Enclosure\n"
+        "assert hash(Enclosure(6, 10, 4)) == hash(Enclosure(3, 5, 2))\n"
+        "assert hash(Enclosure(0, 0, 7)) == hash(Enclosure(0, 0))\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    argv = [sys.executable, "-I", "-S", "-B", "-c", code, SRC]
+    proc = subprocess.run(argv, capture_output=True, encoding="utf-8")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
 def test_arithmetic_computes_no_gcd(monkeypatch):
     import math
 
@@ -343,8 +444,7 @@ def test_arithmetic_computes_no_gcd(monkeypatch):
         raise AssertionError("an enclosure operation computed a gcd")
 
     monkeypatch.setattr(math, "gcd", forbidden)
-    results = [a + b, a * b, b * a, a / b, abs(a), -a]
-    results += [a + 1, a * -2, a / -3, a.round_out(8)]
+    results = [b * a, b / b, b.reciprocal(), a + 1, a * -2, a / -3, a.round_out(8)]
     assert all(isinstance(r, Enclosure) for r in results)
     assert a.lies_below(b) and not a.lies_at_or_above(b) and encloses(b, b)
     assert contains(a, 0)
@@ -357,10 +457,9 @@ def test_unreduced_fields_and_fraction_views():
     assert (a.lo, a.hi) == (F(3, 2), F(5, 2))
     assert width(a) == 1 and midpoint(a) == 2
     assert str(a) == "[3/2, 5/2]"
-    # sums align denominators without a gcd: to the larger when it is a
-    # multiple of the other, else to the product
-    assert (a + Enclosure(1, 1, 2)).den == 4
-    assert (Enclosure(1, 1, 6) + Enclosure(1, 1, 4)).den == 24
+    # no gcd: an int shift keeps the denominator, a product multiplies them
+    assert (a + 1).den == 4
+    assert (a * Enclosure(1, 1, 2)).den == 8
 
 
 def test_enclosure_is_immutable_and_validated():

@@ -555,7 +555,7 @@ def test_the_commands_import_only_the_standard_library():
     # .pth files that installed packages add, which may import third-party
     # modules at start-up; -B writes no bytecode cache into src/, which -I
     # would otherwise do even under PYTHONDONTWRITEBYTECODE; zeta3 at 3000
-    # digits takes the forked path.
+    # digits takes the forked path where two CPUs are free.
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", _STDLIB_ONLY, str(PACKAGE.parent)],
         capture_output=True,

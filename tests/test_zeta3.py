@@ -196,6 +196,19 @@ def _assert_no_unreaped_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes this process see k CPUs in its affinity set, whatever
+    the host has, so the fork tests do not depend on it."""
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+@pytest.fixture
+def two_cpus(cpus):
+    cpus(2)
+
+
+@pytest.mark.usefixtures("two_cpus")
 def test_the_child_is_forked_from_the_threshold_on_and_reaped(monkeypatch):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -222,6 +235,7 @@ def test_the_child_writes_the_tail_brackets_only():
     assert len(text) < 4 * (prec + 10)
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_a_fault_in_the_child_alone_is_an_internal_error(monkeypatch, capsys):
     parent, exact = os.getpid(), zmod._binsplit
 
@@ -243,6 +257,7 @@ def test_a_fault_in_the_child_alone_is_an_internal_error(monkeypatch, capsys):
     _assert_no_unreaped_child()
 
 
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("failing", ["pipe", "fork"])
 def test_no_pipe_or_no_process_sums_in_one_process(monkeypatch, failing):
     pipes, pipe = [], os.pipe
@@ -264,6 +279,7 @@ def test_no_pipe_or_no_process_sums_in_one_process(monkeypatch, failing):
     _assert_no_unreaped_child()
 
 
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("why", ["no fork", "another thread"])
 def test_one_process_without_fork_or_beside_a_thread(monkeypatch, why):
     # every attempt at a child starts with its pipe
@@ -285,6 +301,30 @@ def test_one_process_without_fork_or_beside_a_thread(monkeypatch, why):
     assert not worker.is_alive()
     assert attempts == []
     assert got == _fields(_reference_accelerated(digits))
+
+
+def test_one_cpu_sums_in_one_process(monkeypatch, cpus):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cpus(2)
+    two = _fields(zeta3_accelerated(2500))
+    assert forks == [1]
+    cpus(1)
+    one = _fields(zeta3_accelerated(2500))
+    assert forks == [1]
+    assert one == two == _fields(_reference_accelerated(2500))
+    _assert_no_unreaped_child()
+
+
+@pytest.mark.parametrize("count, forked", [(1, False), (2, True), (None, False)])
+def test_the_cpu_count_stands_in_for_a_missing_affinity_call(monkeypatch, count, forked):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)  # None: the platform cannot tell
+    assert _fields(zeta3_accelerated(zmod._FORK_DIGITS)) == _fields(_reference_accelerated(zmod._FORK_DIGITS))
+    assert forks == ([1] if forked else [])
+    _assert_no_unreaped_child()
 
 
 
