@@ -28,15 +28,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zeta3forms.bounds import CheckStatus  # noqa: E402
 from zeta3forms.chain import audit, fixed_corpus, random_corpus  # noqa: E402
-from zeta3forms.cli import ArgumentParser, _nonnegative_int, _positive_int, run_to_stdout  # noqa: E402
+from zeta3forms.cli import ArgumentParser, int_at_least, run_to_stdout  # noqa: E402
 
 
 def main() -> int:
     parser = ArgumentParser(description=__doc__)
-    parser.add_argument("--random", type=_nonnegative_int, default=1000)
+    parser.add_argument("--random", type=int_at_least(0), default=1000)
     parser.add_argument("--seed", type=int, default=20260810)
-    parser.add_argument("--digits", type=_positive_int, default=60)
-    parser.add_argument("--n-max", type=_positive_int, default=20)
+    parser.add_argument("--digits", type=int_at_least(1), default=60)
+    parser.add_argument("--n-max", type=int_at_least(1), default=20)
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
     created = args.json_out is not None and not args.json_out.exists()

@@ -31,9 +31,8 @@ from zeta3forms.cli import (  # noqa: E402
     EXIT_OK,
     EXIT_UNKNOWN,
     ArgumentParser,
-    _nonnegative_int,
-    _positive_int,
     enclosure_decimal,
+    int_at_least,
     run_to_stdout,
     write_decay_table,
 )
@@ -42,10 +41,10 @@ from zeta3forms.exactnum import Enclosure  # noqa: E402
 
 def main() -> int:
     parser = ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=_positive_int, default=50)
-    parser.add_argument("--digits", type=_positive_int, default=220)
+    parser.add_argument("--n-max", type=int_at_least(1), default=50)
+    parser.add_argument("--digits", type=int_at_least(1), default=220)
     parser.add_argument("--out", type=Path, default=Path("decay.csv"))
-    parser.add_argument("--t-cap-exp", type=_nonnegative_int, default=10,
+    parser.add_argument("--t-cap-exp", type=int_at_least(0), default=10,
                         help="certify T_{n_max} < 10**-EXP, EXP >= 0")
     args = parser.parse_args()
     created = not args.out.exists()

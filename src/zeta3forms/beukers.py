@@ -16,12 +16,13 @@ Forms for n = 0..N cost O(N) big-integer steps. Each step's division by n^3
 must be exact: that remainder check certifies that d_n^3 alpha_n is an
 integer. alpha_n = A_n/d_n^3 is built only when read. One loop, under a
 lock, appends whole rows to the append-only table, so any thread reads only
-complete rows. It first refuses, with MemoryError, rows that physical memory
-cannot hold: row k takes at least 10(k-1) bits, as b_k >= 9^(k-1) (lemma in
-``apery_bracket``), d_k >= 2^(k-1) (Nair, Amer. Math. Monthly 89, 1982, for
-k >= 7, checked by hand below) and Y_k >= 2.4 d_k^3 b_k (a_k/b_k rises from
-6/5). The same table brackets zeta(3) between Apery's convergents a_N/b_N
-(``apery_bracket``), which gives I_n with no cancellation. The tests check
+complete rows. It first refuses, with MemoryError, a table to n that
+physical memory cannot hold, held rows counted: row k takes at least 10(k-1)
+bits, as b_k >= 9^(k-1) (lemma in ``apery_bracket``), d_k >= 2^(k-1) (Nair,
+Amer. Math. Monthly 89, 1982, for k >= 7, checked by hand below) and Y_k >=
+2.4 d_k^3 b_k (a_k/b_k rises from 6/5), so rows 0..n take 10 n(n-1)/16
+bytes or more. The same table brackets zeta(3) between Apery's convergents
+a_N/b_N (``apery_bracket``), which gives I_n with no cancellation. The tests check
 these forms against an independent O(n^2) route, the double sum of kernel
 moments and shifted Legendre coefficients in ``tests/oracles.py``.
 """
@@ -59,19 +60,23 @@ _APERY: list[tuple[int, int, int]] = [(1, 0, 1), (5, 12, 1)]
 _GROWING = threading.Lock()
 
 
+def require_memory(need: int, what: str) -> None:
+    """MemoryError naming ``what`` if physical memory, where known, is under ``need`` bytes."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < have < need:
+        raise MemoryError(f"{what} needs over {need} bytes; memory holds {have}")
+
+
 def _row(n: int) -> tuple[int, int, int]:
     """Row n of the table, grown through n first if it is short."""
     if n < len(_APERY):
         return _APERY[n]
+    # rows k = 1..n take over 10(k-1) bits each (module docstring)
+    require_memory(10 * n * (n - 1) // 16, f"Apery's table to n={n}")
     with _GROWING:
-        # rows k = len..n take over 10(k-1) bits each (module docstring)
-        need = 10 * (n * (n - 1) - (len(_APERY) - 1) * (len(_APERY) - 2)) // 16
-        try:
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, ValueError, OSError):  # the platform does not say
-            have = 0
-        if 0 < have < need:
-            raise MemoryError(f"Apery's table to n={n} needs over {need} bytes; memory holds {have}")
         while len(_APERY) <= n:
             k = len(_APERY)
             (b2, y2, d2), (b1, y1, d1) = _APERY[-2:]

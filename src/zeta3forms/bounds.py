@@ -124,20 +124,17 @@ def sandwich_status(value: Enclosure, upper: Enclosure) -> CheckStatus:
     return CheckStatus.UNKNOWN
 
 
-def _check_sandwich(n: int, digits: int, lhs: Enclosure, rhs: Enclosure) -> CheckResult:
-    """Decide 0 < lhs < rhs, both sides built at (n, digits)."""
-    return CheckResult(n, lhs, rhs, sandwich_status(lhs, rhs), digits)
-
-
 def verify_form_bound(n: int, digits: int) -> CheckResult:
     """Check 0 < |A_n + B_n*zeta(3)|/d_n^3 < 2 (sqrt(2)-1)^(4n) zeta(3)."""
-    return _check_sandwich(n, digits, form_abs_enclosure(n, digits), rhs_bound(n, digits))
+    lhs, rhs = form_abs_enclosure(n, digits), rhs_bound(n, digits)
+    return CheckResult(n, lhs, rhs, sandwich_status(lhs, rhs), digits)
 
 
 def verify_ratio_bound(n: int, digits: int) -> CheckResult:
     """Check the divided form 0 < R_n < zeta(3). It reads the same |I_n| and
     (17+12*sqrt(2))^n as verify_form_bound, so it is not an independent route."""
-    return _check_sandwich(n, digits, ratio_enclosure(n, digits), zeta3(digits))
+    lhs, rhs = ratio_enclosure(n, digits), zeta3(digits)
+    return CheckResult(n, lhs, rhs, sandwich_status(lhs, rhs), digits)
 
 
 # One row of the decay table: d_n and the enclosures form_abs = |I_n|,
@@ -149,8 +146,7 @@ def decay_table(n_max: int, digits: int) -> list[DecayRow]:
     """Rows n = 1..n_max tracking the decay of the bound and of T_n = d_n^3 * rhs."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    form_abs_enclosure(n_max, digits)  # last row first: a size no memory holds fails at once
     rows = []
     for n in range(1, n_max + 1):
         form_abs = form_abs_enclosure(n, digits)

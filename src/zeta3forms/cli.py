@@ -18,8 +18,8 @@ stderr).
 
 from __future__ import annotations
 
-# csv and json are imported by the functions that write them, so a command
-# that prints neither format does not load them.
+# json is imported by the functions that write it, so a command that prints
+# no JSON does not load it.
 import argparse
 import os
 import sys
@@ -137,16 +137,13 @@ def _banner(args: argparse.Namespace, text: str) -> None:
 def _write_table(
     out: TextIOBase, as_csv: bool, header: Sequence[str], rows: Sequence[tuple], keys: Sequence[str]
 ) -> None:
-    """Rows as CSV under ``header``, or as one line of key=value pairs each."""
+    """Rows as CSV under ``header``, or as one line of key=value pairs each. No
+    cell (an int, a status or a decimal) holds a comma, quote or line break."""
     if as_csv:
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        lines = [",".join(map(str, row)) for row in (header, *rows)]
     else:
-        for row in rows:
-            print(" ".join(f"{k}={v}" for k, v in zip(keys, row)), file=out)
+        lines = [" ".join(f"{k}={v}" for k, v in zip(keys, row)) for row in rows]
+    out.writelines(f"{line}\n" for line in lines)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -167,6 +164,7 @@ def cmd_form(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _banner(args, f"verify n=1..{args.n_max} digits={args.digits}")
+    bounds.form_abs_enclosure(args.n_max, args.digits)  # last row first: a size no memory holds fails at once
     statuses = []
     rows = []
     for n in range(1, args.n_max + 1):
@@ -282,10 +280,11 @@ def run_to_stdout(prog: str, command: Callable[..., int], *args: object) -> int:
         return EXIT_PIPE
     except (ArithmeticError, ValueError) as exc:
         print(f"{prog}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    except (OSError, MemoryError) as exc:
-        if isinstance(exc, OSError):
-            _stdout_to_devnull()
+    except OSError as exc:
+        _stdout_to_devnull()
         print(f"{prog}: cannot complete: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # one the allocator raises carries no message
+        print(f"{prog}: cannot complete: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
     return EXIT_INTERNAL
 
 
@@ -307,26 +306,19 @@ def _parse_coeffs(text: str) -> chain.CoeffVector:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}") from exc
 
 
-def _int(text: str) -> int:
-    """int(text); argparse puts the option's name before a non-integer's message."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+def int_at_least(low: int) -> Callable[[str], int]:
+    """A parser of integers >= low; argparse puts the option's name before its messages."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
 
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return parse
 
 
 def build_parser() -> ArgumentParser:
@@ -340,30 +332,30 @@ def build_parser() -> ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("form", parents=[common], help="print the linear form for one n")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--n", type=int_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_form)
 
     p = sub.add_parser("verify", parents=[common], help="certify the sandwich bound for n=1..N")
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--digits", type=_positive_int, default=30)
+    p.add_argument("--n-max", type=int_at_least(1), required=True)
+    p.add_argument("--digits", type=int_at_least(1), default=30)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zeta3", parents=[common], help="print zeta(3) to a certified precision")
-    p.add_argument("--digits", type=_positive_int, required=True)
+    p.add_argument("--digits", type=int_at_least(1), required=True)
     p.set_defaults(func=cmd_zeta3)
 
     p = sub.add_parser("audit", parents=[common], help="audit the inequality chain for one vector")
     p.add_argument("--coeffs", type=_parse_coeffs, required=True, metavar="c0,c1,...,cm")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--digits", type=_positive_int, default=60)
+    p.add_argument("--n", type=int_at_least(1), required=True)
+    p.add_argument("--digits", type=int_at_least(1), default=60)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("decay", parents=[common], help="tabulate the decay of the bound")
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--digits", type=_positive_int, default=230)
+    p.add_argument("--n-max", type=int_at_least(1), required=True)
+    p.add_argument("--digits", type=int_at_least(1), default=230)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_decay)
 

@@ -111,6 +111,10 @@ thread in the child blocks reading the lifeline and calls os._exit(1) at
 EOF. `_decimal` keeps the GIL while it multiplies, so the child exits within
 one multiplication of this process's death.
 
+Before any Decimal work, `zeta3_accelerated` refuses, with MemoryError, a
+size whose two fields (each above 2**bits, as zeta(3) > 1) physical memory
+cannot hold.
+
 The check is the bracket of Apery's convergents, `beukers.apery_bracket`,
 the route that builds |I_n| (van der Poorten, 1979). It shares no code with
 the AZ series, so a systematic bug in either surfaces as a DisjointEnclosures
@@ -137,7 +141,7 @@ from decimal import (
 from functools import lru_cache
 from io import TextIOWrapper
 
-from .beukers import apery_bracket, apery_index
+from .beukers import apery_bracket, apery_index, require_memory
 from .exactnum import DIGITS_CACHE_SIZE, Enclosure, budget_bits
 
 
@@ -396,6 +400,9 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     """Enclosure of width <= 10**-digits via binary splitting."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    bits = budget_bits(digits)
+    # the two fields exceed 2**bits (module docstring)
+    require_memory(2 * bits // 8, f"zeta(3) to {digits} digits")
     # S_K = sum_{k<=K} t_k leaves |t_{K+1}|/64 < 10**-digits (module docstring).
     terms = digits // 3 + 2
     # Over [0, K+2) the sum gives S_{K+1} = T/Q and the products give
@@ -403,7 +410,6 @@ def zeta3_accelerated(digits: int) -> Enclosure:
     n = terms + 2
     m = 13 * n // 25
     weight = _weight(terms + 1)
-    bits = budget_bits(digits)
     scale = _EXACT.power(2, bits)
     # the precision rule (module docstring)
     prec = scale.adjusted() + 2 + _GUARD_DIGITS

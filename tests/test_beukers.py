@@ -286,6 +286,19 @@ def test_four_megabytes_refuse_n_3000_and_grow_n_2000(monkeypatch):
     assert len(beukers._APERY) == 2001
 
 
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform reports no physical memory")
+def test_rows_the_table_holds_count_toward_its_memory_floor(monkeypatch):
+    # with rows to n = 2000 held, n = 2900 still needs 10 * 2900 * 2899 / 16
+    # bytes, 5.3 MB, for the whole table: four megabytes refuse it
+    linear_form(2000)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(beukers.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(beukers, "_APERY", beukers._APERY[:2001])
+    with pytest.raises(MemoryError, match="n=2900 "):
+        linear_form(2900)
+    assert len(beukers._APERY) == 2001
+
+
 def _fraction_apery_a(n_max: int) -> list[Fraction]:
     """a_0..a_{n_max} from the recurrence in Fraction arithmetic, as the
     production table was built before it held the integers Y_n."""

@@ -327,12 +327,33 @@ def test_an_internal_fault_exits_4_with_one_stderr_line(capsys, request, argv, f
     assert err.count("\n") == 1
 
 
+def test_a_memory_error_with_no_message_still_says_why(capsys, out_of_memory):
+    # the allocator's MemoryError has an empty message; the line must not end in ": "
+    code, out, err = run_cli(capsys, "verify", "--n-max", "3", "--quiet")
+    assert (code, out, err) == (EXIT_INTERNAL, "", "zeta3forms: cannot complete: MemoryError: out of memory\n")
+
+
+_TABLE_REFUSED = "Apery's table to n="
+_ZETA3_REFUSED = "zeta(3) to "
+
+
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform reports no physical memory")
 @pytest.mark.parametrize(
-    "argv", [("verify", "--n-max", "3", "--digits", "100000000000"), ("form", "--n", "10000000000")]
+    "argv, refused",
+    [
+        (("verify", "--n-max", "3", "--digits", "100000000000"), _TABLE_REFUSED),
+        (("form", "--n", "10000000000"), _TABLE_REFUSED),
+        (("verify", "--n-max", "100000000"), _TABLE_REFUSED),
+        (("decay", "--n-max", "100000000"), _TABLE_REFUSED),
+        (("zeta3", "--digits", "1000000000000000"), _ZETA3_REFUSED),
+        (("audit", "--coeffs", "-6,5", "--n", "1", "--digits", "1000000000000000"), _ZETA3_REFUSED),
+    ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_a_size_no_memory_holds_exits_4_at_once(argv):
-    # No address-space limit is set: the size is refused before the table grows.
+def test_a_size_no_memory_holds_exits_4_at_once(argv, refused):
+    # No address-space limit is set: the size is refused before the table
+    # grows or zeta(3)'s splitting starts, even where a sweep's first rows
+    # would fit.
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -343,7 +364,7 @@ def test_a_size_no_memory_holds_exits_4_at_once(argv):
         timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, "")
-    assert proc.stderr.startswith("zeta3forms: cannot complete: MemoryError: Apery's table to n=")
+    assert proc.stderr.startswith(f"zeta3forms: cannot complete: MemoryError: {refused}")
     assert proc.stderr.count("\n") == 1 and " bytes" in proc.stderr
 
 

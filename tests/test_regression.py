@@ -564,9 +564,9 @@ def test_the_commands_import_only_the_standard_library():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
 
 
-# Modules a library import and plain verify and decay runs leave unloaded:
-# dataclasses alone loads inspect, ast, dis and tokenize; json and csv are
-# loaded only by the commands that write those formats; typing is read by no
+# Modules a library import and verify and decay runs, plain or --csv, leave
+# unloaded: dataclasses alone loads inspect, ast, dis and tokenize; json is
+# loaded only by the commands that write it, csv by none; typing is read by no
 # annotation at run time; fractions only where an exact endpoint is read as a
 # Fraction (form, audit --json).
 _UNLOADED = ("dataclasses", "inspect", "ast", "json", "csv", "typing", "fractions")
@@ -585,11 +585,12 @@ import runpy, sys
 sys.path.insert(0, sys.argv[1])
 unloaded = set(sys.argv[2:])
 for command in ("verify", "decay"):
-    sys.argv = ["zeta3forms", command, "--n-max", "1", "--quiet"]
-    try:
-        runpy.run_module("zeta3forms", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        print("exit", command, exc.code, *sorted(unloaded & set(sys.modules)))
+    for table in ([], ["--csv"]):
+        sys.argv = ["zeta3forms", command, "--n-max", "1", *table, "--quiet"]
+        try:
+            runpy.run_module("zeta3forms", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            print("exit", command, *table, exc.code, *sorted(unloaded & set(sys.modules)))
 """
 
 
@@ -613,7 +614,7 @@ def test_a_verify_run_loads_no_record_or_format_module():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
-    assert exits == ["exit verify 0", "exit decay 0"]
+    assert exits == ["exit verify 0", "exit verify --csv 0", "exit decay 0", "exit decay --csv 0"]
 
 
 # -- a cache is kept only where its keys come back ---------------------------------

@@ -618,3 +618,18 @@ def test_direct_tail_bracket_is_rigorous(K):
     lo, hi = _directed_tail_sum(K + 1, 10**6)
     assert F(1, 2 * (K + 1) ** 2) < lo
     assert hi < F(1, 2 * K**2)
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the platform reports no physical memory")
+def test_a_size_whose_fields_memory_cannot_hold_is_refused_first(monkeypatch):
+    # at d digits the two fields take over 2 * budget_bits(d) / 8 = d + 1
+    # bytes: 1000 bytes of memory hold 999 digits and refuse 1000
+    from zeta3forms import beukers
+
+    want = zeta3_accelerated(999)
+    monkeypatch.setattr(beukers.os, "sysconf", {"SC_PAGE_SIZE": 1000, "SC_PHYS_PAGES": 1}.__getitem__)
+    with monkeypatch.context() as patched:
+        patched.setattr(zmod, "_binsplit", None)  # no splitting may start
+        with pytest.raises(MemoryError, match="zeta\\(3\\) to 1000 digits needs over 1001 bytes"):
+            zeta3_accelerated(1000)
+    assert zeta3_accelerated(999) == want
